@@ -909,8 +909,7 @@ impl FosterBTree {
                     let has_foster = child_view.has_foster();
                     drop(child_guard);
                     if has_foster {
-                        self.adopt(parent, child)?;
-                        return Ok(true);
+                        return self.adopt(parent, child);
                     }
                     current = child;
                 }
@@ -1144,7 +1143,11 @@ impl FosterBTree {
     /// or deadlocking against foreground descents. After re-latching,
     /// the plan is re-validated: a vanished entry or foster pointer
     /// means a concurrent restructure already did the work.
-    fn adopt(&self, parent: PageId, child: PageId) -> Result<(), BTreeError> {
+    ///
+    /// Returns whether the tree changed. A try-latch that backed off did
+    /// nothing, and a caller that counted it as structural progress would
+    /// spend its whole retry budget on a root that readers keep latched.
+    fn adopt(&self, parent: PageId, child: PageId) -> Result<bool, BTreeError> {
         let undo = PoolUndo::new(&self.pool);
         let outcome = self.txn.run_system(
             &undo,
@@ -1159,7 +1162,7 @@ impl FosterBTree {
         match outcome {
             Some(AdoptStep::Adopted) => {
                 TreeStatCounters::bump(&self.stats.adoptions);
-                Ok(())
+                Ok(true)
             }
             Some(AdoptStep::ParentFull) => {
                 // Make room one level up, then let a later pass adopt.
@@ -1167,13 +1170,14 @@ impl FosterBTree {
                 // foster cannot grow (growth absorbs a foster chain), so
                 // foster-split it first — the next maintenance pass sees
                 // the root's foster and grows the tree by one level.
-                self.split(parent)
+                self.split(parent)?;
+                Ok(true)
             }
-            Some(AdoptStep::Nothing) | Some(AdoptStep::Busy) => Ok(()),
+            Some(AdoptStep::Nothing) | Some(AdoptStep::Busy) => Ok(false),
             None => {
                 TreeStatCounters::bump(&self.stats.restructure_conflicts);
                 self.obs_emit(EventKind::Restructure, parent.0, 0);
-                Ok(())
+                Ok(false)
             }
         }
     }

@@ -21,7 +21,7 @@ use spf_btree::{BTreeError, BumpAllocator, FosterBTree, PageAllocator, VerifyMod
 use spf_buffer::{BufferPool, BufferPoolConfig};
 use spf_storage::{MemDevice, PageId, DEFAULT_PAGE_SIZE};
 use spf_txn::{TxKind, TxnManager};
-use spf_wal::LogManager;
+use spf_wal::{LogManager, TxId};
 
 struct Fixture {
     pool: BufferPool,
@@ -206,23 +206,29 @@ fn overlapping_upserts_form_a_linear_chain_per_key() {
     assert_structurally_clean(&tree);
 }
 
-#[test]
-fn readers_see_all_committed_keys_during_splits_and_adoptions() {
-    const TOTAL: u64 = 600;
+/// Keys the reader storm's writer commits.
+const TOTAL: u64 = 600;
+
+/// One writer inserts keys `0..TOTAL` with `insert`, commits every `BATCH`
+/// and publishes the committed count; three readers check random committed
+/// keys and short scans until the writer is done — or gone: the scope
+/// joins the writer before it releases the readers, so a writer that
+/// panics fails the test instead of leaving them spinning on a watermark
+/// that will never move.
+fn reader_storm(fx: &Fixture, tree: &FosterBTree, insert: impl Fn(TxId, u64) + Send) {
     const BATCH: u64 = 20;
     const READERS: usize = 3;
-    let fx = fixture(512, 8192);
-    let tree = foster_tree(&fx, VerifyMode::Continuous);
     let watermark = AtomicU64::new(0);
+    let writer_exited = AtomicBool::new(false);
 
     std::thread::scope(|s| {
-        let tree = &tree;
         let txn = &fx.txn;
         let watermark = &watermark;
-        s.spawn(move || {
+        let writer_exited = &writer_exited;
+        let writer = s.spawn(move || {
             let mut tx = txn.begin(TxKind::User);
             for i in 0..TOTAL {
-                tree.insert(tx, &key(i), &val(0, i)).unwrap();
+                insert(tx, i);
                 if (i + 1) % BATCH == 0 {
                     txn.commit(tx).unwrap();
                     watermark.store(i + 1, Ordering::Release);
@@ -235,6 +241,10 @@ fn readers_see_all_committed_keys_during_splits_and_adoptions() {
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(77 + r as u64);
                 loop {
+                    // Read before the watermark: a writer seen as exited
+                    // has published its last watermark, so one more pass
+                    // checks everything it committed.
+                    let exited = writer_exited.load(Ordering::Acquire);
                     let committed = watermark.load(Ordering::Acquire);
                     if committed > 0 {
                         let i = rng.gen_range(0..committed);
@@ -251,18 +261,46 @@ fn readers_see_all_committed_keys_during_splits_and_adoptions() {
                             "scan produced unsorted or duplicate keys"
                         );
                     }
-                    if committed == TOTAL {
+                    if exited {
                         break;
                     }
                 }
             });
         }
+        let outcome = writer.join();
+        writer_exited.store(true, Ordering::Release);
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+#[test]
+fn readers_see_all_committed_keys_during_splits_and_adoptions() {
+    let fx = fixture(512, 8192);
+    let tree = foster_tree(&fx, VerifyMode::Continuous);
+    reader_storm(&fx, &tree, |tx, i| {
+        tree.insert(tx, &key(i), &val(0, i)).unwrap();
     });
 
     assert_eq!(tree.collect_all().unwrap().len(), TOTAL as usize);
     assert_structurally_clean(&tree);
     let stats = tree.stats();
     assert!(stats.leaf_splits > 0 && stats.adoptions > 0);
+}
+
+/// The harness itself: a writer that dies mid-storm (as `insert` did with
+/// `TooManyRetries` on a 2-core box) must fail the test, not leave the
+/// readers spinning on the watermark.
+#[test]
+#[should_panic(expected = "injected writer failure")]
+fn a_dead_writer_fails_the_reader_storm_instead_of_hanging() {
+    let fx = fixture(512, 8192);
+    let tree = foster_tree(&fx, VerifyMode::Continuous);
+    reader_storm(&fx, &tree, |tx, i| {
+        assert!(i < TOTAL / 2, "injected writer failure at key {i}");
+        tree.insert(tx, &key(i), &val(0, i)).unwrap();
+    });
 }
 
 /// Fills one leaf, then lets the hook split it several times in the

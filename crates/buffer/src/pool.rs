@@ -44,7 +44,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::sync::{Condvar, Mutex as StdMutex, OnceLock};
 
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
@@ -492,7 +492,9 @@ struct PoolInner {
     recoverer: Mutex<Option<Arc<dyn PageRecoverer>>>,
     observer: Mutex<Option<Arc<dyn WriteObserver>>>,
     /// Fault feed for the prefetcher ([`BufferPool::set_access_observer`]).
-    access_observer: OnceLock<Arc<dyn AccessObserver>>,
+    /// Weak: the observer holds a clone of this pool, and a strong
+    /// reference back would keep both alive forever.
+    access_observer: OnceLock<Weak<dyn AccessObserver>>,
     /// Observability attach point ([`BufferPool::attach_obs`]).
     obs: OnceLock<Arc<Obs>>,
 }
@@ -644,9 +646,17 @@ impl BufferPool {
     /// Installs the access observer — the prefetcher's learning feed,
     /// called on every true miss and on the first foreground touch of a
     /// prefetched page, never with a shard lock held. At most one per
-    /// pool; later calls are ignored.
-    pub fn set_access_observer(&self, observer: Arc<dyn AccessObserver>) {
+    /// pool; later calls are ignored. The pool does not keep the observer
+    /// alive: whoever wires it (the `Database`) owns it, and once it is
+    /// dropped the feed goes quiet.
+    pub fn set_access_observer(&self, observer: Weak<dyn AccessObserver>) {
         let _ = self.inner.access_observer.set(observer);
+    }
+
+    fn notify_access_observer(&self, id: PageId, hint: FetchHint) {
+        if let Some(observer) = self.inner.access_observer.get().and_then(Weak::upgrade) {
+            observer.page_faulted(id, hint.context());
+        }
     }
 
     /// Number of frames.
@@ -1280,9 +1290,7 @@ impl BufferPool {
                         if let Some(o) = self.inner.obs.get() {
                             o.emit(EventKind::PrefetchHit, id.0, hint.context() as u64);
                         }
-                        if let Some(ao) = self.inner.access_observer.get() {
-                            ao.page_faulted(id, hint.context());
-                        }
+                        self.notify_access_observer(id, hint);
                     }
                     return Ok((idx, page));
                 }
@@ -1315,9 +1323,7 @@ impl BufferPool {
         ctx: TraceCtx,
     ) -> Result<(usize, Arc<RwLock<Page>>), FetchError> {
         bump(&self.inner.stats.misses);
-        if let Some(ao) = self.inner.access_observer.get() {
-            ao.page_faulted(id, hint.context());
-        }
+        self.notify_access_observer(id, hint);
         let _span = self
             .inner
             .obs
@@ -2432,7 +2438,7 @@ mod tests {
         }
         let (pool, _dev, _log) = setup(4, 8);
         let rec = Arc::new(Recorder::default());
-        pool.set_access_observer(Arc::clone(&rec) as Arc<dyn AccessObserver>);
+        pool.set_access_observer(Arc::downgrade(&rec) as Weak<dyn AccessObserver>);
 
         drop(pool.fetch(PageId(1)).unwrap()); // true miss, point access
         drop(pool.fetch_with_hint(PageId(2), FetchHint::Scan).unwrap()); // true miss, scan

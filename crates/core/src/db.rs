@@ -2,7 +2,7 @@
 //! failure injection, and the four recovery paths.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
@@ -103,7 +103,9 @@ const ROOT: PageId = PageId(0);
 
 /// Cheap clones of every statistics source, detached from the façade so
 /// the black-box arm (stored inside [`Obs`]) can snapshot at panic time.
-/// Holds `Obs` weakly — the arm must not keep its own owner alive.
+/// Holds `Obs` weakly, but the pool, log and tree it holds strongly each
+/// hold that `Obs` too: the arm is a reference cycle for as long as it is
+/// armed, which `Database`'s `Drop` ends by disarming.
 struct MetricsSources {
     pool: BufferPool,
     log: LogManager,
@@ -597,7 +599,9 @@ impl Database {
                 Arc::clone(&governor),
                 config.data_pages,
             ));
-            pool.set_access_observer(Arc::clone(&p) as Arc<dyn AccessObserver>);
+            // Weak: the prefetcher holds a clone of the pool, so a strong
+            // reference back would leak both when the database is dropped.
+            pool.set_access_observer(Arc::downgrade(&p) as Weak<dyn AccessObserver>);
             p
         });
 
@@ -657,8 +661,8 @@ impl Database {
         // File-backed engines arm black-box capture: a panic (with the
         // hook installed) or a clean close persists the flight recorder,
         // open trace rings, and a metrics snapshot next to the data. The
-        // closure holds its own subsystem handles — weakly for `Obs`, so
-        // the arm stored inside `Obs` never keeps it alive.
+        // closure holds its own subsystem handles, which hold `Obs`:
+        // `Drop` disarms it, or the engine would never be freed.
         if let Some(dir) = db.path.clone() {
             let sources = db.metrics_sources();
             db.obs
@@ -1552,8 +1556,12 @@ impl Database {
 impl Drop for Database {
     /// The background scrubber and prefetcher threads borrow the
     /// engine's shared substrate; stop them before the façade goes away.
+    /// The black-box arm holds that substrate from inside `Obs`, which the
+    /// substrate holds in turn; disarm it so that the frames and the
+    /// memory-resident WAL are freed with the façade.
     fn drop(&mut self) {
         self.stop_scrubber();
         self.stop_prefetcher();
+        self.obs.disarm_blackbox();
     }
 }

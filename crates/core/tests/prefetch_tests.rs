@@ -150,3 +150,27 @@ fn governor_is_shared_between_scrubber_and_prefetcher() {
         gov.granted_prefetch,
     );
 }
+
+/// Two reference cycles used to keep a dropped `Database` — its frames and
+/// its memory-resident WAL — alive for the life of the process: the pool
+/// fed an `Arc<Prefetcher>` that held a pool clone, and on a file-backed
+/// engine the black-box arm inside `Obs` held the subsystems that hold
+/// that `Obs`. Every subsystem holds the `Obs`, the pool included, so a
+/// dead `Obs` means they are all gone.
+#[test]
+fn dropping_the_database_frees_its_prefetcher_pool_and_obs() {
+    let dir = tempdir::TempDir::new("spf-drop").unwrap();
+    let in_memory = Database::create(DatabaseConfig::default()).unwrap();
+    let on_disk = Database::create_at(DatabaseConfig::default(), dir.path()).unwrap();
+    for db in [in_memory, on_disk] {
+        load(&db, 500);
+        let prefetcher = std::sync::Arc::downgrade(db.prefetcher().expect("wired by default"));
+        let obs = std::sync::Arc::downgrade(db.obs());
+        drop(db);
+        assert!(prefetcher.upgrade().is_none(), "prefetcher leaked");
+        assert!(
+            obs.upgrade().is_none(),
+            "obs, and whatever still holds it, leaked"
+        );
+    }
+}

@@ -356,6 +356,13 @@ impl Obs {
         *self.blackbox.lock() = Some(BlackBoxArm { dir, metrics });
     }
 
+    /// Disarms black-box capture and drops the metrics closure. The
+    /// closure holds the engine's subsystems and they hold this `Obs`, so
+    /// an engine that goes away without disarming is never freed.
+    pub fn disarm_blackbox(&self) {
+        *self.blackbox.lock() = None;
+    }
+
     /// Whether black-box capture is armed.
     #[must_use]
     pub fn blackbox_armed(&self) -> bool {

@@ -107,8 +107,10 @@ struct Queue {
     stats: PrefetchStats,
 }
 
-/// The predictive prefetcher. Shared behind an `Arc`: the pool holds it
-/// as its access observer, the database's background thread polls it.
+/// The predictive prefetcher. Shared behind an `Arc` that the database
+/// owns: the pool holds it weakly as its access observer (this struct holds
+/// a pool clone, so a strong reference back would be a cycle), and the
+/// database's background thread polls it.
 pub struct Prefetcher {
     config: PrefetchConfig,
     pool: BufferPool,
@@ -262,7 +264,7 @@ mod tests {
             governor,
             device.capacity(),
         ));
-        pool.set_access_observer(Arc::clone(&prefetcher) as Arc<dyn AccessObserver>);
+        pool.set_access_observer(Arc::downgrade(&prefetcher) as std::sync::Weak<dyn AccessObserver>);
         (prefetcher, pool)
     }
 

@@ -100,20 +100,10 @@ fn scan_never_observes_a_torn_record() {
     const PER_THREAD: usize = 2_000;
     let log = LogManager::for_testing();
     let done = AtomicBool::new(false);
-    // Appenders + scanner + the coordinating main thread.
-    let barrier = Barrier::new(THREADS + 2);
+    // Appenders + scanner.
+    let barrier = Barrier::new(THREADS + 1);
 
     std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let log = log.clone();
-            let barrier = &barrier;
-            s.spawn(move || {
-                barrier.wait();
-                for i in 0..PER_THREAD {
-                    log.append(&update_record(t as u64 + 1, i as u64 % 8, 1 + (i % 61)));
-                }
-            });
-        }
         let scan_log = log.clone();
         let done = &done;
         let barrier = &barrier;
@@ -140,16 +130,27 @@ fn scan_never_observes_a_torn_record() {
                 }
             }
         });
-        // Appenders are the first THREADS spawns; when they are done, let
-        // the scanner run one final full pass.
-        // (scope joins appenders when their closures return; the flag
-        // flip below races only the scanner, which re-checks.)
-        barrier.wait();
-        // Wait for the appenders by re-scanning ourselves.
-        while log.stats().records_appended < (THREADS * PER_THREAD) as u64 {
-            std::thread::yield_now();
-        }
+        let appenders: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let log = log.clone();
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..PER_THREAD {
+                        log.append(&update_record(t as u64 + 1, i as u64 % 8, 1 + (i % 61)));
+                    }
+                })
+            })
+            .collect();
+        // Join the appenders, then let the scanner run one final full
+        // pass — also when an appender panicked, so that the test fails
+        // instead of leaving the scanner spinning on a flag nobody sets.
+        let outcomes: Vec<_> = appenders.into_iter().map(|a| a.join()).collect();
         done.store(true, Ordering::Release);
+        for outcome in outcomes {
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
 }
 
