@@ -1,5 +1,9 @@
 //! Foster B-tree point-operation throughput: insert, lookup, update,
 //! delete, and scan against a pooled, logged engine.
+//!
+//! `get_hot` times `Database::get` as a caller sees it (key encoding
+//! included); the two `get_resident_*` rows time the tree's read path by
+//! itself and split it into instruction cost and cache misses.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spf_bench::{engine, key, load, val};
@@ -21,6 +25,23 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(db.get(&key(i)).unwrap());
         })
     });
+
+    // The tree's resident read path alone: keys encoded up front, the
+    // `Database` wrapper bypassed, every page in the pool. Uniform keys
+    // walk all of the tree, so the row is instructions plus cache misses;
+    // 64 adjacent keys share one root-to-leaf path that stays in L1, so
+    // that row is instruction cost alone and the gap between the two is
+    // the misses.
+    let keys: Vec<Vec<u8>> = (0..50_000).map(key).collect();
+    for (name, span) in [("get_resident_uniform", 50_000), ("get_resident_hot64", 64)] {
+        group.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 7919) % span;
+                std::hint::black_box(db.tree().get(&keys[i]).unwrap());
+            })
+        });
+    }
 
     group.bench_function("upsert", |b| {
         let mut i = 0u64;

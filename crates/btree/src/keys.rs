@@ -1,15 +1,25 @@
 //! Key bounds and on-page record encodings shared by both trees.
 //!
-//! Fence keys and branch separators are [`Bound`]s: ordinary byte-string
+//! Fence keys and branch separators are bounds: ordinary byte-string
 //! keys extended with −∞ and +∞ so the leftmost and rightmost edges of the
 //! tree have honest fences (the paper's Figure 2 shows them as the "white"
 //! and "black" extremes).
+//!
+//! Two types carry a bound. [`BoundRef`] borrows the key bytes from the
+//! page they were decoded from; every decoder returns it, and it is the
+//! right type for anything that is only compared while the page latch is
+//! held — routing, the fence check of a child against its parent's
+//! promise, in-node invariants. [`Bound`] owns its bytes; build one (via
+//! [`BoundRef::to_bound`]) only where the value outlives the latch: an
+//! error payload, a record about to be logged by a split or adoption, a
+//! scan cursor carried across a re-descent.
 
 use std::cmp::Ordering;
 
 use spf_util::codec::{DecodeError, Decoder, Encoder};
 
-/// A key or an infinite bound.
+/// A key or an infinite bound, owning its bytes. See the module docs for
+/// when to use this rather than [`BoundRef`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Bound {
     /// Below every key.
@@ -30,19 +40,14 @@ impl Bound {
         }
     }
 
-    /// `true` iff `key` lies in the half-open interval `[low, high)`.
+    /// The borrowed form of this bound.
+    #[inline]
     #[must_use]
-    pub fn contains(low: &Bound, high: &Bound, key: &[u8]) -> bool {
-        low.cmp_key(key) != Ordering::Greater && high.cmp_key(key) == Ordering::Greater
-    }
-
-    /// Compares this bound with an ordinary key.
-    #[must_use]
-    pub fn cmp_key(&self, key: &[u8]) -> Ordering {
+    pub fn as_bound_ref(&self) -> BoundRef<'_> {
         match self {
-            Bound::NegInf => Ordering::Less,
-            Bound::Key(k) => k.as_slice().cmp(key),
-            Bound::PosInf => Ordering::Greater,
+            Bound::NegInf => BoundRef::NegInf,
+            Bound::Key(k) => BoundRef::Key(k),
+            Bound::PosInf => BoundRef::PosInf,
         }
     }
 }
@@ -55,7 +60,74 @@ impl PartialOrd for Bound {
 
 impl Ord for Bound {
     fn cmp(&self, other: &Self) -> Ordering {
-        use Bound::*;
+        self.as_bound_ref().cmp(&other.as_bound_ref())
+    }
+}
+
+impl std::fmt::Display for Bound {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_bound_ref().fmt(f)
+    }
+}
+
+/// A key or an infinite bound, borrowing its bytes from the page (or the
+/// [`Bound`]) it came from. `Copy`, allocation-free, and ordered exactly
+/// like [`Bound`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BoundRef<'a> {
+    /// Below every key.
+    NegInf,
+    /// An ordinary key.
+    Key(&'a [u8]),
+    /// Above every key.
+    PosInf,
+}
+
+impl BoundRef<'_> {
+    /// Copies the key bytes into an owned [`Bound`].
+    #[must_use]
+    pub fn to_bound(self) -> Bound {
+        match self {
+            BoundRef::NegInf => Bound::NegInf,
+            BoundRef::Key(k) => Bound::Key(k.to_vec()),
+            BoundRef::PosInf => Bound::PosInf,
+        }
+    }
+
+    /// `true` iff `key` lies in the half-open interval `[low, high)`.
+    #[inline]
+    #[must_use]
+    pub fn contains(low: BoundRef<'_>, high: BoundRef<'_>, key: &[u8]) -> bool {
+        low.cmp_key(key) != Ordering::Greater && high.cmp_key(key) == Ordering::Greater
+    }
+
+    /// Compares this bound with an ordinary key.
+    #[inline]
+    #[must_use]
+    pub fn cmp_key(self, key: &[u8]) -> Ordering {
+        match self {
+            BoundRef::NegInf => Ordering::Less,
+            BoundRef::Key(k) => k.cmp(key),
+            BoundRef::PosInf => Ordering::Greater,
+        }
+    }
+}
+
+impl PartialEq<Bound> for BoundRef<'_> {
+    fn eq(&self, other: &Bound) -> bool {
+        *self == other.as_bound_ref()
+    }
+}
+
+impl PartialOrd for BoundRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for BoundRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        use BoundRef::*;
         match (self, other) {
             (NegInf, NegInf) | (PosInf, PosInf) => Ordering::Equal,
             (NegInf, _) | (_, PosInf) => Ordering::Less,
@@ -65,12 +137,12 @@ impl Ord for Bound {
     }
 }
 
-impl std::fmt::Display for Bound {
+impl std::fmt::Display for BoundRef<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Bound::NegInf => write!(f, "-∞"),
-            Bound::PosInf => write!(f, "+∞"),
-            Bound::Key(k) => write!(f, "{}", spf_util::hex::hex_preview(k, 12)),
+            BoundRef::NegInf => write!(f, "-∞"),
+            BoundRef::PosInf => write!(f, "+∞"),
+            BoundRef::Key(k) => write!(f, "{}", spf_util::hex::hex_preview(k, 12)),
         }
     }
 }
@@ -94,13 +166,14 @@ pub fn encode_fence(bound: &Bound) -> Vec<u8> {
     enc.finish()
 }
 
-/// Decodes a fence record.
-pub fn decode_fence(record: &[u8]) -> Result<Bound, DecodeError> {
+/// Decodes a fence record, borrowing the key bytes from `record`.
+#[inline]
+pub fn decode_fence(record: &[u8]) -> Result<BoundRef<'_>, DecodeError> {
     let mut dec = Decoder::new(record);
     let bound = match dec.get_u8()? {
-        TAG_NEG_INF => Bound::NegInf,
-        TAG_KEY => Bound::Key(dec.get_len_bytes(1 << 14)?.to_vec()),
-        TAG_POS_INF => Bound::PosInf,
+        TAG_NEG_INF => BoundRef::NegInf,
+        TAG_KEY => BoundRef::Key(dec.get_len_bytes(1 << 14)?),
+        TAG_POS_INF => BoundRef::PosInf,
         tag => return Err(DecodeError::InvalidTag { tag, what: "Bound" }),
     };
     Ok(bound)
@@ -116,6 +189,7 @@ pub fn encode_leaf(key: &[u8], value: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes a leaf data record into `(key, value)`.
+#[inline]
 pub fn decode_leaf(record: &[u8]) -> Result<(&[u8], &[u8]), DecodeError> {
     let mut dec = Decoder::new(record);
     let key = dec.get_len_bytes(1 << 14)?;
@@ -133,8 +207,10 @@ pub fn encode_branch(child: u64, upper: &Bound) -> Vec<u8> {
     enc.finish()
 }
 
-/// Decodes a branch entry into `(child_pid, upper_bound)`.
-pub fn decode_branch(record: &[u8]) -> Result<(u64, Bound), DecodeError> {
+/// Decodes a branch entry into `(child_pid, upper_bound)`, borrowing the
+/// bound's key bytes from `record`.
+#[inline]
+pub fn decode_branch(record: &[u8]) -> Result<(u64, BoundRef<'_>), DecodeError> {
     let mut dec = Decoder::new(record);
     let child = dec.get_u64()?;
     let bound = decode_fence(dec.get_bytes(dec.remaining())?)?;
@@ -159,11 +235,18 @@ mod tests {
     fn cmp_key_and_contains() {
         let low = Bound::Key(b"c".to_vec());
         let high = Bound::Key(b"m".to_vec());
-        assert!(Bound::contains(&low, &high, b"c"));
-        assert!(Bound::contains(&low, &high, b"lzz"));
-        assert!(!Bound::contains(&low, &high, b"m"));
-        assert!(!Bound::contains(&low, &high, b"b"));
-        assert!(Bound::contains(&Bound::NegInf, &Bound::PosInf, b"anything"));
+        let (l, h) = (low.as_bound_ref(), high.as_bound_ref());
+        assert!(BoundRef::contains(l, h, b"c"));
+        assert!(BoundRef::contains(l, h, b"lzz"));
+        assert!(!BoundRef::contains(l, h, b"m"));
+        assert!(!BoundRef::contains(l, h, b"b"));
+        assert!(BoundRef::contains(
+            BoundRef::NegInf,
+            BoundRef::PosInf,
+            b"anything"
+        ));
+        assert_eq!(l.cmp_key(b"c"), Ordering::Equal);
+        assert_eq!(h.cmp_key(b"c"), Ordering::Greater);
     }
 
     #[test]
@@ -175,7 +258,8 @@ mod tests {
             Bound::Key(vec![]),
         ] {
             let enc = encode_fence(&b);
-            assert_eq!(decode_fence(&enc).unwrap(), b);
+            assert_eq!(decode_fence(&enc).unwrap(), b.as_bound_ref());
+            assert_eq!(decode_fence(&enc).unwrap().to_bound(), b);
         }
     }
 
@@ -198,7 +282,7 @@ mod tests {
             let enc = encode_branch(42, &bound);
             let (child, upper) = decode_branch(&enc).unwrap();
             assert_eq!(child, 42);
-            assert_eq!(upper, bound);
+            assert_eq!(upper, bound.as_bound_ref());
         }
     }
 

@@ -19,11 +19,14 @@
 //! `upper_0` = the low fence), so a branch with N children carries N+1
 //! key values — exactly the paper's fence-key count.
 
+use std::cmp::Ordering;
+
 use spf_storage::{Page, PageId, PageType};
 
 use crate::error::BTreeError;
 use crate::keys::{
     decode_branch, decode_fence, decode_leaf, encode_branch, encode_fence, encode_leaf, Bound,
+    BoundRef,
 };
 
 /// Leaf or branch.
@@ -37,28 +40,30 @@ pub enum NodeKind {
 
 const FLAG_FOSTER: u8 = 0x01;
 
-/// Where a key search in a node leads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Descent {
+/// Where a key search in a node leads. The bounds a pointer promises
+/// about its target borrow from the routed node's page, so they are valid
+/// exactly as long as that page's latch is held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Descent<'a> {
     /// Follow the foster pointer: the key lies in `[separator, high)`.
     Foster {
         /// The foster child.
         child: PageId,
         /// The foster separator (child's expected low fence).
-        separator: Bound,
+        separator: BoundRef<'a>,
         /// The chain's high fence (child's expected high fence).
-        high: Bound,
+        high: BoundRef<'a>,
     },
-    /// Follow a branch entry.
+    /// Follow a branch entry. Only a node with level ≥ 1 routes here.
     Child {
         /// Slot of the entry.
         pos: u16,
         /// The child.
         child: PageId,
         /// The child's expected low fence.
-        low: Bound,
+        low: BoundRef<'a>,
         /// The child's expected high fence.
-        high: Bound,
+        high: BoundRef<'a>,
     },
     /// The key belongs in this leaf at `pos` (exact hit or insert point).
     Leaf {
@@ -79,6 +84,7 @@ pub struct NodeView<'a> {
 impl<'a> NodeView<'a> {
     /// Wraps `page`, validating that it is a B-tree node with a sane slot
     /// layout (≥ 2 slots: the two fences).
+    #[inline]
     pub fn new(page: &'a Page) -> Result<Self, BTreeError> {
         let view = Self { page };
         match page.page_type() {
@@ -104,12 +110,14 @@ impl<'a> NodeView<'a> {
     }
 
     /// This node's page id.
+    #[inline]
     #[must_use]
     pub fn id(&self) -> PageId {
         self.page.page_id()
     }
 
     /// Leaf or branch, from the page type.
+    #[inline]
     #[must_use]
     pub fn kind(&self) -> NodeKind {
         match self.page.page_type() {
@@ -119,12 +127,14 @@ impl<'a> NodeView<'a> {
     }
 
     /// Tree level: 0 for leaves.
+    #[inline]
     #[must_use]
     pub fn level(&self) -> u8 {
         self.page.structure_area()[0]
     }
 
     /// True if this node currently has a foster child.
+    #[inline]
     #[must_use]
     pub fn has_foster(&self) -> bool {
         self.page.structure_area()[1] & FLAG_FOSTER != 0
@@ -133,12 +143,14 @@ impl<'a> NodeView<'a> {
     /// The foster child's page id (valid only when [`has_foster`]).
     ///
     /// [`has_foster`]: NodeView::has_foster
+    #[inline]
     #[must_use]
     pub fn foster_pid(&self) -> PageId {
         let area = self.page.structure_area();
         PageId(u64::from_le_bytes(area[2..10].try_into().expect("8 bytes")))
     }
 
+    #[cold]
     fn corrupt(&self, detail: impl Into<String>) -> BTreeError {
         BTreeError::NodeCorrupt {
             page: self.id(),
@@ -146,32 +158,43 @@ impl<'a> NodeView<'a> {
         }
     }
 
-    fn fence_at(&self, slot: u16) -> Result<Bound, BTreeError> {
-        let (bytes, _ghost) = self
-            .page
+    /// The raw record at `slot`; `what` names the slot's role in the
+    /// corruption error when the slot directory does not reach that far.
+    #[inline]
+    fn record(&self, slot: u16, what: &str) -> Result<(&'a [u8], bool), BTreeError> {
+        self.page
             .record_at(slot)
-            .ok_or_else(|| self.corrupt(format!("missing fence slot {slot}")))?;
+            .ok_or_else(|| self.corrupt(format!("missing {what} slot {slot}")))
+    }
+
+    #[inline]
+    fn fence_at(&self, slot: u16) -> Result<BoundRef<'a>, BTreeError> {
+        let (bytes, _ghost) = self.record(slot, "fence")?;
         decode_fence(bytes).map_err(|e| self.corrupt(format!("bad fence at slot {slot}: {e}")))
     }
 
     /// The low fence key (slot 0).
-    pub fn low_fence(&self) -> Result<Bound, BTreeError> {
+    #[inline]
+    pub fn low_fence(&self) -> Result<BoundRef<'a>, BTreeError> {
         self.fence_at(0)
     }
 
     /// The high fence key (last slot) — the high fence of the entire
     /// foster chain when a foster child exists.
-    pub fn high_fence(&self) -> Result<Bound, BTreeError> {
+    #[inline]
+    pub fn high_fence(&self) -> Result<BoundRef<'a>, BTreeError> {
         self.fence_at(self.page.slot_count() - 1)
     }
 
     /// The foster separator (slot count−2, only when the flag is set).
-    pub fn foster_separator(&self) -> Result<Bound, BTreeError> {
+    #[inline]
+    pub fn foster_separator(&self) -> Result<BoundRef<'a>, BTreeError> {
         debug_assert!(self.has_foster());
         self.fence_at(self.page.slot_count() - 2)
     }
 
     /// Payload slot range `[start, end)`: data records or branch entries.
+    #[inline]
     #[must_use]
     pub fn payload_range(&self) -> std::ops::Range<u16> {
         let end = self.page.slot_count() - 1 - u16::from(self.has_foster());
@@ -186,33 +209,30 @@ impl<'a> NodeView<'a> {
     }
 
     /// Decodes the leaf record at `pos` into `(key, value, ghost)`.
+    #[inline]
     pub fn leaf_entry(&self, pos: u16) -> Result<(&'a [u8], &'a [u8], bool), BTreeError> {
-        let (bytes, ghost) = self
-            .page
-            .record_at(pos)
-            .ok_or_else(|| self.corrupt(format!("missing leaf slot {pos}")))?;
+        let (bytes, ghost) = self.record(pos, "leaf")?;
         let (k, v) =
             decode_leaf(bytes).map_err(|e| self.corrupt(format!("bad leaf record {pos}: {e}")))?;
         Ok((k, v, ghost))
     }
 
     /// Decodes the branch entry at `pos` into `(child, upper)`.
-    pub fn branch_entry(&self, pos: u16) -> Result<(PageId, Bound), BTreeError> {
-        let (bytes, _ghost) = self
-            .page
-            .record_at(pos)
-            .ok_or_else(|| self.corrupt(format!("missing branch slot {pos}")))?;
+    #[inline]
+    pub fn branch_entry(&self, pos: u16) -> Result<(PageId, BoundRef<'a>), BTreeError> {
+        let (bytes, _ghost) = self.record(pos, "branch")?;
         let (child, upper) = decode_branch(bytes)
             .map_err(|e| self.corrupt(format!("bad branch entry {pos}: {e}")))?;
         Ok((PageId(child), upper))
     }
 
     /// Routes `key` one step: to the foster child, a branch child, or a
-    /// leaf slot.
-    pub fn route(&self, key: &[u8]) -> Result<Descent, BTreeError> {
+    /// leaf slot. Allocation-free: the bounds in the result borrow from
+    /// this node's page.
+    pub fn route(&self, key: &[u8]) -> Result<Descent<'a>, BTreeError> {
         if self.has_foster() {
             let sep = self.foster_separator()?;
-            if sep.cmp_key(key) != std::cmp::Ordering::Greater {
+            if sep.cmp_key(key) != Ordering::Greater {
                 return Ok(Descent::Foster {
                     child: self.foster_pid(),
                     separator: sep,
@@ -226,6 +246,11 @@ impl<'a> NodeView<'a> {
                 Ok(Descent::Leaf { pos, exact })
             }
             NodeKind::Branch => {
+                if self.level() == 0 {
+                    // The children of a branch sit one level down; there
+                    // is no level below 0 to expect of them.
+                    return Err(self.corrupt("branch node with level 0"));
+                }
                 let range = self.payload_range();
                 if range.is_empty() {
                     return Err(self.corrupt("branch with no entries"));
@@ -233,9 +258,9 @@ impl<'a> NodeView<'a> {
                 // Binary search: first entry whose upper bound > key.
                 let (mut lo, mut hi) = (range.start, range.end);
                 while lo < hi {
-                    let mid = (lo + hi) / 2;
+                    let mid = lo + (hi - lo) / 2;
                     let (_, upper) = self.branch_entry(mid)?;
-                    if upper.cmp_key(key) == std::cmp::Ordering::Greater {
+                    if upper.cmp_key(key) == Ordering::Greater {
                         hi = mid;
                     } else {
                         lo = mid + 1;
@@ -270,12 +295,12 @@ impl<'a> NodeView<'a> {
         let range = self.payload_range();
         let (mut lo, mut hi) = (range.start, range.end);
         while lo < hi {
-            let mid = (lo + hi) / 2;
+            let mid = lo + (hi - lo) / 2;
             let (k, _, _) = self.leaf_entry(mid)?;
             match k.cmp(key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok((mid, true)),
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok((mid, true)),
             }
         }
         Ok((lo, false))
@@ -322,31 +347,29 @@ impl<'a> NodeView<'a> {
                 }
                 Err(e) => {
                     out.push(e.to_string());
-                    high.clone()
+                    high
                 }
             }
         } else {
-            high.clone()
+            high
         };
 
         match self.kind() {
             NodeKind::Leaf => {
-                let mut prev: Option<Vec<u8>> = None;
+                let mut prev: Option<&[u8]> = None;
                 for pos in self.payload_range() {
                     match self.leaf_entry(pos) {
                         Ok((k, _, _)) => {
-                            if low.cmp_key(k) == std::cmp::Ordering::Greater {
+                            if low.cmp_key(k) == Ordering::Greater {
                                 out.push(format!("leaf key at slot {pos} below low fence"));
                             }
-                            if chain_upper.cmp_key(k) != std::cmp::Ordering::Greater {
+                            if chain_upper.cmp_key(k) != Ordering::Greater {
                                 out.push(format!("leaf key at slot {pos} at/above upper bound"));
                             }
-                            if let Some(p) = &prev {
-                                if p.as_slice() >= k {
-                                    out.push(format!("leaf keys out of order at slot {pos}"));
-                                }
+                            if prev.is_some_and(|p| p >= k) {
+                                out.push(format!("leaf keys out of order at slot {pos}"));
                             }
-                            prev = Some(k.to_vec());
+                            prev = Some(k);
                         }
                         Err(e) => out.push(e.to_string()),
                     }
@@ -356,12 +379,12 @@ impl<'a> NodeView<'a> {
                 if self.level() == 0 {
                     out.push("branch node with level 0".to_string());
                 }
-                let mut prev = low.clone();
+                let mut prev = low;
                 let range = self.payload_range();
                 if range.is_empty() {
                     out.push("branch with no entries".to_string());
                 }
-                for pos in range.clone() {
+                for pos in range {
                     match self.branch_entry(pos) {
                         Ok((child, upper)) => {
                             if !child.is_valid() {

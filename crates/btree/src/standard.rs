@@ -33,7 +33,7 @@ use spf_wal::{CompressedPageImage, LogPayload, Lsn, PageOp, TxId};
 
 use crate::alloc::PageAllocator;
 use crate::error::BTreeError;
-use crate::keys::{decode_branch, decode_leaf, encode_branch, encode_leaf, Bound};
+use crate::keys::{decode_branch, decode_leaf, encode_branch, encode_leaf, Bound, BoundRef};
 use crate::tree::TreeStats;
 
 const MAX_RETRIES: usize = 64;
@@ -135,7 +135,11 @@ impl StandardBTree {
         }
     }
 
-    fn branch_entry(&self, page: &Page, pos: u16) -> Result<(PageId, Bound), BTreeError> {
+    fn branch_entry<'p>(
+        &self,
+        page: &'p Page,
+        pos: u16,
+    ) -> Result<(PageId, BoundRef<'p>), BTreeError> {
         let (bytes, _) = page
             .record_at(pos)
             .ok_or_else(|| self.corrupt(page.page_id(), format!("missing slot {pos}")))?;
@@ -433,7 +437,7 @@ impl StandardBTree {
         }
         let entry_pos =
             entry_pos.ok_or_else(|| self.corrupt(parent, "lost track of child during split"))?;
-        let (_, old_upper) = self.branch_entry(&pguard, entry_pos)?;
+        let old_upper = self.branch_entry(&pguard, entry_pos)?.1.to_bound();
 
         let new_entry = encode_branch(new_child.0, &old_upper);
         let need = new_entry.len() + spf_storage::slotted::SLOT_SIZE;
@@ -460,7 +464,7 @@ impl StandardBTree {
             }
             let entry_pos =
                 entry_pos.ok_or_else(|| self.corrupt(target, "lost child after parent split"))?;
-            let (_, old_upper) = self.branch_entry(&pguard, entry_pos)?;
+            let old_upper = self.branch_entry(&pguard, entry_pos)?.1.to_bound();
             self.apply_logged(
                 sys,
                 &mut pguard,
@@ -542,7 +546,7 @@ impl StandardBTree {
         let old_next = next_sibling(&guard);
 
         let separator = if branch {
-            self.branch_entry(&guard, split_pos - 1)?.1
+            self.branch_entry(&guard, split_pos - 1)?.1.to_bound()
         } else {
             let (k, _, _) = self.leaf_entry(&guard, split_pos)?;
             Bound::Key(k.to_vec())
@@ -652,12 +656,12 @@ impl StandardBTree {
                 }
             };
             if is_branch(&guard) {
-                let mut prev: Option<Bound> = None;
+                let mut prev: Option<BoundRef<'_>> = None;
                 for pos in 0..guard.slot_count() {
                     match self.branch_entry(&guard, pos) {
                         Ok((child, upper)) => {
-                            if let Some(p) = &prev {
-                                if &upper <= p {
+                            if let Some(p) = prev {
+                                if upper <= p {
                                     violations.push(crate::tree::Violation {
                                         page: pid,
                                         detail: format!("entries out of order at slot {pos}"),

@@ -20,11 +20,13 @@
 //!   adoptions, root growth, ghost reclamation (Figure 5 / Section 5.1.5).
 //! * **Ghost records**: logical deletion sets the ghost bit; a system
 //!   transaction reclaims ghosts when space is needed.
-//! * **Latch-crabbed concurrent descent**: readers couple shared page
-//!   latches parent→child over the buffer pool's latches (the child is
-//!   fetched and fence-checked before the parent latch drops); writers
-//!   descend shared and take a write latch only at the leaf. Foster-chain
-//!   hops after re-latching retry bounded-many times when a concurrent
+//! * **Latch-crabbed concurrent descent**: every descent couples shared
+//!   page latches parent→child over the buffer pool's latches (the child
+//!   is fetched and fence-checked — borrowed bounds against borrowed
+//!   bounds, nothing copied — before the parent latch drops). Readers
+//!   finish on the leaf latch the descent ends with. Writers descend
+//!   shared and take a write latch only at the leaf; foster-chain hops
+//!   after that re-latching retry bounded-many times when a concurrent
 //!   split or adoption moves the separator
 //!   ([`BTreeError::TooManyRetries`] carries the count). Structural
 //!   changes run as system transactions that re-validate fence keys
@@ -45,7 +47,7 @@ use spf_wal::{CompressedPageImage, LogPayload, Lsn, PageOp, TxId};
 
 use crate::alloc::PageAllocator;
 use crate::error::BTreeError;
-use crate::keys::Bound;
+use crate::keys::{Bound, BoundRef};
 use crate::node::{
     branch_record, build_node, leaf_record, structure_bytes, Descent, NodeKind, NodeView, RawRecord,
 };
@@ -155,11 +157,29 @@ const MAX_RETRIES: usize = 64;
 /// restructure to whoever holds the conflicting latch.
 const SYS_ATTEMPTS: usize = 4;
 
+/// Pause before a writer's `attempt`-th re-descent after a conflict, so
+/// the restructure that won the race can finish instead of being raced
+/// again: a short, doubling spin for the first few attempts, then the
+/// time slice goes to whoever holds the contended latch. Called with no
+/// latch held. Bounded: a conflict retry never waits longer than one
+/// yield.
+fn backoff(attempt: usize) {
+    const SPIN_ATTEMPTS: usize = 4;
+    if attempt <= SPIN_ATTEMPTS {
+        for _ in 0..(8usize << attempt) {
+            std::hint::spin_loop();
+        }
+    } else {
+        std::thread::yield_now();
+    }
+}
+
 /// Callback fired with the target leaf's id in the window between a
-/// descent releasing its last shared latch and the point operation
-/// re-latching the leaf — exactly where a concurrent split or adoption
-/// can slip in. Installed via [`FosterBTree::set_reacquire_hook`];
-/// used by the concurrency tests to drive the foster-chain retry path
+/// write's descent releasing its last shared latch and the write
+/// re-latching the leaf exclusively — exactly where a concurrent split
+/// or adoption can slip in. Reads have no such window and never fire it.
+/// Installed via [`FosterBTree::set_reacquire_hook`]; used by the
+/// concurrency tests to drive the foster-chain retry path
 /// deterministically.
 pub type ReacquireHook = Arc<dyn Fn(PageId) + Send + Sync>;
 
@@ -345,90 +365,27 @@ impl FosterBTree {
 
     /// Looks up `key`, returning its value if present (ghosts excluded).
     ///
-    /// Concurrency: the crabbed descent's leaf latch is dropped and the
-    /// leaf re-latched (mirroring the write path, which re-latches in
-    /// write mode), so a concurrent split or adoption can move the key
-    /// between release and re-acquire. The lookup then hops the foster
-    /// chain or re-descends, bounded by the retry limit.
+    /// Concurrency: a reader finishes on the shared leaf latch its
+    /// crabbed descent ends with. The value is copied out before that
+    /// latch drops, so no split or adoption can move the key between
+    /// finding its slot and reading it, and a lookup never retries. Only
+    /// writers, whose latch mode changes at the leaf, open a
+    /// release/re-acquire window (see [`ReacquireHook`]).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
         self.get_traced(key, TraceCtx::NONE)
     }
 
-    /// [`get`](Self::get) within a sampled trace: the whole lookup —
-    /// descent, foster-chain hops, re-descents — is one `Descent` span,
-    /// and buffer faults along the way appear as its children.
+    /// [`get`](Self::get) within a sampled trace: the whole lookup is one
+    /// `Descent` span, and buffer faults along the way appear as its
+    /// children.
     pub fn get_traced(&self, key: &[u8], ctx: TraceCtx) -> Result<Option<Vec<u8>>, BTreeError> {
-        let span = match self.obs.get() {
-            Some(o) if ctx.sampled() => {
-                o.trace_span(ctx, SpanKind::Descent, WaitClass::Run, self.root.0)
-            }
-            _ => ActiveSpan::inert(),
-        };
-        let ctx = span.ctx();
-        enum Hop {
-            Done(Option<Vec<u8>>),
-            Chain(PageId, Bound, Bound),
-            Restart,
+        let span = self.descent_span(ctx);
+        let (guard, pos, exact) = self.descend(key, FetchHint::Normal, span.ctx())?;
+        if !exact {
+            return Ok(None);
         }
-        let limit = self.retry_limit.load(Ordering::Relaxed);
-        let mut retries = 0usize;
-        loop {
-            let (guard, _, _) = self.descend_ctx(key, FetchHint::Normal, ctx)?;
-            let leaf = guard.page_id();
-            drop(guard);
-            self.fire_reacquire_hook(leaf);
-            let mut guard = self.pool.fetch_with_ctx(leaf, FetchHint::Normal, ctx)?;
-            loop {
-                let hop = {
-                    let view = NodeView::new(&guard)?;
-                    if !Bound::contains(&view.low_fence()?, &view.high_fence()?, key) {
-                        // The node no longer covers the key (concurrent
-                        // adoption lowered its high fence): re-descend.
-                        Hop::Restart
-                    } else {
-                        match view.route(key)? {
-                            Descent::Leaf { pos, exact: true } => {
-                                let (_, value, ghost) = view.leaf_entry(pos)?;
-                                Hop::Done(if ghost { None } else { Some(value.to_vec()) })
-                            }
-                            Descent::Leaf { .. } => Hop::Done(None),
-                            Descent::Foster {
-                                child,
-                                separator,
-                                high,
-                            } => Hop::Chain(child, separator, high),
-                            Descent::Child { .. } => Hop::Restart,
-                        }
-                    }
-                };
-                match hop {
-                    Hop::Done(value) => return Ok(value),
-                    Hop::Chain(child, separator, high) => {
-                        // A concurrent split moved the key into a foster
-                        // child: crab along the chain (next node latched
-                        // before this one drops), bounded-many times.
-                        retries += 1;
-                        TreeStatCounters::bump(&self.stats.descent_retries);
-                        self.obs_emit(EventKind::DescentRetry, child.0, 0);
-                        if retries > limit {
-                            return Err(BTreeError::TooManyRetries { retries });
-                        }
-                        let next = self.pool.fetch_with_ctx(child, FetchHint::Normal, ctx)?;
-                        self.check_fences(&next, &separator, &high)?;
-                        guard = next;
-                    }
-                    Hop::Restart => {
-                        retries += 1;
-                        TreeStatCounters::bump(&self.stats.descent_retries);
-                        self.obs_emit(EventKind::DescentRetry, self.root.0, 0);
-                        if retries > limit {
-                            return Err(BTreeError::TooManyRetries { retries });
-                        }
-                        break;
-                    }
-                }
-            }
-        }
+        let (_, value, ghost) = NodeView::new(&guard)?.leaf_entry(pos)?;
+        Ok((!ghost).then(|| value.to_vec()))
     }
 
     /// Inserts `key → value` under `tx`; duplicate live keys are an error.
@@ -467,12 +424,9 @@ impl FosterBTree {
 
     /// Range scan: live records with `key >= start`, at most `limit`.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<crate::KvPairs, BTreeError> {
-        enum Next {
-            Chain(PageId, Bound, Bound),
-            Jump(Vec<u8>),
-            Done,
-        }
         let mut out = Vec::new();
+        // Owned: the cursor outlives every latch (it carries the scan
+        // across the re-descent between two chains).
         let mut cursor: Vec<u8> = start.to_vec();
         let mut first = true;
         'chains: loop {
@@ -480,64 +434,54 @@ impl FosterBTree {
             // streamed once and must not flush the hot set); the inner
             // nodes the descent crosses stay hot — every descent needs
             // them.
-            let (mut guard, _, _) = self.descend_with(&cursor, FetchHint::Scan)?;
+            let (mut guard, _, _) = self.descend(&cursor, FetchHint::Scan, TraceCtx::NONE)?;
             // Walk the leaf and its foster chain, crabbing: the next
             // chain node is latched before the current one drops, so a
             // concurrent split cannot tear the chain under the scan.
             // (Across chain jumps the scan re-descends latch-free, so it
             // is not a snapshot of the whole tree.)
             loop {
-                let next = {
-                    let view = NodeView::new(&guard)?;
-                    for pos in view.payload_range() {
-                        let (k, v, ghost) = view.leaf_entry(pos)?;
-                        if ghost {
-                            continue;
-                        }
-                        if first && k < cursor.as_slice() {
-                            continue;
-                        }
-                        if !first && k <= cursor.as_slice() {
-                            continue;
-                        }
-                        out.push((k.to_vec(), v.to_vec()));
-                        if out.len() >= limit {
-                            return Ok(out);
-                        }
+                let view = NodeView::new(&guard)?;
+                for pos in view.payload_range() {
+                    let (k, v, ghost) = view.leaf_entry(pos)?;
+                    if ghost {
+                        continue;
                     }
-                    if view.has_foster() {
-                        Next::Chain(
-                            view.foster_pid(),
-                            view.foster_separator()?,
-                            view.high_fence()?,
-                        )
-                    } else {
-                        // Chain exhausted: jump to the next chain via the
-                        // high fence.
-                        match view.high_fence()? {
-                            Bound::PosInf => Next::Done,
-                            Bound::Key(h) => Next::Jump(h),
-                            Bound::NegInf => {
-                                return Err(BTreeError::NodeCorrupt {
-                                    page: guard.page_id(),
-                                    detail: "high fence is -∞".into(),
-                                })
-                            }
-                        }
+                    if first && k < cursor.as_slice() {
+                        continue;
                     }
-                };
-                match next {
-                    Next::Chain(pid, sep, high) => {
-                        let g = self.pool.fetch_with_hint(pid, FetchHint::Scan)?;
-                        self.check_fences(&g, &sep, &high)?;
-                        guard = g;
+                    if !first && k <= cursor.as_slice() {
+                        continue;
                     }
-                    Next::Jump(h) => {
-                        cursor = h;
+                    out.push((k.to_vec(), v.to_vec()));
+                    if out.len() >= limit {
+                        return Ok(out);
+                    }
+                }
+                let high = view.high_fence()?;
+                if view.has_foster() {
+                    let next = self
+                        .pool
+                        .fetch_with_hint(view.foster_pid(), FetchHint::Scan)?;
+                    self.check_fences(&next, view.foster_separator()?, high)?;
+                    guard = next;
+                    continue;
+                }
+                // Chain exhausted: jump to the next chain via the high
+                // fence.
+                match high {
+                    BoundRef::PosInf => return Ok(out),
+                    BoundRef::Key(h) => {
+                        cursor = h.to_vec();
                         first = true; // keys >= cursor (the next chain's low fence) are new
                         continue 'chains;
                     }
-                    Next::Done => return Ok(out),
+                    BoundRef::NegInf => {
+                        return Err(BTreeError::NodeCorrupt {
+                            page: guard.page_id(),
+                            detail: "high fence is -∞".into(),
+                        })
+                    }
                 }
             }
         }
@@ -553,8 +497,10 @@ impl FosterBTree {
     // ------------------------------------------------------------------
 
     /// Latch-crabbed root-to-leaf descent with continuous verification.
-    /// Returns the target leaf's shared guard (first chain node whose
-    /// payload should hold `key`) and its expected fences.
+    /// Returns the target leaf's shared guard (the first chain node whose
+    /// payload should hold `key`) together with the slot `key` occupies
+    /// or belongs at, and whether that slot holds exactly `key` — all
+    /// still true when the caller looks, because the latch is still held.
     ///
     /// Crabbing protocol: each child (or foster child) is fetched — and
     /// its fences verified against the pointer's promise — while the
@@ -562,26 +508,21 @@ impl FosterBTree {
     /// between reading a pointer and following it. The parent latch
     /// drops as soon as the child guard exists. With the latch held
     /// across the hop, a fence mismatch here is real corruption, not a
-    /// benign race.
+    /// benign race — and so is a leaf that does not cover the key it was
+    /// routed to. The promised bounds are compared in place: they borrow
+    /// from the parent's page, which stays latched until the comparison
+    /// is done.
+    ///
     /// The buffer-pool hint applies to **leaf-level** fetches. Inner
     /// nodes always fetch `Normal`: every descent re-crosses them, so
-    /// even a scan must keep them hot.
-    fn descend_with(
-        &self,
-        key: &[u8],
-        leaf_hint: FetchHint,
-    ) -> Result<(PageReadGuard, Bound, Bound), BTreeError> {
-        self.descend_ctx(key, leaf_hint, TraceCtx::NONE)
-    }
-
-    /// [`descend_with`](Self::descend_with) carrying a trace context so
-    /// buffer faults on the descent path attribute to the caller's span.
-    fn descend_ctx(
+    /// even a scan must keep them hot. Buffer faults on the path
+    /// attribute to `ctx`'s span.
+    fn descend(
         &self,
         key: &[u8],
         leaf_hint: FetchHint,
         ctx: TraceCtx,
-    ) -> Result<(PageReadGuard, Bound, Bound), BTreeError> {
+    ) -> Result<(PageReadGuard, u16, bool), BTreeError> {
         let hint_for = |level: u8| {
             if level == 0 {
                 leaf_hint
@@ -593,46 +534,40 @@ impl FosterBTree {
             .pool
             .fetch_with_ctx(self.root, FetchHint::Normal, ctx)?;
         TreeStatCounters::bump(&self.stats.node_visits);
-        let mut expected: Option<(Bound, Bound)> = None;
         for _ in 0..MAX_RETRIES * 4 {
-            let (step, level) = {
-                let view = NodeView::new(&guard)?;
-                (view.route(key)?, view.level())
-            };
-            match step {
+            let view = NodeView::new(&guard)?;
+            let level = view.level();
+            let (child, child_level, low, high) = match view.route(key)? {
+                Descent::Leaf { pos, exact } => {
+                    let (low, high) = (view.low_fence()?, view.high_fence()?);
+                    if !BoundRef::contains(low, high, key) {
+                        return Err(BTreeError::NodeCorrupt {
+                            page: view.id(),
+                            detail: format!(
+                                "leaf [{low}, {high}) does not cover key {}",
+                                spf_util::hex::hex_preview(key, 8)
+                            ),
+                        });
+                    }
+                    return Ok((guard, pos, exact));
+                }
                 Descent::Foster {
                     child,
                     separator,
                     high,
-                } => {
-                    let next = self.pool.fetch_with_ctx(child, hint_for(level), ctx)?;
-                    TreeStatCounters::bump(&self.stats.node_visits);
-                    self.check_fences(&next, &separator, &high)?;
-                    self.check_level(&next, level)?;
-                    expected = Some((separator, high));
-                    guard = next;
-                }
+                } => (child, level, separator, high),
+                // `route` refuses a branch at level 0, so `level >= 1`.
                 Descent::Child {
                     child, low, high, ..
-                } => {
-                    let next = self.pool.fetch_with_ctx(child, hint_for(level - 1), ctx)?;
-                    TreeStatCounters::bump(&self.stats.node_visits);
-                    self.check_fences(&next, &low, &high)?;
-                    self.check_level(&next, level - 1)?;
-                    expected = Some((low, high));
-                    guard = next;
-                }
-                Descent::Leaf { .. } => {
-                    let (low, high) = match expected {
-                        Some(pair) => pair,
-                        None => {
-                            let view = NodeView::new(&guard)?;
-                            (view.low_fence()?, view.high_fence()?)
-                        }
-                    };
-                    return Ok((guard, low, high));
-                }
-            }
+                } => (child, level - 1, low, high),
+            };
+            let next = self
+                .pool
+                .fetch_with_ctx(child, hint_for(child_level), ctx)?;
+            TreeStatCounters::bump(&self.stats.node_visits);
+            self.check_fences(&next, low, high)?;
+            self.check_level(&next, child_level)?;
+            guard = next;
         }
         Err(BTreeError::TooManyRetries {
             retries: MAX_RETRIES * 4,
@@ -650,12 +585,15 @@ impl FosterBTree {
         Ok(())
     }
 
-    /// The continuous-verification comparison of Section 4.2.
+    /// The continuous-verification comparison of Section 4.2: the bounds
+    /// the pointer promised (borrowed from the still-latched parent)
+    /// against the fences the target carries, byte for byte. Nothing is
+    /// copied unless they differ.
     fn check_fences(
         &self,
         page: &Page,
-        expected_low: &Bound,
-        expected_high: &Bound,
+        expected_low: BoundRef<'_>,
+        expected_high: BoundRef<'_>,
     ) -> Result<(), BTreeError> {
         if self.verify == VerifyMode::Off {
             return Ok(());
@@ -663,15 +601,37 @@ impl FosterBTree {
         let view = NodeView::new(page)?;
         let (found_low, found_high) = (view.low_fence()?, view.high_fence()?);
         TreeStatCounters::bump(&self.stats.fence_checks);
-        if &found_low != expected_low || &found_high != expected_high {
+        if found_low != expected_low || found_high != expected_high {
             TreeStatCounters::bump(&self.stats.fence_failures);
             return Err(BTreeError::FenceMismatch {
                 page: page.page_id(),
-                expected_low: expected_low.clone(),
-                expected_high: expected_high.clone(),
-                found_low,
-                found_high,
+                expected_low: expected_low.to_bound(),
+                expected_high: expected_high.to_bound(),
+                found_low: found_low.to_bound(),
+                found_high: found_high.to_bound(),
             });
+        }
+        Ok(())
+    }
+
+    /// The `Descent` span of a sampled point operation (inert otherwise).
+    fn descent_span(&self, ctx: TraceCtx) -> ActiveSpan<'_> {
+        match self.obs.get() {
+            Some(o) if ctx.sampled() => {
+                o.trace_span(ctx, SpanKind::Descent, WaitClass::Run, self.root.0)
+            }
+            _ => ActiveSpan::inert(),
+        }
+    }
+
+    /// Books one conflict retry of a write (`at` names where it resumes)
+    /// against the operation's budget.
+    fn count_retry(&self, retries: &mut usize, at: PageId) -> Result<(), BTreeError> {
+        *retries += 1;
+        TreeStatCounters::bump(&self.stats.descent_retries);
+        self.obs_emit(EventKind::DescentRetry, at.0, 0);
+        if *retries > self.retry_limit.load(Ordering::Relaxed) {
+            return Err(BTreeError::TooManyRetries { retries: *retries });
         }
         Ok(())
     }
@@ -688,12 +648,7 @@ impl FosterBTree {
         op: LeafOp,
         ctx: TraceCtx,
     ) -> Result<Option<Vec<u8>>, BTreeError> {
-        let span = match self.obs.get() {
-            Some(o) if ctx.sampled() => {
-                o.trace_span(ctx, SpanKind::Descent, WaitClass::Run, self.root.0)
-            }
-            _ => ActiveSpan::inert(),
-        };
+        let span = self.descent_span(ctx);
         let ctx = span.ctx();
         let record = leaf_record(key, value);
         if record.len() > self.max_record_size() {
@@ -702,12 +657,6 @@ impl FosterBTree {
                 max: self.max_record_size(),
             });
         }
-        enum Step {
-            Apply { pos: u16, exact: bool },
-            Chain(PageId, Bound, Bound),
-            Restart,
-        }
-        let limit = self.retry_limit.load(Ordering::Relaxed);
         // Conflict retries (bounded by the configurable limit) are
         // counted apart from structural-progress passes (splits, ghost
         // reclaims — each makes room, bounded by MAX_RETRIES), so a
@@ -727,50 +676,43 @@ impl FosterBTree {
             // leaf: the descent guard drops here and the leaf is
             // re-latched in write mode below — the window a concurrent
             // restructure can slip into, handled by the bounded retries.
-            let (guard, _, _) = self.descend_ctx(key, FetchHint::Normal, ctx)?;
+            let (guard, _, _) = self.descend(key, FetchHint::Normal, ctx)?;
             let mut target = guard.page_id();
             drop(guard);
             self.fire_reacquire_hook(target);
             let mut guard = self.pool.fetch_mut_ctx(target, ctx)?;
             loop {
-                let step = {
-                    let view = NodeView::new(&guard)?;
-                    if !Bound::contains(&view.low_fence()?, &view.high_fence()?, key) {
-                        Step::Restart
-                    } else {
-                        match view.route(key)? {
-                            Descent::Leaf { pos, exact } => Step::Apply { pos, exact },
-                            Descent::Foster {
-                                child,
-                                separator,
-                                high,
-                            } => Step::Chain(child, separator, high),
-                            Descent::Child { .. } => Step::Restart,
-                        }
-                    }
+                let view = NodeView::new(&guard)?;
+                let step = if BoundRef::contains(view.low_fence()?, view.high_fence()?, key) {
+                    Some(view.route(key)?)
+                } else {
+                    None
                 };
                 let (pos, exact) = match step {
-                    Step::Apply { pos, exact } => (pos, exact),
-                    Step::Chain(child, separator, high) => {
-                        conflicts += 1;
-                        TreeStatCounters::bump(&self.stats.descent_retries);
-                        self.obs_emit(EventKind::DescentRetry, child.0, 0);
-                        if conflicts > limit {
-                            return Err(BTreeError::TooManyRetries { retries: conflicts });
-                        }
+                    Some(Descent::Leaf { pos, exact }) => (pos, exact),
+                    Some(Descent::Foster {
+                        child,
+                        separator,
+                        high,
+                    }) => {
+                        // A concurrent split moved the key into a foster
+                        // child: crab along the chain (next node latched
+                        // before this one drops), bounded-many times.
+                        self.count_retry(&mut conflicts, child)?;
                         let next = self.pool.fetch_mut_ctx(child, ctx)?;
-                        self.check_fences(&next, &separator, &high)?;
+                        self.check_fences(&next, separator, high)?;
                         target = child;
                         guard = next;
                         continue;
                     }
-                    Step::Restart => {
-                        conflicts += 1;
-                        TreeStatCounters::bump(&self.stats.descent_retries);
-                        self.obs_emit(EventKind::DescentRetry, self.root.0, 0);
-                        if conflicts > limit {
-                            return Err(BTreeError::TooManyRetries { retries: conflicts });
-                        }
+                    // The node no longer covers the key (a concurrent
+                    // adoption lowered its high fence) or stopped being a
+                    // leaf (the root grew): re-descend, latch-free and
+                    // after a pause so the winning restructure can finish.
+                    None | Some(Descent::Child { .. }) => {
+                        drop(guard);
+                        self.count_retry(&mut conflicts, self.root)?;
+                        backoff(conflicts);
                         continue 'restart;
                     }
                 };
@@ -892,7 +834,7 @@ impl FosterBTree {
                 self.grow_root()?;
                 return Ok(true);
             }
-            if !Bound::contains(&view.low_fence()?, &view.high_fence()?, key) {
+            if !BoundRef::contains(view.low_fence()?, view.high_fence()?, key) {
                 // A concurrent restructure moved the key out of this
                 // subtree; skip maintenance, the write path re-descends.
                 return Ok(false);
@@ -1040,11 +982,11 @@ impl FosterBTree {
                 let (k, _, _) = view.leaf_entry(split_pos)?;
                 Bound::Key(k.to_vec())
             }
-            NodeKind::Branch => view.branch_entry(split_pos - 1)?.1,
+            NodeKind::Branch => view.branch_entry(split_pos - 1)?.1.to_bound(),
         };
-        let high = view.high_fence()?;
+        let high = view.high_fence()?.to_bound();
         let old_foster = if view.has_foster() {
-            Some((view.foster_pid(), view.foster_separator()?))
+            Some((view.foster_pid(), view.foster_separator()?.to_bound()))
         } else {
             None
         };
@@ -1201,12 +1143,12 @@ impl FosterBTree {
             for pos in pview.payload_range() {
                 let (c, entry_upper) = pview.branch_entry(pos)?;
                 if c == child {
-                    found = Some((pos, entry_upper));
+                    found = Some((pos, entry_upper.to_bound()));
                     break;
                 }
             }
             match found {
-                Some((pos, entry_upper)) => (pos, entry_upper, pview.low_fence()?),
+                Some((pos, entry_upper)) => (pos, entry_upper, pview.low_fence()?.to_bound()),
                 // The entry moved into one of the parent's own foster
                 // children; a later maintenance pass sees the new
                 // topology.
@@ -1227,7 +1169,7 @@ impl FosterBTree {
             if !cview.has_foster() {
                 return Ok(AdoptStep::Nothing); // already adopted
             }
-            let high = cview.high_fence()?;
+            let high = cview.high_fence()?.to_bound();
             if upper != high {
                 // Both pages are write-latched, so this cannot be a
                 // racing restructure: the parent promises `upper`, the
@@ -1236,13 +1178,13 @@ impl FosterBTree {
                     page: child,
                     expected_low: parent_low,
                     expected_high: upper,
-                    found_low: cview.low_fence()?,
+                    found_low: cview.low_fence()?.to_bound(),
                     found_high: high,
                 });
             }
             (
                 cview.foster_pid(),
-                cview.foster_separator()?,
+                cview.foster_separator()?.to_bound(),
                 high,
                 cview.level(),
             )
@@ -1333,7 +1275,11 @@ impl FosterBTree {
                 // A concurrent growth already absorbed the root's chain.
                 return Ok(false);
             }
-            (view.low_fence()?, view.high_fence()?, view.level())
+            (
+                view.low_fence()?.to_bound(),
+                view.high_fence()?.to_bound(),
+                view.level(),
+            )
         };
 
         // Copy the root's entire image (records, foster state and all) to
@@ -1469,9 +1415,9 @@ impl FosterBTree {
             let guard = self.pool.fetch(pid)?;
             let view = NodeView::new(&guard)?;
             let probe = match view.low_fence()? {
-                Bound::Key(k) => k,
-                Bound::NegInf => Vec::new(),
-                Bound::PosInf => {
+                BoundRef::Key(k) => k.to_vec(),
+                BoundRef::NegInf => Vec::new(),
+                BoundRef::PosInf => {
                     return Err(BTreeError::NodeCorrupt {
                         page: pid,
                         detail: "low fence is +∞".into(),
@@ -1520,7 +1466,7 @@ impl FosterBTree {
                         break Incoming::ParentEntry {
                             parent: current,
                             pos,
-                            upper: high,
+                            upper: high.to_bound(),
                         };
                     }
                     current = child;
@@ -1653,21 +1599,21 @@ impl FosterBTree {
                 if let Ok(sep) = view.foster_separator() {
                     stack.push((
                         view.foster_pid(),
-                        sep,
-                        found_high.clone(),
+                        sep.to_bound(),
+                        found_high.to_bound(),
                         Some(view.level()),
                     ));
                 }
             }
             if view.kind() == NodeKind::Branch {
-                let mut prev = found_low.clone();
+                let mut prev = found_low;
                 for pos in view.payload_range() {
                     match view.branch_entry(pos) {
                         Ok((child, upper)) => {
                             stack.push((
                                 child,
-                                prev.clone(),
-                                upper.clone(),
+                                prev.to_bound(),
+                                upper.to_bound(),
                                 Some(view.level().saturating_sub(1)),
                             ));
                             prev = upper;

@@ -5,10 +5,12 @@
 //! splits/adoptions) check that no committed write is ever lost and that
 //! the structure stays verifiable afterwards — `verify_full` walks every
 //! reachable node through `NodeView::check_invariants` and re-checks all
-//! fence promises. Two deterministic tests then use the release/re-acquire
-//! hook to drive the foster-chain retry path on purpose, covering both
-//! recovery (bounded hops succeed) and `TooManyRetries` (a lowered limit
-//! trips with an exact retry count).
+//! fence promises. Two deterministic tests then use the write path's
+//! release/re-acquire hook to drive the foster-chain retry path on
+//! purpose, covering both recovery (bounded hops succeed) and
+//! `TooManyRetries` (a lowered limit trips with an exact retry count); a
+//! third shows that a lookup has no such window, and a fourth that a
+//! writer is not starved by readers that never leave the root.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -303,35 +305,53 @@ fn a_dead_writer_fails_the_reader_storm_instead_of_hanging() {
     });
 }
 
-/// Fills one leaf, then lets the hook split it several times in the
-/// window between the descent's latch release and the lookup's re-latch:
-/// the lookup must recover by hopping the foster chain, and the hops are
-/// visible in `descent_retries`.
-#[test]
-fn injected_splits_drive_foster_hops_and_recovery() {
-    let fx = fixture(64, 256);
-    let tree = foster_tree(&fx, VerifyMode::Continuous);
+/// One full leaf (the root) holding keys `0..40`.
+fn one_full_leaf(fx: &Fixture) -> FosterBTree {
+    let tree = foster_tree(fx, VerifyMode::Continuous);
     let tx = fx.txn.begin(TxKind::User);
     for i in 0..40 {
         tree.insert(tx, &key(i), &val(0, i)).unwrap();
     }
     fx.txn.commit(tx).unwrap();
+    tree
+}
 
-    let splitter = second_handle(&fx);
+/// Arms `tree`'s release/re-acquire hook to split the target leaf four
+/// times, once: each split halves the leaf and pushes the upper range one
+/// node deeper into the foster chain (leaf → f4 → f3 → f2 → f1), so key 39
+/// ends up four hops from where the descent found it. Returns the flag the
+/// hook raises when it fires.
+fn arm_four_splits(fx: &Fixture, tree: &FosterBTree) -> Arc<AtomicBool> {
+    let splitter = second_handle(fx);
     let fired = Arc::new(AtomicBool::new(false));
     let hook_fired = Arc::clone(&fired);
     tree.set_reacquire_hook(Some(Arc::new(move |leaf: PageId| {
         if !hook_fired.swap(true, Ordering::SeqCst) {
-            // Each split halves the leaf and pushes the upper range one
-            // node deeper into the foster chain: leaf → f4 → f3 → f2 → f1.
             for _ in 0..4 {
                 splitter.force_split(leaf).unwrap();
             }
         }
     })));
+    fired
+}
+
+/// Lets the hook split the leaf several times in the window between a
+/// write's descent releasing its shared latch and the write re-latching
+/// the leaf exclusively: the upsert must recover by hopping the foster
+/// chain, and the hops are visible in `descent_retries`.
+#[test]
+fn injected_splits_drive_foster_hops_and_recovery() {
+    let fx = fixture(64, 256);
+    let tree = one_full_leaf(&fx);
+    let fired = arm_four_splits(&fx, &tree);
 
     // key 39 now lives at the chain's tail: four hops to reach it.
-    assert_eq!(tree.get(&key(39)).unwrap(), Some(val(0, 39)));
+    let tx = fx.txn.begin(TxKind::User);
+    assert_eq!(
+        tree.upsert(tx, &key(39), &val(1, 39)).unwrap(),
+        Some(val(0, 39))
+    );
+    fx.txn.commit(tx).unwrap();
     assert!(fired.load(Ordering::SeqCst), "hook never fired");
     assert_eq!(
         tree.stats().descent_retries,
@@ -339,6 +359,7 @@ fn injected_splits_drive_foster_hops_and_recovery() {
         "expected exactly one hop per injected split"
     );
     tree.set_reacquire_hook(None);
+    assert_eq!(tree.get(&key(39)).unwrap(), Some(val(1, 39)));
     assert_structurally_clean(&tree);
 }
 
@@ -348,26 +369,12 @@ fn injected_splits_drive_foster_hops_and_recovery() {
 #[test]
 fn too_many_retries_reports_count_and_tree_survives() {
     let fx = fixture(64, 256);
-    let tree = foster_tree(&fx, VerifyMode::Continuous);
-    let tx = fx.txn.begin(TxKind::User);
-    for i in 0..40 {
-        tree.insert(tx, &key(i), &val(0, i)).unwrap();
-    }
-    fx.txn.commit(tx).unwrap();
-
-    let splitter = second_handle(&fx);
-    let fired = Arc::new(AtomicBool::new(false));
-    let hook_fired = Arc::clone(&fired);
-    tree.set_reacquire_hook(Some(Arc::new(move |leaf: PageId| {
-        if !hook_fired.swap(true, Ordering::SeqCst) {
-            for _ in 0..4 {
-                splitter.force_split(leaf).unwrap();
-            }
-        }
-    })));
+    let tree = one_full_leaf(&fx);
+    arm_four_splits(&fx, &tree);
     tree.set_retry_limit(2);
 
-    let err = tree.get(&key(39)).unwrap_err();
+    let tx = fx.txn.begin(TxKind::User);
+    let err = tree.upsert(tx, &key(39), &val(1, 39)).unwrap_err();
     match &err {
         BTreeError::TooManyRetries { retries } => {
             assert_eq!(*retries, 3, "limit 2 must trip on the third hop");
@@ -379,10 +386,88 @@ fn too_many_retries_reports_count_and_tree_survives() {
         other => panic!("expected TooManyRetries, got {other}"),
     }
 
-    // Recovery: with the hook disarmed the descent follows the chain
-    // inside the latched walk, so even the low limit suffices.
+    // Recovery: with the hook disarmed nothing restructures inside the
+    // window, the descent follows the chain under crabbed latches, and
+    // even the low limit suffices — for the failed write's own retry too.
     tree.set_reacquire_hook(None);
-    assert_eq!(tree.get(&key(39)).unwrap(), Some(val(0, 39)));
+    assert_eq!(
+        tree.upsert(tx, &key(39), &val(1, 39)).unwrap(),
+        Some(val(0, 39))
+    );
+    fx.txn.commit(tx).unwrap();
+    assert_eq!(tree.get(&key(39)).unwrap(), Some(val(1, 39)));
     assert_eq!(tree.get(&key(0)).unwrap(), Some(val(0, 0)));
     assert_structurally_clean(&tree);
+}
+
+/// A reader has no such window: it copies the value out under the shared
+/// latch its descent ends on. With the same hook armed, `get` returns the
+/// right value, the hook never fires, and nothing is retried.
+#[test]
+fn get_finishes_on_the_descent_latch() {
+    let fx = fixture(64, 256);
+    let tree = one_full_leaf(&fx);
+    let fired = arm_four_splits(&fx, &tree);
+
+    for i in [0, 17, 39] {
+        assert_eq!(tree.get(&key(i)).unwrap(), Some(val(0, i)));
+    }
+    assert_eq!(tree.get(&key(40)).unwrap(), None);
+    assert!(
+        !fired.load(Ordering::SeqCst),
+        "a lookup released its latch before it was done"
+    );
+    assert_eq!(tree.stats().descent_retries, 0);
+    assert_eq!(tree.stats().leaf_splits, 0);
+}
+
+/// Four readers keep the root and the subtrees under it latched shared,
+/// back to back, while one writer inserts through leaf splits, branch
+/// adoptions and root growth. The writer's conflict retries pause before
+/// re-descending (spin, then yield), so at the default retry limit it
+/// must get through without `TooManyRetries` — at any core count, which
+/// is why the readers outnumber the cores CI pins this suite to.
+#[test]
+fn writer_splits_through_readers_pinned_on_the_root() {
+    const READERS: usize = 4;
+    const KEYS: u64 = 1500;
+    let fx = fixture(512, 8192);
+    let tree = foster_tree(&fx, VerifyMode::Continuous);
+    let start = Barrier::new(READERS + 1);
+    let done = AtomicBool::new(false);
+
+    std::thread::scope(|s| {
+        let (tree, txn, start, done) = (&tree, &fx.txn, &start, &done);
+        let writer = s.spawn(move || {
+            start.wait();
+            let tx = txn.begin(TxKind::User);
+            let outcome = (0..KEYS).try_for_each(|i| tree.insert(tx, &key(i), &val(0, i)));
+            txn.commit(tx).unwrap();
+            outcome
+        });
+        for r in 0..READERS {
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(500 + r as u64);
+                start.wait();
+                while !done.load(Ordering::Acquire) {
+                    // Hit or miss, every lookup latches the root first.
+                    tree.get(&key(rng.gen_range(0..KEYS))).unwrap();
+                }
+            });
+        }
+        let outcome = writer.join();
+        done.store(true, Ordering::Release);
+        match outcome {
+            Ok(result) => result.expect("writer starved by readers"),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    });
+
+    assert_eq!(tree.collect_all().unwrap().len(), KEYS as usize);
+    assert_structurally_clean(&tree);
+    let stats = tree.stats();
+    assert!(
+        stats.leaf_splits >= 8 && stats.adoptions > 0 && stats.root_growths > 0,
+        "storm too small to restructure under the readers: {stats:?}"
+    );
 }

@@ -397,6 +397,57 @@ fn cross_page_corruption_detection_asymmetry() {
     );
 }
 
+/// A branch page whose level byte says 0 (every in-page test passes: the
+/// type, the fences and the one entry are all well-formed). The descent
+/// expects a branch's children one level down; it must report the node as
+/// a detected single-page failure — in debug builds this used to be an
+/// arithmetic-overflow panic, in release a child "expected" at level 255.
+#[test]
+fn branch_with_level_zero_is_detected_not_a_panic() {
+    use spf_btree::node::{branch_record, build_empty_leaf, build_node, NodeKind};
+    use spf_btree::Bound;
+
+    let fx = fixture(16, 64);
+    let (root, leaf) = (PageId(0), PageId(1));
+    let mut bad_root = build_node(
+        DEFAULT_PAGE_SIZE,
+        root,
+        NodeKind::Branch,
+        0,
+        (&Bound::NegInf, &Bound::PosInf),
+        &[(branch_record(leaf, &Bound::PosInf), false)],
+        None,
+    );
+    let mut child = build_empty_leaf(DEFAULT_PAGE_SIZE, leaf);
+    for page in [&mut bad_root, &mut child] {
+        page.finalize_checksum();
+        fx.device.raw_overwrite(page.page_id(), page.as_bytes());
+    }
+    let tree = FosterBTree::open(
+        fx.pool.clone(),
+        fx.txn.clone(),
+        fx.alloc.clone() as Arc<dyn PageAllocator>,
+        root,
+        DEFAULT_PAGE_SIZE,
+        VerifyMode::Continuous,
+    );
+
+    let tx = fx.txn.begin(TxKind::User);
+    let failures = [
+        tree.get(&key(1)).map(|_| ()),
+        tree.scan(&key(1), 10).map(|_| ()),
+        tree.upsert(tx, &key(1), &val(1)).map(|_| ()),
+    ];
+    for outcome in failures {
+        let err = outcome.expect_err("level-0 branch must be refused");
+        assert!(
+            matches!(&err, BTreeError::NodeCorrupt { detail, .. } if detail.contains("level 0")),
+            "unexpected error: {err}"
+        );
+        assert_eq!(err.detected_page(), Some(root));
+    }
+}
+
 /// Finds two distinct leaf pages on the device.
 fn find_two_leaves(device: &MemDevice) -> (PageId, PageId) {
     let mut leaves = Vec::new();

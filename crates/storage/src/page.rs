@@ -104,6 +104,7 @@ pub enum PageType {
 
 impl PageType {
     /// Decodes a page-type byte; unknown values are a plausibility defect.
+    #[inline]
     #[must_use]
     pub fn from_u8(v: u8) -> Option<PageType> {
         match v {
@@ -243,6 +244,7 @@ impl Page {
     }
 
     /// The raw page image.
+    #[inline]
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
@@ -259,6 +261,7 @@ impl Page {
     // Header accessors
     // ------------------------------------------------------------------
 
+    #[inline]
     fn read_u16(&self, off: usize) -> u16 {
         u16::from_le_bytes([self.buf[off], self.buf[off + 1]])
     }
@@ -267,6 +270,7 @@ impl Page {
         self.buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn read_u32(&self, off: usize) -> u32 {
         u32::from_le_bytes(self.buf[off..off + 4].try_into().expect("4 bytes"))
     }
@@ -275,6 +279,7 @@ impl Page {
         self.buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn read_u64(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.buf[off..off + 8].try_into().expect("8 bytes"))
     }
@@ -284,6 +289,7 @@ impl Page {
     }
 
     /// The PageLSN: LSN of the most recent log record applied to this page.
+    #[inline]
     #[must_use]
     pub fn page_lsn(&self) -> u64 {
         self.read_u64(OFF_PAGE_LSN)
@@ -300,6 +306,7 @@ impl Page {
     }
 
     /// The self-identifying page id stored in the header.
+    #[inline]
     #[must_use]
     pub fn page_id(&self) -> PageId {
         PageId(self.read_u64(OFF_PAGE_ID))
@@ -311,6 +318,7 @@ impl Page {
     }
 
     /// The decoded page type, if the type byte is valid.
+    #[inline]
     #[must_use]
     pub fn page_type(&self) -> Option<PageType> {
         PageType::from_u8(self.buf[OFF_PAGE_TYPE])
@@ -339,6 +347,7 @@ impl Page {
     }
 
     /// Number of slots in the slot directory.
+    #[inline]
     #[must_use]
     pub fn slot_count(&self) -> u16 {
         self.read_u16(OFF_SLOT_COUNT)
@@ -376,6 +385,7 @@ impl Page {
 
     /// Read-only view of the 32-byte structure area reserved for the
     /// access method (fence-key metadata, tree level, foster pointer …).
+    #[inline]
     #[must_use]
     pub fn structure_area(&self) -> &[u8] {
         &self.buf[STRUCTURE_AREA_OFFSET..PAGE_HEADER_SIZE]
@@ -389,17 +399,18 @@ impl Page {
     /// Read-only access to the record at `slot`: `(bytes, ghost)`.
     /// Returns `None` when `slot` is out of range — callers facing
     /// possibly-corrupt pages must not panic.
+    #[inline]
     #[must_use]
     pub fn record_at(&self, slot: u16) -> Option<(&[u8], bool)> {
-        if slot >= self.slot_count() {
+        // On a corrupt page the slot count itself may lie, so the slot
+        // entry has to fit the image too, not just the count.
+        let entry_end = PAGE_HEADER_SIZE + (slot as usize + 1) * crate::slotted::SLOT_SIZE;
+        if slot >= self.slot_count() || entry_end > self.buf.len() {
             return None;
         }
         let (offset, len, ghost) = crate::slotted::read_slot(self, slot);
         let (offset, len) = (offset as usize, len as usize);
-        if offset + len > self.buf.len() {
-            return None;
-        }
-        Some((&self.buf[offset..offset + len], ghost))
+        Some((self.buf.get(offset..offset + len)?, ghost))
     }
 
     // ------------------------------------------------------------------
@@ -665,6 +676,15 @@ mod tests {
             let _ = page.record_at(0);
             let _ = page.record_at(u16::MAX - 1);
         }
+        // A slot count that claims more slots than the page can hold: the
+        // slots past the image are absent, not an out-of-bounds read.
+        let mut liar = page();
+        liar.set_slot_count(u16::MAX);
+        let last_whole =
+            ((DEFAULT_PAGE_SIZE - PAGE_HEADER_SIZE) / crate::slotted::SLOT_SIZE) as u16;
+        assert!(liar.record_at(last_whole - 1).is_some());
+        assert_eq!(liar.record_at(last_whole), None);
+        assert_eq!(liar.record_at(u16::MAX - 1), None);
         // And on structured-but-hostile images: valid checksum, garbage header.
         for seed in 0..50u64 {
             let mut bytes = vec![0u8; DEFAULT_PAGE_SIZE];

@@ -29,6 +29,7 @@ pub struct SlotId(pub u16);
 ///
 /// Exposed at crate level so that [`Page::verify_layout`] can validate the
 /// indirection vector without constructing a `SlottedPage`.
+#[inline]
 #[must_use]
 pub(crate) fn read_slot(page: &Page, idx: u16) -> (u16, u16, bool) {
     let base = PAGE_HEADER_SIZE + idx as usize * SLOT_SIZE;

@@ -164,12 +164,14 @@ pub struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder positioned at the start of `buf`.
+    #[inline]
     #[must_use]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -187,6 +189,7 @@ impl<'a> Decoder<'a> {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::UnexpectedEof {
@@ -200,6 +203,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a single byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
@@ -217,6 +221,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
@@ -225,11 +230,13 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads exactly `n` raw bytes.
+    #[inline]
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         self.take(n)
     }
 
     /// Reads a LEB128 varint.
+    #[inline]
     pub fn get_varint(&mut self) -> Result<u64, DecodeError> {
         let mut value = 0u64;
         let mut shift = 0u32;
@@ -251,6 +258,7 @@ impl<'a> Decoder<'a> {
 
     /// Reads a varint length prefix, validates it against `max`, then reads
     /// that many bytes.
+    #[inline]
     pub fn get_len_bytes(&mut self, max: usize) -> Result<&'a [u8], DecodeError> {
         let len = self.get_varint()? as usize;
         if len > max {
