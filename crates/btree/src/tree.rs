@@ -40,7 +40,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use spf_buffer::{BufferPool, FetchHint, PageReadGuard, PageWriteGuard};
-use spf_obs::{ActiveSpan, EventKind, Obs, SpanKind, TraceCtx, WaitClass};
+use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
 use spf_storage::{Page, PageId, SlottedPage};
 use spf_txn::{SysAttempt, TxKind, TxnManager};
 use spf_wal::{CompressedPageImage, LogPayload, Lsn, PageOp, TxId};
@@ -372,15 +372,7 @@ impl FosterBTree {
     /// writers, whose latch mode changes at the leaf, open a
     /// release/re-acquire window (see [`ReacquireHook`]).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
-        self.get_traced(key, TraceCtx::NONE)
-    }
-
-    /// [`get`](Self::get) within a sampled trace: the whole lookup is one
-    /// `Descent` span, and buffer faults along the way appear as its
-    /// children.
-    pub fn get_traced(&self, key: &[u8], ctx: TraceCtx) -> Result<Option<Vec<u8>>, BTreeError> {
-        let span = self.descent_span(ctx);
-        let (guard, pos, exact) = self.descend(key, FetchHint::Normal, span.ctx())?;
+        let (guard, pos, exact) = self.descend(key, FetchHint::Normal, TraceCtx::NONE)?;
         if !exact {
             return Ok(None);
         }
@@ -404,8 +396,9 @@ impl FosterBTree {
         self.leaf_write(tx, key, value, LeafOp::Upsert, TraceCtx::NONE)
     }
 
-    /// [`upsert`](Self::upsert) within a sampled trace (see
-    /// [`get_traced`](Self::get_traced)).
+    /// [`upsert`](Self::upsert) within a sampled trace: the whole write
+    /// is one `Descent` span, and buffer faults along the way appear as
+    /// its children.
     pub fn upsert_traced(
         &self,
         tx: TxId,
@@ -614,16 +607,6 @@ impl FosterBTree {
         Ok(())
     }
 
-    /// The `Descent` span of a sampled point operation (inert otherwise).
-    fn descent_span(&self, ctx: TraceCtx) -> ActiveSpan<'_> {
-        match self.obs.get() {
-            Some(o) if ctx.sampled() => {
-                o.trace_span(ctx, SpanKind::Descent, WaitClass::Run, self.root.0)
-            }
-            _ => ActiveSpan::inert(),
-        }
-    }
-
     /// Books one conflict retry of a write (`at` names where it resumes)
     /// against the operation's budget.
     fn count_retry(&self, retries: &mut usize, at: PageId) -> Result<(), BTreeError> {
@@ -648,7 +631,9 @@ impl FosterBTree {
         op: LeafOp,
         ctx: TraceCtx,
     ) -> Result<Option<Vec<u8>>, BTreeError> {
-        let span = self.descent_span(ctx);
+        let span = self.obs.get().map_or_else(SpanGuard::inert, |o| {
+            o.span(ctx, SpanKind::Descent, self.root.0)
+        });
         let ctx = span.ctx();
         let record = leaf_record(key, value);
         if record.len() > self.max_record_size() {

@@ -37,10 +37,10 @@ pub mod pool;
 pub mod traits;
 
 pub use pool::{
-    BufferPool, BufferPoolConfig, FetchHint, PageReadGuard, PageWriteGuard, PoolStats,
+    BufferPool, BufferPoolConfig, FetchHint, PageReadGuard, PageWriteGuard, PoolHooks, PoolStats,
     PrefetchOutcome, RepairOutcome, Residency, MAX_PRIORITY,
 };
 pub use traits::{
-    AccessContext, AccessObserver, FetchError, NoopObserver, PageRecoverer, ReadValidator,
-    RecoverOutcome, ValidationError, WriteObserver,
+    AccessContext, AccessObserver, FetchError, PageRecoverer, ReadValidator, RecoverOutcome,
+    ValidationError, WriteObserver,
 };

@@ -50,7 +50,7 @@ use std::sync::{Condvar, Mutex as StdMutex, OnceLock};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{Mutex, RawRwLock, RwLock};
 
-use spf_obs::{ActiveSpan, EventKind, Obs, Span, SpanKind, TraceCtx, WaitClass};
+use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
 use spf_storage::{Page, PageId, StorageDevice, StorageError};
 use spf_wal::{LogManager, Lsn};
 
@@ -475,6 +475,23 @@ struct Shard {
     table: HashMap<PageId, Slot>,
 }
 
+/// The collaborators a pool is built with ([`BufferPool::with_hooks`]),
+/// fixed for its lifetime. The pool owns them, so none of them may hold
+/// the pool: a hook that needs one (the prefetcher's fault feed) goes
+/// through [`BufferPool::set_access_observer`] instead.
+#[derive(Clone, Default)]
+pub struct PoolHooks {
+    /// The read validator (the PRI PageLSN cross-check).
+    pub validator: Option<Arc<dyn ReadValidator>>,
+    /// The single-page recoverer.
+    pub recoverer: Option<Arc<dyn PageRecoverer>>,
+    /// The write observer (backup policy + PRI maintenance).
+    pub observer: Option<Arc<dyn WriteObserver>>,
+    /// The observability handle: the miss and prefetch paths gain span
+    /// timing, plus miss/evict/fault flight-recorder events.
+    pub obs: Option<Arc<Obs>>,
+}
+
 /// The buffer pool. Cheap to clone; clones share the pool.
 #[derive(Clone)]
 pub struct BufferPool {
@@ -488,15 +505,11 @@ struct PoolInner {
     stats: StatCounters,
     device: Arc<dyn StorageDevice>,
     log: LogManager,
-    validator: Mutex<Option<Arc<dyn ReadValidator>>>,
-    recoverer: Mutex<Option<Arc<dyn PageRecoverer>>>,
-    observer: Mutex<Option<Arc<dyn WriteObserver>>>,
+    hooks: PoolHooks,
     /// Fault feed for the prefetcher ([`BufferPool::set_access_observer`]).
     /// Weak: the observer holds a clone of this pool, and a strong
     /// reference back would keep both alive forever.
     access_observer: OnceLock<Weak<dyn AccessObserver>>,
-    /// Observability attach point ([`BufferPool::attach_obs`]).
-    obs: OnceLock<Arc<Obs>>,
 }
 
 impl PoolInner {
@@ -505,6 +518,21 @@ impl PoolInner {
         // hands out across all shards.
         let h = (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize;
         &self.shards[h & (SHARDS - 1)]
+    }
+
+    /// Emits a flight-recorder event when a handle was supplied.
+    fn emit(&self, kind: EventKind, a: u64, b: u64) {
+        if let Some(o) = &self.hooks.obs {
+            o.emit(kind, a, b);
+        }
+    }
+
+    /// Opens the span guard for one timed region (inert without a handle).
+    fn span(&self, ctx: TraceCtx, kind: SpanKind, a: u64) -> SpanGuard<'_> {
+        self.hooks
+            .obs
+            .as_ref()
+            .map_or_else(SpanGuard::inert, |o| o.span(ctx, kind, a))
     }
 
     /// Test hook: the clock priority of `id`'s frame, if resident.
@@ -599,9 +627,21 @@ impl PageWriteGuard {
 
 impl BufferPool {
     /// Creates a pool of `config.frames` frames over `device`, using
-    /// `log` for the WAL-before-write discipline.
+    /// `log` for the WAL-before-write discipline, with no hooks: reads
+    /// get the in-page checks only and a failed page is not repaired.
     #[must_use]
     pub fn new(config: BufferPoolConfig, device: Arc<dyn StorageDevice>, log: LogManager) -> Self {
+        Self::with_hooks(config, device, log, PoolHooks::default())
+    }
+
+    /// [`new`](BufferPool::new) with the engine's collaborators wired in.
+    #[must_use]
+    pub fn with_hooks(
+        config: BufferPoolConfig,
+        device: Arc<dyn StorageDevice>,
+        log: LogManager,
+        hooks: PoolHooks,
+    ) -> Self {
         assert!(config.frames >= 2, "pool needs at least two frames");
         let page_size = device.page_size();
         Self {
@@ -612,43 +652,20 @@ impl BufferPool {
                 stats: StatCounters::default(),
                 device,
                 log,
-                validator: Mutex::new(None),
-                recoverer: Mutex::new(None),
-                observer: Mutex::new(None),
+                hooks,
                 access_observer: OnceLock::new(),
-                obs: OnceLock::new(),
             }),
         }
-    }
-
-    /// Installs the read validator (the PRI PageLSN cross-check).
-    pub fn set_validator(&self, validator: Arc<dyn ReadValidator>) {
-        *self.inner.validator.lock() = Some(validator);
-    }
-
-    /// Installs the single-page recoverer.
-    pub fn set_recoverer(&self, recoverer: Arc<dyn PageRecoverer>) {
-        *self.inner.recoverer.lock() = Some(recoverer);
-    }
-
-    /// Installs the write observer (backup policy + PRI maintenance).
-    pub fn set_observer(&self, observer: Arc<dyn WriteObserver>) {
-        *self.inner.observer.lock() = Some(observer);
-    }
-
-    /// Attaches the observability handle: the miss path gains span
-    /// timing plus miss/evict/fault flight-recorder events. At most one
-    /// handle per pool; later calls are ignored.
-    pub fn attach_obs(&self, obs: Arc<Obs>) {
-        let _ = self.inner.obs.set(obs);
     }
 
     /// Installs the access observer — the prefetcher's learning feed,
     /// called on every true miss and on the first foreground touch of a
     /// prefetched page, never with a shard lock held. At most one per
-    /// pool; later calls are ignored. The pool does not keep the observer
-    /// alive: whoever wires it (the `Database`) owns it, and once it is
-    /// dropped the feed goes quiet.
+    /// pool; later calls are ignored. Unlike the [`PoolHooks`] this
+    /// cannot be a constructor argument: the prefetcher is built *from*
+    /// a clone of the pool. For the same reason it is held weakly — the
+    /// pool does not keep the observer alive: whoever wires it (the
+    /// `Database`) owns it, and once it is dropped the feed goes quiet.
     pub fn set_access_observer(&self, observer: Weak<dyn AccessObserver>) {
         let _ = self.inner.access_observer.set(observer);
     }
@@ -730,12 +747,7 @@ impl BufferPool {
         let guard = match RwLock::try_read_arc(&page_arc) {
             Some(g) => g,
             None => {
-                let _span = match self.inner.obs.get() {
-                    Some(o) if ctx.sampled() => {
-                        o.trace_span(ctx, SpanKind::LatchWait, WaitClass::LatchWait, id.0)
-                    }
-                    _ => ActiveSpan::inert(),
-                };
+                let _span = self.inner.span(ctx, SpanKind::LatchWait, id.0);
                 RwLock::read_arc(&page_arc)
             }
         };
@@ -760,12 +772,7 @@ impl BufferPool {
         let guard = match RwLock::try_write_arc(&page_arc) {
             Some(g) => g,
             None => {
-                let _span = match self.inner.obs.get() {
-                    Some(o) if ctx.sampled() => {
-                        o.trace_span(ctx, SpanKind::LatchWait, WaitClass::LatchWait, id.0)
-                    }
-                    _ => ActiveSpan::inert(),
-                };
+                let _span = self.inner.span(ctx, SpanKind::LatchWait, id.0);
                 RwLock::write_arc(&page_arc)
             }
         };
@@ -897,9 +904,8 @@ impl BufferPool {
     /// Forwards a page-format notification to the write observer (called
     /// by access methods right after logging a format record).
     pub fn notify_page_formatted(&self, id: PageId, format_lsn: Lsn) {
-        let observer = self.inner.observer.lock().clone();
-        if let Some(obs) = observer {
-            obs.page_formatted(id, format_lsn);
+        if let Some(observer) = &self.inner.hooks.observer {
+            observer.page_formatted(id, format_lsn);
         }
     }
 
@@ -1164,14 +1170,8 @@ impl BufferPool {
         }
         // We own the marker; all I/O below runs with no shard lock held.
         bump(&self.inner.stats.prefetch_issued);
-        let _span = self
-            .inner
-            .obs
-            .get()
-            .map_or_else(spf_obs::SpanGuard::inert, |o| {
-                o.emit(EventKind::PrefetchIssued, id.0, 0);
-                o.span(Span::Prefetch)
-            });
+        self.inner.emit(EventKind::PrefetchIssued, id.0, 0);
+        let _span = self.inner.span(TraceCtx::NONE, SpanKind::Prefetch, id.0);
         let staged = self.prefetch_read_verified(id).and_then(|page| {
             let idx = self.claim_victim(FetchHint::Normal)?;
             Ok(Staged {
@@ -1220,8 +1220,7 @@ impl BufferPool {
                 error: ValidationError::Defect(defect),
             });
         }
-        let validator = self.inner.validator.lock().clone();
-        if let Some(v) = validator {
+        if let Some(v) = &self.inner.hooks.validator {
             if let Err(error) = v.validate(id, &page) {
                 return Err(FetchError::UnrecoveredPageFailure { id, error });
             }
@@ -1287,9 +1286,8 @@ impl BufferPool {
                         // lands (otherwise a perfect prefetcher starves
                         // its own input and oscillates).
                         bump(&self.inner.stats.prefetch_hits);
-                        if let Some(o) = self.inner.obs.get() {
-                            o.emit(EventKind::PrefetchHit, id.0, hint.context() as u64);
-                        }
+                        self.inner
+                            .emit(EventKind::PrefetchHit, id.0, hint.context() as u64);
                         self.notify_access_observer(id, hint);
                     }
                     return Ok((idx, page));
@@ -1300,12 +1298,15 @@ impl BufferPool {
                     // (normally a hit; on leader failure each waiter
                     // retries as leader).
                     bump(&self.inner.stats.coalesced_misses);
-                    let _span = match self.inner.obs.get() {
-                        Some(o) if ctx.sampled() => {
-                            o.trace_span(ctx, SpanKind::PageMiss, WaitClass::MissIo, id.0)
-                        }
-                        _ => ActiveSpan::inert(),
-                    };
+                    // Straight to the tracer: the wait belongs in a
+                    // sampled operation's trace, but the `page_miss_ns`
+                    // sample is the leader's read, not each waiter's.
+                    let _span = self
+                        .inner
+                        .hooks
+                        .obs
+                        .as_ref()
+                        .map(|o| o.tracer().span(ctx, SpanKind::PageMiss, id.0, None));
                     fl.wait();
                 }
                 Probe::Lead => return self.load_miss(id, hint, ctx),
@@ -1324,20 +1325,8 @@ impl BufferPool {
     ) -> Result<(usize, Arc<RwLock<Page>>), FetchError> {
         bump(&self.inner.stats.misses);
         self.notify_access_observer(id, hint);
-        let _span = self
-            .inner
-            .obs
-            .get()
-            .map_or_else(spf_obs::SpanGuard::inert, |o| {
-                o.emit(EventKind::PageMiss, id.0, 0);
-                o.span(Span::PageMiss)
-            });
-        let _tspan = match self.inner.obs.get() {
-            Some(o) if ctx.sampled() => {
-                o.trace_span(ctx, SpanKind::PageMiss, WaitClass::MissIo, id.0)
-            }
-            _ => ActiveSpan::inert(),
-        };
+        self.inner.emit(EventKind::PageMiss, id.0, 0);
+        let _span = self.inner.span(ctx, SpanKind::PageMiss, id.0);
         let staged = self.read_verified(id).and_then(|(page, recovered)| {
             let idx = self.claim_victim(hint)?;
             let rec_lsn = Lsn(page.page_lsn());
@@ -1405,12 +1394,8 @@ impl BufferPool {
     /// inline or escalate. Runs with **no lock held**.
     fn read_verified(&self, id: PageId) -> Result<(Page, bool), FetchError> {
         let stats = &self.inner.stats;
-        let obs = self.inner.obs.get();
-        let detected = |code: u64| {
-            if let Some(o) = obs {
-                o.emit(EventKind::FaultDetected, id.0, code);
-            }
-        };
+        let emit = |kind, b| self.inner.emit(kind, id.0, b);
+        let detected = |code: u64| emit(EventKind::FaultDetected, code);
         let mut buf = vec![0u8; self.inner.device.page_size()];
         let read_result = self.inner.device.read_page(id, &mut buf);
 
@@ -1431,7 +1416,7 @@ impl BufferPool {
                 let page = Page::from_bytes(buf);
                 match page.verify(id) {
                     Ok(()) => {
-                        let validator = self.inner.validator.lock().clone();
+                        let validator = self.inner.hooks.validator.as_ref();
                         match validator.map_or(Ok(()), |v| v.validate(id, &page)) {
                             Ok(()) => return Ok((page, false)),
                             Err(e @ ValidationError::StaleLsn { .. }) => {
@@ -1469,34 +1454,25 @@ impl BufferPool {
         };
 
         // Single-page failure detected. Recover inline if we can.
-        if let Some(o) = obs {
-            o.emit(EventKind::RepairAttempt, id.0, 0);
-        }
-        let recoverer = self.inner.recoverer.lock().clone();
-        match recoverer {
+        emit(EventKind::RepairAttempt, 0);
+        match &self.inner.hooks.recoverer {
             Some(r) => match r.recover(id) {
                 RecoverOutcome::Recovered(page) => {
                     bump(&stats.pages_recovered);
-                    if let Some(o) = obs {
-                        o.emit(EventKind::RepairOk, id.0, 0);
-                    }
+                    emit(EventKind::RepairOk, 0);
                     Ok((page, true))
                 }
                 RecoverOutcome::Escalate(reason) => {
                     bump(&stats.escalations);
-                    if let Some(o) = obs {
-                        o.emit(EventKind::RepairFailed, id.0, 0);
-                        o.emit(EventKind::Escalation, id.0, spf_obs::failure_class::MEDIA);
-                    }
+                    emit(EventKind::RepairFailed, 0);
+                    emit(EventKind::Escalation, spf_obs::failure_class::MEDIA);
                     Err(FetchError::MediaFailure { id, reason })
                 }
             },
             None => {
                 bump(&stats.escalations);
-                if let Some(o) = obs {
-                    o.emit(EventKind::RepairFailed, id.0, 0);
-                    o.emit(EventKind::Escalation, id.0, spf_obs::failure_class::MEDIA);
-                }
+                emit(EventKind::RepairFailed, 0);
+                emit(EventKind::Escalation, spf_obs::failure_class::MEDIA);
                 match error {
                     Some(e) => Err(FetchError::UnrecoveredPageFailure { id, error: e }),
                     None => Err(FetchError::MediaFailure {
@@ -1677,9 +1653,8 @@ impl BufferPool {
             // false positive.
             bump(&self.inner.stats.prefetch_wasted);
         }
-        if let Some(o) = self.inner.obs.get() {
-            o.emit(EventKind::PageEvict, old_id.0, u64::from(was_dirty));
-        }
+        self.inner
+            .emit(EventKind::PageEvict, old_id.0, u64::from(was_dirty));
         Ok(EvictOutcome::Claimed)
     }
 
@@ -1726,8 +1701,8 @@ impl BufferPool {
         self.inner.log.force_through(page_lsn);
 
         // (2) Backup policy hook.
-        let observer = self.inner.observer.lock().clone();
-        if let Some(obs) = &observer {
+        let observer = self.inner.hooks.observer.as_ref();
+        if let Some(obs) = observer {
             obs.before_page_write(page);
         }
 
@@ -1763,7 +1738,7 @@ impl BufferPool {
 
         // (4) PRI maintenance: "After each completed page write follows a
         // single log record" (Section 5.2.4).
-        if let Some(obs) = &observer {
+        if let Some(obs) = observer {
             obs.after_page_write(id, page_lsn);
         }
 
@@ -1781,6 +1756,14 @@ mod tests {
     use spf_wal::{LogPayload, LogRecord, TxId};
 
     fn setup(frames: usize, pages: u64) -> (BufferPool, MemDevice, LogManager) {
+        setup_with(frames, pages, PoolHooks::default())
+    }
+
+    fn setup_with(
+        frames: usize,
+        pages: u64,
+        hooks: PoolHooks,
+    ) -> (BufferPool, MemDevice, LogManager) {
         let device = MemDevice::for_testing(DEFAULT_PAGE_SIZE, pages);
         // Pre-format every page on "disk".
         for i in 0..pages {
@@ -1789,10 +1772,11 @@ mod tests {
             device.raw_overwrite(PageId(i), p.as_bytes());
         }
         let log = LogManager::for_testing();
-        let pool = BufferPool::new(
+        let pool = BufferPool::with_hooks(
             BufferPoolConfig { frames },
             Arc::new(device.clone()),
             log.clone(),
+            hooks,
         );
         (pool, device, log)
     }
@@ -1959,11 +1943,14 @@ mod tests {
 
     #[test]
     fn recoverer_repairs_inline_and_access_continues() {
-        let (pool, dev, _log) = setup(4, 8);
         let mut good = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(3), PageType::BTreeLeaf);
         good.set_page_lsn(777);
         good.finalize_checksum();
-        pool.set_recoverer(Arc::new(FixedRecoverer { image: good }));
+        let hooks = PoolHooks {
+            recoverer: Some(Arc::new(FixedRecoverer { image: good })),
+            ..PoolHooks::default()
+        };
+        let (pool, dev, _log) = setup_with(4, 8, hooks);
         dev.inject_fault(
             PageId(3),
             FaultSpec::SilentCorruption(CorruptionMode::BitRot { bits: 8 }),
@@ -1996,7 +1983,7 @@ mod tests {
 
     #[test]
     fn stale_lsn_detected_only_by_validator() {
-        let (pool, dev, _log) = setup(4, 8);
+        let (pool, dev, log) = setup(4, 8);
         // Persist LSN 10, then arm lost-write and "persist" LSN 20.
         {
             let mut g = pool.fetch_mut(PageId(6)).unwrap();
@@ -2025,8 +2012,17 @@ mod tests {
         }
         pool.discard_page(PageId(6));
 
-        // With the validator the staleness is caught.
-        pool.set_validator(Arc::new(StrictValidator { expected: Lsn(20) }));
+        // A pool built with the validator over the same device catches
+        // the staleness.
+        let pool = BufferPool::with_hooks(
+            BufferPoolConfig { frames: 4 },
+            Arc::new(dev.clone()),
+            log,
+            PoolHooks {
+                validator: Some(Arc::new(StrictValidator { expected: Lsn(20) })),
+                ..PoolHooks::default()
+            },
+        );
         match pool.fetch(PageId(6)) {
             Err(FetchError::UnrecoveredPageFailure { error, .. }) => {
                 assert_eq!(
@@ -2058,12 +2054,15 @@ mod tests {
 
     #[test]
     fn observer_sees_every_write_back() {
-        let (pool, _dev, _log) = setup(4, 8);
         let obs = Arc::new(CountingObserver {
             before: AtomicU32::new(0),
             after: AtomicU32::new(0),
         });
-        pool.set_observer(Arc::clone(&obs) as Arc<dyn WriteObserver>);
+        let hooks = PoolHooks {
+            observer: Some(Arc::clone(&obs) as _),
+            ..PoolHooks::default()
+        };
+        let (pool, _dev, _log) = setup_with(4, 8, hooks);
         dirty_page(&pool, PageId(0), Lsn(5));
         dirty_page(&pool, PageId(1), Lsn(6));
         pool.flush_all().unwrap();
@@ -2356,12 +2355,15 @@ mod tests {
                 Ok(())
             }
         }
-        let (pool, dev, _log) = setup(4, 8);
         let gate = Arc::new(std::sync::Barrier::new(2));
-        pool.set_validator(Arc::new(BlockOnce {
-            gate: Arc::clone(&gate),
-            fired: AtomicBool::new(false),
-        }));
+        let hooks = PoolHooks {
+            validator: Some(Arc::new(BlockOnce {
+                gate: Arc::clone(&gate),
+                fired: AtomicBool::new(false),
+            })),
+            ..PoolHooks::default()
+        };
+        let (pool, dev, _log) = setup_with(4, 8, hooks);
         let pool2 = pool.clone();
         let prefetcher = std::thread::spawn(move || pool2.prefetch_page(PageId(5)));
         gate.wait(); // prefetch owns the marker and is mid-validate

@@ -155,18 +155,6 @@ pub trait AccessObserver: Send + Sync {
     fn page_faulted(&self, id: PageId, ctx: AccessContext);
 }
 
-/// A no-op observer/validator for baselines and tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopObserver;
-
-impl WriteObserver for NoopObserver {}
-
-impl ReadValidator for NoopObserver {
-    fn validate(&self, _id: PageId, _page: &Page) -> Result<(), ValidationError> {
-        Ok(())
-    }
-}
-
 /// Why a fetch failed.
 #[derive(Debug)]
 pub enum FetchError {

@@ -8,10 +8,8 @@ use parking_lot::Mutex;
 
 use spf_archive::{ArchiveReport, ArchiveStore, LogArchiver, MergePolicy};
 use spf_btree::{BTreeError, BumpAllocator, FosterBTree, KvPairs, PageAllocator};
-use spf_buffer::{BufferPool, BufferPoolConfig, FetchError};
-use spf_obs::{
-    ActiveSpan, EventKind, MetricsSnapshot, Obs, Span, SpanKind, Stitched, TraceCtx, WaitClass,
-};
+use spf_buffer::{BufferPool, BufferPoolConfig, FetchError, PoolHooks};
+use spf_obs::{EventKind, MetricsSnapshot, Obs, SpanKind, Stitched, TraceCtx};
 use spf_prefetch::{AccessObserver, GovernorConfig, IoGovernor, Prefetcher};
 use spf_recovery::{
     BackupStore, FailureClass, MediaRecovery, MediaReport, PageRecoveryIndex, PriMaintainer,
@@ -512,13 +510,6 @@ impl Database {
             Some(m) => Arc::new(MirrorPair::new(device.clone(), m.clone())),
             None => Arc::new(device.clone()),
         };
-        let pool = BufferPool::new(
-            BufferPoolConfig {
-                frames: config.pool_frames,
-            },
-            pool_device,
-            log.clone(),
-        );
         // One observability handle per engine, attached to every
         // subsystem before the first operation (tree formatting below is
         // already traced). Attaching is unconditional; `config.obs`
@@ -526,7 +517,6 @@ impl Database {
         let obs = Arc::new(Obs::new(Arc::clone(&clock), config.obs));
         obs.set_trace_sampling(config.trace_sample_every);
         log.attach_obs(Arc::clone(&obs));
-        pool.attach_obs(Arc::clone(&obs));
         let txn = TxnManager::new(log.clone());
         txn.attach_obs(Arc::clone(&obs));
         let alloc = Arc::new(BumpAllocator::new(0, config.data_pages));
@@ -542,9 +532,7 @@ impl Database {
             .as_ref()
             .map(|store| LogArchiver::new(log.clone(), Arc::clone(store)));
 
-        let spr = if config.single_page_recovery {
-            pool.set_validator(Arc::clone(&maintainer) as _);
-            pool.set_observer(Arc::clone(&maintainer) as _);
+        let spr = config.single_page_recovery.then(|| {
             let mut spr = SinglePageRecovery::new(
                 Arc::clone(&pri),
                 log.clone(),
@@ -557,13 +545,27 @@ impl Database {
             if let Some(m) = &mirror {
                 spr = spr.with_mirror(m.clone());
             }
-            let spr = Arc::new(spr);
             spr.attach_obs(Arc::clone(&obs));
-            pool.set_recoverer(Arc::clone(&spr) as _);
-            Some(spr)
-        } else {
-            None
-        };
+            Arc::new(spr)
+        });
+
+        // The pool's collaborators need no pool themselves, so they are
+        // built first and the pool is born fully wired: the paper's
+        // cross-check, backup policy and inline repair exist only with
+        // single-page recovery on.
+        let pool = BufferPool::with_hooks(
+            BufferPoolConfig {
+                frames: config.pool_frames,
+            },
+            pool_device,
+            log.clone(),
+            PoolHooks {
+                validator: spr.as_ref().map(|_| Arc::clone(&maintainer) as _),
+                observer: spr.as_ref().map(|_| Arc::clone(&maintainer) as _),
+                recoverer: spr.clone().map(|s| s as _),
+                obs: Some(Arc::clone(&obs)),
+            },
+        );
 
         // One background-I/O budget for scrubber and prefetcher alike,
         // derived from the scrub pacing knobs (the pre-governor rate).
@@ -710,17 +712,26 @@ impl Database {
 
     /// [`commit`](Database::commit) within a sampled trace: the commit
     /// and its log force (or group-commit wait) become child spans.
-    pub fn commit_traced(&self, tx: TxId, ctx: TraceCtx) -> Result<Lsn, DbError> {
+    ///
+    /// The key locks go only once the commit record exists — whether or
+    /// not that succeeded: releasing first would let a second writer
+    /// update a key whose first writer can still fail to commit.
+    fn commit_traced(&self, tx: TxId, ctx: TraceCtx) -> Result<Lsn, DbError> {
+        let committed = self.txn.commit_traced(tx, ctx);
         self.locks.release_all(tx);
-        Ok(self.txn.commit_traced(tx, ctx)?)
+        Ok(committed?)
     }
 
-    /// Rolls `tx` back through the per-transaction log chain.
+    /// Rolls `tx` back through the per-transaction log chain. Its key
+    /// locks are held until the last physical inverse is applied (or the
+    /// rollback failed): a writer let in earlier would have its update
+    /// overwritten by the undo.
     pub fn abort(&self, tx: TxId) -> Result<Lsn, DbError> {
-        self.locks.release_all(tx);
-        Ok(self
+        let aborted = self
             .txn
-            .abort(tx, &spf_btree::tree::PoolUndo::new(&self.pool))?)
+            .abort(tx, &spf_btree::tree::PoolUndo::new(&self.pool));
+        self.locks.release_all(tx);
+        Ok(aborted?)
     }
 
     fn lock_key(&self, tx: TxId, key: &[u8]) -> Result<(), DbError> {
@@ -738,7 +749,7 @@ impl Database {
 
     /// [`put`](Database::put) within a sampled trace: the descent, any
     /// buffer faults it takes, and any inline repair become child spans.
-    pub fn put_traced(
+    fn put_traced(
         &self,
         tx: TxId,
         key: &[u8],
@@ -746,51 +757,46 @@ impl Database {
         ctx: TraceCtx,
     ) -> Result<Option<Vec<u8>>, DbError> {
         self.lock_key(tx, key)?;
-        self.with_repair_ctx(ctx, || self.tree.upsert_traced(tx, key, value, ctx))
+        self.with_repair(ctx, || self.tree.upsert_traced(tx, key, value, ctx))
     }
 
     /// Inserts `key → value`; duplicate keys are an error.
     pub fn insert(&self, tx: TxId, key: &[u8], value: &[u8]) -> Result<(), DbError> {
         self.lock_key(tx, key)?;
-        self.with_repair(|| self.tree.insert(tx, key, value))
+        self.with_repair(TraceCtx::NONE, || self.tree.insert(tx, key, value))
     }
 
     /// Deletes `key`, returning its value.
     pub fn delete(&self, tx: TxId, key: &[u8]) -> Result<Vec<u8>, DbError> {
         self.lock_key(tx, key)?;
-        self.with_repair(|| self.tree.delete(tx, key))
+        self.with_repair(TraceCtx::NONE, || self.tree.delete(tx, key))
     }
 
     /// Looks up `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, DbError> {
-        self.with_repair(|| self.tree.get(key))
+        self.with_repair(TraceCtx::NONE, || self.tree.get(key))
     }
 
     /// Range scan: up to `limit` live records with key ≥ `start`.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<KvPairs, DbError> {
-        self.with_repair(|| self.tree.scan(start, limit))
+        self.with_repair(TraceCtx::NONE, || self.tree.scan(start, limit))
     }
 
     /// Convenience: single-op transaction around `put`.
     ///
     /// Safe to call from many threads over one shared `&Database`: the
-    /// key lock serializes writers per key, the tree's latch-crabbed
-    /// descent handles concurrent restructures, and the WAL's
-    /// reservation append keeps LSNs dense under concurrent commits
-    /// (experiment e18 drives exactly this path from N threads).
+    /// key lock admits one writer per key at a time — a second one is
+    /// refused with [`DbError::Locked`], not queued (see `spf-txn`'s
+    /// lock table) — the tree's latch-crabbed descent handles concurrent
+    /// restructures, and the WAL's reservation append keeps LSNs dense
+    /// under concurrent commits (experiment e18 drives exactly this path
+    /// from N threads).
     pub fn put_auto(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, DbError> {
-        let _span = self.obs.span(Span::PutAuto);
         // The causal-tracing entry point: one in `trace_sample_every`
         // calls roots a trace tree here, and the context rides by value
         // through descent, buffer faults, commit, and the WAL force.
-        let ctx = self.obs.sample_trace();
-        let tspan = if ctx.sampled() {
-            self.obs
-                .trace_span(ctx, SpanKind::PutAuto, WaitClass::Run, 0)
-        } else {
-            ActiveSpan::inert()
-        };
-        let ctx = tspan.ctx();
+        let span = self.obs.span(self.obs.sample_trace(), SpanKind::PutAuto, 0);
+        let ctx = span.ctx();
         let tx = self.begin();
         match self.put_traced(tx, key, value, ctx) {
             Ok(old) => {
@@ -814,14 +820,11 @@ impl Database {
     /// "instant, focused, localized recovery" with the transaction merely
     /// delayed. Without single-page recovery configured the failure
     /// escalates per Figure 1.
-    fn with_repair<T>(&self, f: impl Fn() -> Result<T, BTreeError>) -> Result<T, DbError> {
-        self.with_repair_ctx(TraceCtx::NONE, f)
-    }
-
-    /// [`with_repair`](Database::with_repair) within a sampled trace: an
-    /// inline single-page repair shows up as a `Repair` span classed as
-    /// repair wait — the time the delayed transaction spent healing.
-    fn with_repair_ctx<T>(
+    ///
+    /// Under a sampled `ctx` the repair shows up as a `Repair` span
+    /// classed as repair wait — the time the delayed transaction spent
+    /// healing.
+    fn with_repair<T>(
         &self,
         ctx: TraceCtx,
         f: impl Fn() -> Result<T, BTreeError>,
@@ -853,12 +856,9 @@ impl Database {
                     last_page = Some(page);
                     self.pool.discard_page(page);
                     self.obs.emit(EventKind::RepairAttempt, page.0, 0);
-                    let _rspan = if ctx.sampled() {
-                        self.obs
-                            .trace_span(ctx, SpanKind::Repair, WaitClass::RepairWait, page.0)
-                    } else {
-                        ActiveSpan::inert()
-                    };
+                    // Straight to the tracer: `recover_page` itself
+                    // takes the `page_repair_ns` sample.
+                    let _span = self.obs.tracer().span(ctx, SpanKind::Repair, page.0, None);
                     match spr.recover_page(page) {
                         Ok(image) => {
                             self.obs.emit(EventKind::RepairOk, page.0, 0);
@@ -1384,7 +1384,7 @@ impl Database {
 
     /// Every live record (ordered) — used by tests to compare engines.
     pub fn dump_all(&self) -> Result<KvPairs, DbError> {
-        self.with_repair(|| self.tree.collect_all())
+        self.with_repair(TraceCtx::NONE, || self.tree.collect_all())
     }
 
     // ------------------------------------------------------------------

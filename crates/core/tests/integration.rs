@@ -169,6 +169,47 @@ fn checkpoint_reduces_restart_redo() {
     );
 }
 
+/// Key locks outlive the work they protect. While an abort is still
+/// applying its physical inverse — stalled here on the leaf's latch,
+/// which the test holds — a second writer of the same key is refused by
+/// the lock table instead of slipping in under the rollback.
+#[test]
+fn key_locks_are_held_until_the_rollback_is_applied() {
+    let db = Database::create(small_config()).unwrap();
+    load(&db, 10);
+    let tx = db.begin();
+    db.put(tx, &key(3), &val(3, 1)).unwrap();
+    let latch = db.pool().fetch_mut(db.any_leaf_page().unwrap()).unwrap();
+    let db = &db;
+    let refused = std::thread::scope(|s| {
+        let aborter = s.spawn(move || db.abort(tx));
+        // An abort leaves the active table first, then walks its log
+        // chain and blocks on the latch.
+        while db.txn_manager().active_txns().iter().any(|(t, _)| *t == tx) {
+            std::thread::yield_now();
+        }
+        let (send, recv) = std::sync::mpsc::channel();
+        s.spawn(move || {
+            let tx2 = db.begin();
+            let put = db.put(tx2, &key(3), &val(3, 2));
+            let _ = send.send(matches!(put, Err(DbError::Locked(_))));
+            let _ = db.abort(tx2);
+        });
+        // A writer that got past the lock table is now parked on the
+        // latch; the timeout turns that hang into a failure.
+        let refused = recv.recv_timeout(std::time::Duration::from_secs(5));
+        drop(latch);
+        aborter.join().unwrap().unwrap();
+        refused
+    });
+    assert_eq!(
+        refused,
+        Ok(true),
+        "second writer must fail fast on the key lock"
+    );
+    assert_eq!(db.get(&key(3)).unwrap(), Some(val(3, 0)));
+}
+
 // ----------------------------------------------------------------------
 // Single-page failures: every injected mode, detected and repaired
 // ----------------------------------------------------------------------

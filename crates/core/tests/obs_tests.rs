@@ -368,6 +368,19 @@ fn sampled_put_auto_reconstructs_the_causal_chain() {
         assert!(kinds.contains(&want), "missing {want:?} in {kinds:?}");
     }
 
+    // One guard per timed region feeds both planes: the commit hangs
+    // off the put_auto root and this thread's own log force off the
+    // commit, exactly as when each region opened two guards.
+    let commit = root
+        .children
+        .iter()
+        .find(|c| c.record.kind == spf_obs::SpanKind::Commit)
+        .expect("Commit is a child of the PutAuto root");
+    assert!(commit
+        .children
+        .iter()
+        .any(|c| c.record.kind == spf_obs::SpanKind::LogForce));
+
     // Children nest inside the root, so the wait-state decomposition
     // telescopes: every nanosecond of the operation is classified.
     tree.each_node(|n| {
@@ -391,4 +404,8 @@ fn sampled_put_auto_reconstructs_the_causal_chain() {
     let stats = db.stats();
     assert!(stats.trace.sampled_traces >= 50);
     assert!(stats.trace.spans_recorded > stats.trace.sampled_traces);
+    // …and the histograms still take one sample per operation.
+    let snap = db.metrics_snapshot();
+    assert_eq!(snap.get("latency", "put_auto_ns"), Some(52));
+    assert_eq!(snap.get("latency", "commit_ns"), Some(52));
 }

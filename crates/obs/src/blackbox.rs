@@ -28,8 +28,20 @@ pub const BLACKBOX_TMP: &str = "blackbox.spfb.tmp";
 const MAGIC: &[u8; 8] = b"SPFBBOX1";
 const VERSION: u32 = 1;
 const MAX_REASON: usize = 64 * 1024;
-const MAX_ENTRIES: usize = 1 << 20;
 const MAX_METRICS: usize = 16 * 1024 * 1024;
+/// Encoded size of one [`Event`]: six `u64` words and the kind byte.
+const EVENT_BYTES: usize = 6 * 8 + 1;
+
+/// Reads an entry count, refusing one the remaining bytes cannot hold:
+/// the count sizes a reservation, and the file is not to be trusted
+/// with more memory than it brought.
+fn get_count(d: &mut Decoder<'_>, entry_bytes: usize, what: &str) -> Result<usize, String> {
+    let n = d.get_u32().map_err(|e| e.to_string())? as usize;
+    if n > d.remaining() / entry_bytes {
+        return Err(format!("implausible {what} count {n}"));
+    }
+    Ok(n)
+}
 
 /// A decoded (or about-to-be-written) black box.
 #[derive(Debug, Clone, Default)]
@@ -48,7 +60,9 @@ impl BlackBox {
     /// Serializes the box, CRC trailer included.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(4096 + self.events.len() * 48 + self.spans.len() * 82);
+        let mut e = Encoder::with_capacity(
+            4096 + self.events.len() * EVENT_BYTES + self.spans.len() * SpanRecord::ENCODED_LEN,
+        );
         e.put_bytes(MAGIC);
         e.put_u32(VERSION);
         e.put_len_bytes(self.reason.as_bytes());
@@ -97,10 +111,7 @@ impl BlackBox {
         let reason =
             String::from_utf8_lossy(d.get_len_bytes(MAX_REASON).map_err(|e| e.to_string())?)
                 .into_owned();
-        let n_events = d.get_u32().map_err(|e| e.to_string())? as usize;
-        if n_events > MAX_ENTRIES {
-            return Err(format!("implausible event count {n_events}"));
-        }
+        let n_events = get_count(&mut d, EVENT_BYTES, "event")?;
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
             let thread = d.get_u64().map_err(|e| e.to_string())?;
@@ -118,10 +129,7 @@ impl BlackBox {
                 b: d.get_u64().map_err(|e| e.to_string())?,
             });
         }
-        let n_spans = d.get_u32().map_err(|e| e.to_string())? as usize;
-        if n_spans > MAX_ENTRIES {
-            return Err(format!("implausible span count {n_spans}"));
-        }
+        let n_spans = get_count(&mut d, SpanRecord::ENCODED_LEN, "span")?;
         let mut spans = Vec::with_capacity(n_spans);
         for _ in 0..n_spans {
             spans.push(SpanRecord::decode(&mut d).map_err(|e| e.to_string())?);
@@ -323,6 +331,24 @@ mod tests {
         let err = BlackBox::decode(&bytes).unwrap_err();
         assert!(err.contains("CRC"), "{err}");
         assert!(BlackBox::decode(&bytes[..10]).is_err());
+    }
+
+    #[test]
+    fn lying_counts_are_refused_before_anything_is_reserved() {
+        // A well-formed header claiming a million events, CRC and all,
+        // in a few dozen bytes.
+        let mut e = Encoder::new();
+        e.put_bytes(MAGIC);
+        e.put_u32(VERSION);
+        e.put_len_bytes(b"");
+        e.put_u32(1 << 20);
+        let crc = crc32c(e.as_slice());
+        e.put_u32(crc);
+        let err = BlackBox::decode(&e.finish()).unwrap_err();
+        assert!(err.contains("implausible event count"), "{err}");
+        // An honest box reserves exactly what it holds.
+        let b = BlackBox::decode(&sample_box().encode()).unwrap();
+        assert_eq!((b.events.capacity(), b.spans.capacity()), (2, 1));
     }
 
     #[test]

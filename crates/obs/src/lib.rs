@@ -4,17 +4,25 @@
 //!
 //! - a [`FlightRecorder`] — lock-free per-thread rings of typed events,
 //!   drainable into a causal [`Trace`] at any time;
-//! - hot-path span timing ([`Obs::span`]) feeding log-linear
-//!   [`Histogram`]s (p50/p95/p99/max);
+//! - span timing through one entry point, [`Obs::span`]: the returned
+//!   [`SpanGuard`] feeds the [`SpanKind`]'s log-linear latency
+//!   [`Histogram`] (p50/p95/p99/max; [`SpanKind::latency_metric`] says
+//!   which kinds have one) while `Obs` is enabled, and the causal
+//!   [`Tracer`] when the operation's [`TraceCtx`] is sampled;
 //! - a [`RepairLedger`] — per-detector-class MTTD, per-failure-class
 //!   MTTR, and every Figure-1 escalation with its event window;
 //! - the [`MetricsSnapshot`]/[`Observable`] registry that flattens every
 //!   subsystem's stats into one hierarchy with JSON and Prometheus
 //!   exposition.
 //!
-//! Subsystems hold `OnceLock<Arc<Obs>>` attach points so constructor
-//! signatures never change; an unattached or disabled handle costs one
-//! relaxed atomic load on the hot path.
+//! The flight recorder and the tracer are codecs over the one seqlock
+//! ring in `spf-trace` ([`RingSet`]); they differ in how they read it
+//! (snapshot vs. hand-out-once).
+//!
+//! The buffer pool takes its handle at construction (`PoolHooks`); the
+//! other subsystems hold `OnceLock<Arc<Obs>>` attach points. Either way
+//! an unattached or disabled handle costs one relaxed atomic load on the
+//! hot path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +36,7 @@ mod registry;
 pub use blackbox::{BlackBox, BLACKBOX_FILE, BLACKBOX_PREV_FILE, BLACKBOX_TMP};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use ledger::{EscalationRecord, RepairLedger};
-pub use recorder::{Event, EventKind, FlightRecorder, Trace, RING_SLOTS};
+pub use recorder::{Event, EventKind, FlightRecorder, Trace};
 pub use registry::{
     validate_prometheus, GroupBuilder, Metric, MetricGroup, MetricValue, MetricsSnapshot,
     Observable,
@@ -37,14 +45,14 @@ pub use registry::{
 // subsystems reach it through their existing `Arc<Obs>` attach points
 // without growing a second dependency edge.
 pub use spf_trace::{
-    render_flame, stitch, to_chrome_json, ActiveSpan, SpanKind, SpanNode, SpanRecord, Stitched,
-    TraceCtx, TraceTree, Tracer, TracerStats, WaitClass, WaitProfile, TRACE_RING_SLOTS,
+    render_flame, stitch, to_chrome_json, LatencySink, RingSet, SpanGuard, SpanKind, SpanNode,
+    SpanRecord, Stitched, TraceCtx, TraceTree, Tracer, TracerStats, WaitClass, WaitProfile,
+    RING_SLOTS,
 };
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use spf_util::SimClock;
@@ -106,69 +114,37 @@ pub mod failure_class {
     }
 }
 
-/// Hot paths that carry span timing, each feeding its own histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Span {
-    /// `Database::put_auto` end to end.
-    PutAuto,
-    /// Transaction commit including the log force wait.
-    Commit,
-    /// WAL group-leader force (write + sync).
-    LogForce,
-    /// Buffer-pool miss path (read + verify + install).
-    PageMiss,
-    /// Single-page repair (backup fetch + log replay).
-    PageRepair,
-    /// One full scrubber sweep.
-    ScrubSweep,
-    /// Background prefetch fetch path (read + verify + install).
-    Prefetch,
-}
-
-/// The per-path span histograms.
+/// The latency histograms: one per [`SpanKind`] that names a
+/// [`latency_metric`](SpanKind::latency_metric), indexed by the kind's
+/// code.
 #[derive(Debug)]
 pub struct Spans {
-    /// `put_auto` latency.
-    pub put_auto: Arc<Histogram>,
-    /// Commit latency.
-    pub commit: Arc<Histogram>,
-    /// Log-force latency.
-    pub log_force: Arc<Histogram>,
-    /// Miss-path latency.
-    pub page_miss: Arc<Histogram>,
-    /// Single-page repair latency.
-    pub page_repair: Arc<Histogram>,
-    /// Scrub sweep latency.
-    pub scrub_sweep: Arc<Histogram>,
-    /// Background prefetch fetch latency.
-    pub prefetch: Arc<Histogram>,
+    by_kind: [Option<Histogram>; SpanKind::ALL.len() + 1],
 }
 
 impl Default for Spans {
     fn default() -> Self {
         Self {
-            put_auto: Arc::new(Histogram::new()),
-            commit: Arc::new(Histogram::new()),
-            log_force: Arc::new(Histogram::new()),
-            page_miss: Arc::new(Histogram::new()),
-            page_repair: Arc::new(Histogram::new()),
-            scrub_sweep: Arc::new(Histogram::new()),
-            prefetch: Arc::new(Histogram::new()),
+            by_kind: std::array::from_fn(|code| {
+                SpanKind::from_code(code as u8)
+                    .and_then(SpanKind::latency_metric)
+                    .map(|_| Histogram::new())
+            }),
         }
     }
 }
 
 impl Spans {
-    fn hist(&self, span: Span) -> &Arc<Histogram> {
-        match span {
-            Span::PutAuto => &self.put_auto,
-            Span::Commit => &self.commit,
-            Span::LogForce => &self.log_force,
-            Span::PageMiss => &self.page_miss,
-            Span::PageRepair => &self.page_repair,
-            Span::ScrubSweep => &self.scrub_sweep,
-            Span::Prefetch => &self.prefetch,
-        }
+    /// The histogram `kind` feeds (`None` for trace-only kinds).
+    #[must_use]
+    pub fn get(&self, kind: SpanKind) -> Option<&Histogram> {
+        self.by_kind[kind as usize].as_ref()
+    }
+}
+
+impl LatencySink for Histogram {
+    fn record(&self, nanos: u64) {
+        Histogram::record(self, nanos);
     }
 }
 
@@ -182,36 +158,10 @@ impl Observable for TracerStats {
 
 impl Observable for Spans {
     fn observe(&self, g: &mut GroupBuilder) {
-        g.histogram("put_auto_ns", self.put_auto.snapshot())
-            .histogram("commit_ns", self.commit.snapshot())
-            .histogram("log_force_ns", self.log_force.snapshot())
-            .histogram("page_miss_ns", self.page_miss.snapshot())
-            .histogram("page_repair_ns", self.page_repair.snapshot())
-            .histogram("scrub_sweep_ns", self.scrub_sweep.snapshot())
-            .histogram("prefetch_ns", self.prefetch.snapshot());
-    }
-}
-
-/// Times a region of code into a span histogram on drop. Obtained from
-/// [`Obs::span`]; inert (no clock read at all) when tracing is disabled.
-/// Borrows its histogram (no refcount traffic on the hot path).
-#[must_use = "a span guard measures until it is dropped"]
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    armed: Option<(Instant, &'a Histogram)>,
-}
-
-impl SpanGuard<'_> {
-    /// A guard that records nothing.
-    pub fn inert() -> Self {
-        Self { armed: None }
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some((start, hist)) = self.armed.take() {
-            hist.record(start.elapsed().as_nanos() as u64);
+        for kind in SpanKind::ALL {
+            if let (Some(name), Some(hist)) = (kind.latency_metric(), self.get(kind)) {
+                g.histogram(name, hist.snapshot());
+            }
         }
     }
 }
@@ -278,17 +228,18 @@ impl Obs {
         }
     }
 
-    /// Starts timing `span`; the returned guard records on drop. When
-    /// disabled the guard is inert and no clock is read.
+    /// Opens the guard for one timed region of `kind` (`a` is the
+    /// kind's payload word: a page id, an LSN…). On drop its duration
+    /// feeds the kind's latency histogram — when there is one and `Obs`
+    /// is enabled — and a span of `ctx`'s trace when `ctx` is sampled.
+    /// Otherwise the guard is inert and no clock is read.
     #[inline]
-    pub fn span(&self, span: Span) -> SpanGuard<'_> {
-        if self.enabled() {
-            SpanGuard {
-                armed: Some((Instant::now(), &**self.spans.hist(span))),
-            }
-        } else {
-            SpanGuard::inert()
-        }
+    pub fn span(&self, ctx: TraceCtx, kind: SpanKind, a: u64) -> SpanGuard<'_> {
+        let latency = match self.enabled() {
+            true => self.spans.get(kind).map(|h| h as &dyn LatencySink),
+            false => None,
+        };
+        self.tracer.span(ctx, kind, a, latency)
     }
 
     /// Drains the flight recorder into a time-ordered trace.
@@ -335,18 +286,6 @@ impl Obs {
             self.recorder.emit(EventKind::TraceSampled, ctx.trace_id, 0);
         }
         ctx
-    }
-
-    /// Starts a trace span under `ctx` (inert when unsampled).
-    #[inline]
-    pub fn trace_span(
-        &self,
-        ctx: TraceCtx,
-        kind: SpanKind,
-        class: WaitClass,
-        a: u64,
-    ) -> ActiveSpan<'_> {
-        self.tracer.begin(ctx, kind, class, a)
     }
 
     /// Arms black-box capture: on panic (see [`install_panic_hook`])
@@ -452,10 +391,11 @@ mod tests {
         let obs = Obs::new(Arc::new(SimClock::new()), false);
         obs.emit(EventKind::TxCommit, 1, 2);
         {
-            let _g = obs.span(Span::PutAuto);
+            let g = obs.span(TraceCtx::NONE, SpanKind::PutAuto, 0);
+            assert!(!g.is_armed());
         }
         assert!(obs.drain_trace().is_empty());
-        assert_eq!(obs.spans().put_auto.count(), 0);
+        assert_eq!(obs.spans().get(SpanKind::PutAuto).unwrap().count(), 0);
     }
 
     #[test]
@@ -463,10 +403,10 @@ mod tests {
         let obs = Obs::new(Arc::new(SimClock::new()), true);
         obs.emit(EventKind::FaultDetected, 5, 1);
         {
-            let _g = obs.span(Span::Commit);
+            let _g = obs.span(TraceCtx::NONE, SpanKind::Commit, 0);
         }
         assert_eq!(obs.drain_trace().len(), 1);
-        assert_eq!(obs.spans().commit.count(), 1);
+        assert_eq!(obs.spans().get(SpanKind::Commit).unwrap().count(), 1);
     }
 
     #[test]
@@ -482,7 +422,7 @@ mod tests {
     fn spans_observe_as_histograms() {
         let obs = Obs::new(Arc::new(SimClock::new()), true);
         {
-            let _g = obs.span(Span::LogForce);
+            let _g = obs.span(TraceCtx::NONE, SpanKind::LogForce, 0);
         }
         let mut snap = MetricsSnapshot::new();
         snap.add("latency", obs.spans());
@@ -514,12 +454,48 @@ mod tests {
         obs.set_trace_sampling(1);
         let ctx = obs.sample_trace();
         {
-            let root = obs.trace_span(ctx, SpanKind::PutAuto, WaitClass::Run, 0);
-            let _child = obs.trace_span(root.ctx(), SpanKind::Commit, WaitClass::Run, 0);
+            let root = obs.span(ctx, SpanKind::PutAuto, 0);
+            let _child = obs.span(root.ctx(), SpanKind::Commit, 0);
         }
         let stitched = obs.tracer().drain_trees();
         assert_eq!(stitched.trees.len(), 1);
         assert_eq!(stitched.trees[0].span_count(), 2);
+        // The same two guards fed their kinds' histograms once each.
+        assert_eq!(obs.spans().get(SpanKind::PutAuto).unwrap().count(), 1);
+        assert_eq!(obs.spans().get(SpanKind::Commit).unwrap().count(), 1);
+    }
+
+    #[test]
+    fn unsampled_guard_of_a_trace_only_kind_is_inert() {
+        let obs = Obs::new(Arc::new(SimClock::new()), true);
+        obs.set_trace_sampling(1);
+        for kind in SpanKind::ALL {
+            let guard = obs.span(TraceCtx::NONE, kind, 0);
+            // Armed means the clock was read: only for a histogram, or
+            // for the force span followers link to.
+            let fed = kind.latency_metric().is_some() || kind == SpanKind::LogForce;
+            assert_eq!(guard.is_armed(), fed, "{kind:?}");
+            guard.cancel();
+        }
+        assert_eq!(obs.tracer().stats().spans_recorded, 0);
+        assert_eq!(obs.spans().get(SpanKind::PutAuto).unwrap().count(), 0);
+    }
+
+    #[test]
+    fn sampled_guard_of_a_histogram_kind_feeds_both_with_one_duration() {
+        let obs = Obs::new(Arc::new(SimClock::new()), true);
+        obs.set_trace_sampling(1);
+        drop(obs.span(obs.sample_trace(), SpanKind::PageMiss, 9));
+        let hist = obs.spans().get(SpanKind::PageMiss).unwrap();
+        let spans = obs.tracer().drain();
+        assert_eq!((hist.count(), spans.len()), (1, 1));
+        assert_eq!((spans[0].a, spans[0].class), (9, WaitClass::MissIo));
+        assert_eq!(hist.snapshot().sum, spans[0].dur_nanos, "one clock pair");
+        // Disabled: the histogram goes quiet, a sampled context still traces.
+        let ctx = obs.sample_trace();
+        obs.set_enabled(false);
+        drop(obs.span(ctx, SpanKind::PageMiss, 9));
+        assert_eq!((hist.count(), obs.tracer().drain().len()), (1, 1));
     }
 
     #[test]
@@ -533,7 +509,7 @@ mod tests {
         obs.set_trace_sampling(1);
         let ctx = obs.sample_trace();
         {
-            let _s = obs.trace_span(ctx, SpanKind::Get, WaitClass::Run, 0);
+            let _s = obs.span(ctx, SpanKind::Get, 0);
         }
         let path = obs.write_blackbox("unit test").expect("armed write");
         let bb = BlackBox::load(&path).unwrap();

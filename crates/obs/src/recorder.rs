@@ -1,23 +1,15 @@
-//! Lock-free per-thread flight recorder.
-//!
-//! Each thread that emits events owns a bounded [`ThreadRing`]: a
-//! seqlock-versioned ring of fixed-width slots written only by that
-//! thread, so `emit` is wait-free (no CAS loops, no locks). A drainer
-//! walks every registered ring and keeps only slots whose version word
-//! is stable across the read — torn writes are detected and skipped,
-//! never returned. The newest `RING_SLOTS` events per thread survive;
-//! older ones are overwritten, which bounds memory no matter how long
-//! the engine runs.
+//! Lock-free per-thread flight recorder: an event ↔ words codec over
+//! the engine's shared seqlock ring ([`spf_trace::RingSet`]). `emit` is
+//! wait-free, the newest [`RING_SLOTS`](spf_trace::RING_SLOTS) events per
+//! thread survive, and — unlike the tracer, which hands each span out
+//! once — [`FlightRecorder::drain`] is a snapshot: the window stays in
+//! the rings for the next escalation or black box to capture again.
 
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use spf_trace::RingSet;
 use spf_util::SimDuration;
-
-/// Events retained per emitting thread (power of two).
-pub const RING_SLOTS: usize = 256;
 
 /// Typed flight-recorder events. The discriminant is packed into the
 /// event word, so variants must stay `u8`-sized and stable.
@@ -146,115 +138,6 @@ impl fmt::Display for Event {
     }
 }
 
-/// Event word layout: kind in the top byte, 56-bit sequence below it.
-const SEQ_MASK: u64 = (1 << 56) - 1;
-
-/// One seqlock-protected slot: `ver` is odd while a write is in flight.
-#[derive(Debug)]
-struct Slot {
-    ver: AtomicU64,
-    words: [AtomicU64; 4],
-}
-
-impl Slot {
-    fn new() -> Self {
-        Self {
-            ver: AtomicU64::new(0),
-            words: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-        }
-    }
-}
-
-/// A single-writer event ring. Only the owning thread calls `push`;
-/// any thread may `collect`.
-#[derive(Debug)]
-pub(crate) struct ThreadRing {
-    id: u64,
-    /// Next sequence number; doubles as the ring head.
-    head: AtomicU64,
-    slots: Vec<Slot>,
-}
-
-impl ThreadRing {
-    fn new(id: u64) -> Self {
-        Self {
-            id,
-            head: AtomicU64::new(0),
-            slots: (0..RING_SLOTS).map(|_| Slot::new()).collect(),
-        }
-    }
-
-    /// Reads every stable slot into `out` as decoded events. Seqlock
-    /// read side: a slot whose version word is even and unchanged across
-    /// the payload reads is consistent; anything else is skipped.
-    fn collect(&self, out: &mut Vec<Event>, b_side: &BSide) {
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let v1 = slot.ver.load(Ordering::Acquire);
-            if v1 == 0 || v1 & 1 == 1 {
-                continue;
-            }
-            let w0 = slot.words[0].load(Ordering::Relaxed);
-            let w1 = slot.words[1].load(Ordering::Relaxed);
-            let w2 = slot.words[2].load(Ordering::Relaxed);
-            let w3 = slot.words[3].load(Ordering::Relaxed);
-            let b = b_side.load(idx);
-            fence(Ordering::Acquire);
-            if slot.ver.load(Ordering::Relaxed) != v1 {
-                continue; // torn: writer landed mid-read
-            }
-            let seq = w0 & SEQ_MASK;
-            if (seq as usize) & (RING_SLOTS - 1) != idx {
-                continue; // stale slot from before a wrap reset
-            }
-            let Some(kind) = EventKind::from_code((w0 >> 56) as u8) else {
-                continue;
-            };
-            out.push(Event {
-                thread: self.id,
-                seq,
-                kind,
-                sim: SimDuration::from_nanos(w1),
-                wall_nanos: w2,
-                a: w3,
-                b,
-            });
-        }
-    }
-}
-
-/// Side array for the second payload word, versioned with the same
-/// seqlock discipline via re-check in `collect`.
-#[derive(Debug)]
-struct BSide {
-    words: Vec<AtomicU64>,
-}
-
-impl BSide {
-    fn new() -> Self {
-        Self {
-            words: (0..RING_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-    fn store(&self, idx: usize, b: u64) {
-        self.words[idx].store(b, Ordering::Relaxed);
-    }
-    fn load(&self, idx: usize) -> u64 {
-        self.words[idx].load(Ordering::Relaxed)
-    }
-}
-
-/// Handle a thread uses to emit into its own ring.
-#[derive(Clone)]
-pub(crate) struct RingHandle {
-    ring: Arc<ThreadRing>,
-    b_side: Arc<BSide>,
-}
-
 /// A drained, time-ordered set of events.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -298,19 +181,10 @@ impl fmt::Display for Trace {
     }
 }
 
-struct Registered {
-    ring: Arc<ThreadRing>,
-    b_side: Arc<BSide>,
-}
-
-/// The recorder: registry of per-thread rings plus the clocks used to
-/// stamp events.
+/// The recorder: the per-thread rings plus the clocks used to stamp
+/// events.
 pub struct FlightRecorder {
-    /// Globally unique id; TLS caches are keyed by it so two recorders
-    /// (e.g. twin oracle engines) never share a ring.
-    uid: u64,
-    rings: Mutex<Vec<Registered>>,
-    next_ring: AtomicU64,
+    rings: RingSet,
     clock: Arc<spf_util::SimClock>,
     origin: std::time::Instant,
 }
@@ -318,19 +192,9 @@ pub struct FlightRecorder {
 impl fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("uid", &self.uid)
-            .field("rings", &self.rings.lock().len())
+            .field("rings", &self.rings.ring_count())
             .finish()
     }
-}
-
-static RECORDER_UID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// (recorder uid → this thread's ring) cache. A Vec beats a map at
-    /// the expected size of one or two engines per process.
-    static TLS_RINGS: std::cell::RefCell<Vec<(u64, RingHandle)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl FlightRecorder {
@@ -338,76 +202,41 @@ impl FlightRecorder {
     #[must_use]
     pub fn new(clock: Arc<spf_util::SimClock>) -> Self {
         Self {
-            uid: RECORDER_UID.fetch_add(1, Ordering::Relaxed),
-            rings: Mutex::new(Vec::new()),
-            next_ring: AtomicU64::new(0),
+            rings: RingSet::new(),
             clock,
             origin: std::time::Instant::now(),
         }
     }
 
-    /// Emits one event into the calling thread's ring. The ring handle
-    /// is borrowed straight out of the TLS cache — no `Arc` refcount
-    /// traffic on the hot path.
+    /// Emits one event into the calling thread's ring.
     pub fn emit(&self, kind: EventKind, a: u64, b: u64) {
         let sim = self.clock.now().as_nanos();
         let wall = self.origin.elapsed().as_nanos() as u64;
-        TLS_RINGS.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            let pos = match cache.iter().position(|(uid, _)| *uid == self.uid) {
-                Some(pos) => pos,
-                None => {
-                    let ring = Arc::new(ThreadRing::new(
-                        self.next_ring.fetch_add(1, Ordering::Relaxed),
-                    ));
-                    let b_side = Arc::new(BSide::new());
-                    self.rings.lock().push(Registered {
-                        ring: Arc::clone(&ring),
-                        b_side: Arc::clone(&b_side),
-                    });
-                    cache.push((self.uid, RingHandle { ring, b_side }));
-                    cache.len() - 1
-                }
-            };
-            let h = &cache[pos].1;
-            let seq = h.ring.head.load(Ordering::Relaxed) & SEQ_MASK;
-            let kind_seq = ((kind as u64) << 56) | seq;
-            // The b word lives in a side array indexed like the ring;
-            // store it inside the slot's odd-version window so
-            // collect()'s version re-check also covers it.
-            let idx = (seq as usize) & (RING_SLOTS - 1);
-            let slot = &h.ring.slots[idx];
-            let v = slot.ver.load(Ordering::Relaxed);
-            slot.ver.store(v | 1, Ordering::Relaxed);
-            fence(Ordering::Release);
-            slot.words[0].store(kind_seq, Ordering::Relaxed);
-            slot.words[1].store(sim, Ordering::Relaxed);
-            slot.words[2].store(wall, Ordering::Relaxed);
-            slot.words[3].store(a, Ordering::Relaxed);
-            h.b_side.store(idx, b);
-            slot.ver.store((v | 1).wrapping_add(1), Ordering::Release);
-            h.ring.head.store(seq.wrapping_add(1), Ordering::Release);
-        });
+        self.rings.push(kind as u16, &[sim, wall, a, b]);
     }
 
     /// Snapshots every ring into a time-ordered [`Trace`]. Rings keep
     /// recording while the drain runs; torn slots are skipped.
     #[must_use]
     pub fn drain(&self) -> Trace {
-        let rings = self.rings.lock();
-        let mut events = Vec::new();
-        for reg in rings.iter() {
-            reg.ring.collect(&mut events, &reg.b_side);
-        }
-        drop(rings);
+        let mut events: Vec<Event> = self
+            .rings
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| {
+                Some(Event {
+                    thread: e.thread,
+                    seq: e.seq,
+                    kind: EventKind::from_code(e.tag as u8)?,
+                    sim: SimDuration::from_nanos(e.words[0]),
+                    wall_nanos: e.words[1],
+                    a: e.words[2],
+                    b: e.words[3],
+                })
+            })
+            .collect();
         events.sort_by_key(|e| (e.sim, e.thread, e.seq));
         Trace { events }
-    }
-
-    /// Number of registered per-thread rings (bounded-memory check).
-    #[must_use]
-    pub fn ring_count(&self) -> usize {
-        self.rings.lock().len()
     }
 }
 
@@ -434,77 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_newest_events() {
-        let r = recorder();
-        for i in 0..(RING_SLOTS as u64 * 3) {
-            r.emit(EventKind::PageEvict, i, 0);
-        }
-        let t = r.drain();
-        assert_eq!(t.len(), RING_SLOTS);
-        let min_a = t.events.iter().map(|e| e.a).min().unwrap();
-        assert_eq!(min_a, RING_SLOTS as u64 * 2, "only the newest survive");
-    }
-
-    #[test]
-    fn per_thread_sequences_are_monotone() {
-        let r = Arc::new(recorder());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let r = Arc::clone(&r);
-                s.spawn(move || {
-                    for i in 0..100 {
-                        r.emit(EventKind::TxCommit, i, 0);
-                    }
-                });
-            }
-        });
-        let t = r.drain();
-        assert_eq!(r.ring_count(), 4);
-        for tid in 0..4 {
-            let seqs: Vec<u64> = t
-                .events
-                .iter()
-                .filter(|e| e.thread == tid)
-                .map(|e| e.seq)
-                .collect();
-            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "thread {tid} order");
-        }
-    }
-
-    #[test]
-    fn concurrent_drain_sees_no_torn_events() {
-        // Writers spin while drainers snapshot; every decoded event must
-        // be internally consistent (payload equals its seq, as written).
-        let r = Arc::new(recorder());
-        let stop = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let r = Arc::clone(&r);
-                let stop = Arc::clone(&stop);
-                s.spawn(move || {
-                    let mut i = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
-                        r.emit(EventKind::LogForce, i, i.wrapping_mul(3));
-                        i += 1;
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let r = Arc::clone(&r);
-                s.spawn(move || {
-                    for _ in 0..200 {
-                        for e in &r.drain().events {
-                            assert_eq!(e.b, e.a.wrapping_mul(3), "torn event: {e:?}");
-                        }
-                    }
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            stop.store(1, Ordering::Relaxed);
-        });
-    }
-
-    #[test]
     fn two_recorders_do_not_share_rings() {
         let r1 = recorder();
         let r2 = recorder();
@@ -512,7 +270,11 @@ mod tests {
         r2.emit(EventKind::Escalation, 2, 0);
         assert_eq!(r1.drain().len(), 1);
         assert_eq!(r2.drain().len(), 1);
-        assert_eq!(r2.drain().events[0].kind, EventKind::Escalation);
+        assert_eq!(
+            r2.drain().events[0].kind,
+            EventKind::Escalation,
+            "a drain is a snapshot: the event is still there"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use spf_obs::{ActiveSpan, EventKind, Obs, SpanKind, TraceCtx, WaitClass};
+use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
 use spf_util::{SimClock, SimDuration};
 
 /// Token-bucket units: one page = `PAGE_UNITS` nano-pages, so refill
@@ -235,23 +235,10 @@ impl IoGovernor {
             // ceil(shortfall / rate) nanoseconds buys the missing budget.
             let wait_nanos =
                 (shortfall.div_ceil(u128::from(rate))).min(u128::from(u64::MAX)) as u64;
-            let mut span = match self.obs.get() {
-                Some(o) => {
-                    o.emit(EventKind::GovernorThrottle, pages, wait_nanos);
-                    if ctx.sampled() {
-                        o.trace_span(
-                            ctx,
-                            SpanKind::GovernorWait,
-                            WaitClass::GovernorThrottle,
-                            pages,
-                        )
-                    } else {
-                        ActiveSpan::inert()
-                    }
-                }
-                None => ActiveSpan::inert(),
-            };
-            span.set_a(wait_nanos);
+            let _span = self.obs.get().map_or_else(SpanGuard::inert, |o| {
+                o.emit(EventKind::GovernorThrottle, pages, wait_nanos);
+                o.span(ctx, SpanKind::GovernorWait, wait_nanos)
+            });
             let wait = SimDuration::from_nanos(wait_nanos);
             self.clock.advance(wait);
             bucket.stats.throttle_waits += 1;
@@ -421,7 +408,7 @@ mod tests {
             }
         });
         let span = wait.expect("governor wait span");
-        assert_eq!(span.class, WaitClass::GovernorThrottle);
+        assert_eq!(span.class, spf_obs::WaitClass::GovernorThrottle);
         assert_eq!(span.a, 1_000_000, "span payload carries the idle charged");
     }
 

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 
 use spf_archive::ArchiveStore;
 use spf_buffer::{PageRecoverer, RecoverOutcome};
-use spf_obs::{Obs, Span};
+use spf_obs::{Obs, SpanGuard, SpanKind, TraceCtx};
 use spf_storage::{Device, Page, PageId, StorageDevice};
 use spf_util::{SimClock, SimDuration};
 use spf_wal::{BackupRef, LogError, LogManager, LogPayload, LogRecord, Lsn};
@@ -181,10 +181,9 @@ impl SinglePageRecovery {
     /// directly; the buffer pool calls it through [`PageRecoverer`].
     pub fn recover_page(&self, id: PageId) -> Result<Page, String> {
         let start_time = self.clock.now();
-        let _span = self
-            .obs
-            .get()
-            .map_or_else(spf_obs::SpanGuard::inert, |o| o.span(Span::PageRepair));
+        let _span = self.obs.get().map_or_else(SpanGuard::inert, |o| {
+            o.span(TraceCtx::NONE, SpanKind::Repair, id.0)
+        });
 
         // (1) PRI lookup.
         let entry = self

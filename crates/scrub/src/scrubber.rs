@@ -38,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use spf_buffer::{BufferPool, PageRecoverer, RecoverOutcome, RepairOutcome, Residency};
-use spf_obs::{EventKind, Obs, Span};
+use spf_obs::{EventKind, Obs, SpanGuard, SpanKind};
 use spf_prefetch::{BackgroundIo, IoGovernor};
 use spf_recovery::{FailureClass, PageRecoveryIndex};
 use spf_storage::{Device, Page, PageId, StorageDevice, StorageError};
@@ -380,30 +380,13 @@ impl Scrubber {
     }
 
     fn run_cycle_inner(&self, interruptible: bool) -> ScrubCycleReport {
-        let _span = self
-            .obs
-            .get()
-            .map_or_else(spf_obs::SpanGuard::inert, |o| o.span(Span::ScrubSweep));
         // Sweeps are sampled like foreground operations: a sampled sweep
         // becomes its own trace tree, with any governor throttling as
         // child wait spans.
-        let tspan = match self.obs.get() {
-            Some(o) => {
-                let ctx = o.sample_trace();
-                if ctx.sampled() {
-                    o.tracer().begin(
-                        ctx,
-                        spf_obs::SpanKind::ScrubSweep,
-                        spf_obs::WaitClass::Run,
-                        0,
-                    )
-                } else {
-                    spf_obs::ActiveSpan::inert()
-                }
-            }
-            None => spf_obs::ActiveSpan::inert(),
-        };
-        let tctx = tspan.ctx();
+        let span = self.obs.get().map_or_else(SpanGuard::inert, |o| {
+            o.span(o.sample_trace(), SpanKind::ScrubSweep, 0)
+        });
+        let tctx = span.ctx();
         let mut report = ScrubCycleReport::default();
         {
             let mut state = self.state.lock();

@@ -8,13 +8,17 @@
 //!   **by value** through tree descent, buffer-pool fetch, commit, and
 //!   the WAL force path — no thread-local magic on the hot path, so a
 //!   span started on one thread can reference work done on another.
-//! - Each timed region is an [`ActiveSpan`] that records a compact
-//!   fixed-width [`SpanRecord`] into a per-thread seqlock ring
-//!   ([`Tracer`]) on drop, reusing the flight-recorder discipline:
-//!   single-writer rings, torn slots detected and skipped by drainers,
-//!   newest [`TRACE_RING_SLOTS`] spans per thread survive.
-//! - Every span carries a [`WaitClass`], so a drained trace decomposes
-//!   end-to-end latency into an exhaustive wait breakdown
+//! - Each timed region is one [`SpanGuard`]: it reads the clock once at
+//!   each end and on drop hands the duration to the kind's latency sink
+//!   (when the opener supplied one) and a compact [`SpanRecord`] to the
+//!   [`Tracer`] (when the context is sampled). A guard with neither to
+//!   feed is inert and reads no clock.
+//! - Spans and `spf-obs`'s flight-recorder events share one per-thread
+//!   seqlock ring ([`RingSet`]): single-writer rings, torn slots detected
+//!   and skipped by readers, newest [`RING_SLOTS`] entries per thread
+//!   survive.
+//! - Every [`SpanKind`] has a [`WaitClass`], so a drained trace
+//!   decomposes end-to-end latency into an exhaustive wait breakdown
 //!   ([`TraceTree::wait_profile`]).
 //! - Drained records are stitched into [`TraceTree`]s by trace id and
 //!   exported as Chrome `chrome://tracing` JSON or a collapsed
@@ -26,9 +30,11 @@
 #![warn(missing_docs)]
 
 mod ring;
+mod seqlock;
 mod tree;
 
-pub use ring::{ActiveSpan, SpanRecord, Tracer, TracerStats, TRACE_RING_SLOTS};
+pub use ring::{LatencySink, SpanGuard, SpanRecord, Tracer, TracerStats};
+pub use seqlock::{Entry, RingSet, PAYLOAD_WORDS, RING_SLOTS};
 pub use tree::{render_flame, stitch, to_chrome_json, SpanNode, Stitched, TraceTree, WaitProfile};
 
 /// Sampled trace identity, passed **by value** through the engine.
@@ -66,8 +72,10 @@ impl Default for TraceCtx {
     }
 }
 
-/// What a span was *doing* — the operation taxonomy. Discriminants are
-/// packed into ring slots, so variants must stay `u8`-sized and stable.
+/// What a span was *doing* — the engine's one operation taxonomy: the
+/// kind fixes the span's [`WaitClass`] and whether its duration also
+/// feeds a latency histogram. Discriminants are packed into ring slots
+/// and black boxes, so variants must stay `u8`-sized and stable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum SpanKind {
@@ -84,7 +92,9 @@ pub enum SpanKind {
     LatchWait = 5,
     /// Transaction commit including the log-force wait.
     Commit = 6,
-    /// WAL group-leader force (write + sync). Followers link to it.
+    /// WAL group-leader force (write + sync). Followers link to it, so
+    /// while sampling is on it is recorded even under an unsampled
+    /// context — as an orphan in trace 0.
     LogForce = 7,
     /// Group-commit follower waiting for a leader's force batch.
     ForceWait = 8,
@@ -94,11 +104,13 @@ pub enum SpanKind {
     Repair = 10,
     /// One scrubber sweep (trace root when sampled).
     ScrubSweep = 11,
+    /// Background prefetch of one page (read + verify + install).
+    Prefetch = 12,
 }
 
 impl SpanKind {
     /// All variants, for exposition and tests.
-    pub const ALL: [SpanKind; 11] = [
+    pub const ALL: [SpanKind; 12] = [
         SpanKind::PutAuto,
         SpanKind::Get,
         SpanKind::Descent,
@@ -110,6 +122,7 @@ impl SpanKind {
         SpanKind::GovernorWait,
         SpanKind::Repair,
         SpanKind::ScrubSweep,
+        SpanKind::Prefetch,
     ];
 
     /// Short stable name used in exports.
@@ -127,6 +140,45 @@ impl SpanKind {
             SpanKind::GovernorWait => "governor_wait",
             SpanKind::Repair => "repair",
             SpanKind::ScrubSweep => "scrub_sweep",
+            SpanKind::Prefetch => "prefetch",
+        }
+    }
+
+    /// What this kind's exclusive time counts as in the wait breakdown.
+    #[must_use]
+    pub fn class(self) -> WaitClass {
+        match self {
+            SpanKind::PutAuto
+            | SpanKind::Get
+            | SpanKind::Descent
+            | SpanKind::Commit
+            | SpanKind::ScrubSweep => WaitClass::Run,
+            SpanKind::PageMiss | SpanKind::Prefetch => WaitClass::MissIo,
+            SpanKind::LatchWait => WaitClass::LatchWait,
+            SpanKind::LogForce | SpanKind::ForceWait => WaitClass::ForceWait,
+            SpanKind::GovernorWait => WaitClass::GovernorThrottle,
+            SpanKind::Repair => WaitClass::RepairWait,
+        }
+    }
+
+    /// Name of the latency histogram this kind feeds (`None` for kinds
+    /// that exist only in sampled traces, which therefore cost nothing
+    /// on an unsampled operation).
+    #[must_use]
+    pub fn latency_metric(self) -> Option<&'static str> {
+        match self {
+            SpanKind::PutAuto => Some("put_auto_ns"),
+            SpanKind::Commit => Some("commit_ns"),
+            SpanKind::LogForce => Some("log_force_ns"),
+            SpanKind::PageMiss => Some("page_miss_ns"),
+            SpanKind::Repair => Some("page_repair_ns"),
+            SpanKind::ScrubSweep => Some("scrub_sweep_ns"),
+            SpanKind::Prefetch => Some("prefetch_ns"),
+            SpanKind::Get
+            | SpanKind::Descent
+            | SpanKind::LatchWait
+            | SpanKind::ForceWait
+            | SpanKind::GovernorWait => None,
         }
     }
 
@@ -210,6 +262,7 @@ mod tests {
         }
         assert_eq!(SpanKind::from_code(0), None);
         assert_eq!(SpanKind::from_code(200), None);
+        assert_eq!(SpanKind::Prefetch as u8, 12, "codes are persisted");
         for (i, c) in WaitClass::ALL.into_iter().enumerate() {
             assert_eq!(c as usize, i, "WaitClass must be densely indexable");
             assert_eq!(WaitClass::from_code(c as u8), Some(c));

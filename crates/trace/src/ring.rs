@@ -1,27 +1,15 @@
-//! Per-thread seqlock span rings and the [`Tracer`] that owns them.
-//!
-//! Same discipline as the flight recorder in `spf-obs`: each emitting
-//! thread owns a single-writer ring of versioned fixed-width slots, so
-//! recording a span is wait-free; drainers re-check the version word and
-//! skip torn slots. The newest [`TRACE_RING_SLOTS`] spans per thread
-//! survive, bounding memory for arbitrarily long runs.
+//! The [`Tracer`], its [`SpanGuard`], and the [`SpanRecord`] they
+//! produce: a span ↔ words codec over the shared seqlock ring
+//! ([`crate::RingSet`]), read with the consuming `drain` so each span is
+//! handed out once.
 
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use spf_util::{codec::DecodeError, Decoder, Encoder};
 
-use crate::{SpanKind, TraceCtx, WaitClass};
-
-/// Spans retained per emitting thread (power of two).
-pub const TRACE_RING_SLOTS: usize = 256;
-
-/// Kind/class live in the top two bytes of word 0; a 48-bit per-thread
-/// sequence number below them doubles as the stale-slot detector.
-const SEQ_MASK: u64 = (1 << 48) - 1;
+use crate::{RingSet, SpanKind, TraceCtx, WaitClass};
 
 /// A decoded trace span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +43,10 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// Bytes [`encode`](SpanRecord::encode) writes: nine `u64` words
+    /// and the kind and class bytes.
+    pub const ENCODED_LEN: usize = 9 * 8 + 2;
+
     /// End of the span, in nanoseconds since the tracer was created.
     #[must_use]
     pub fn end_nanos(&self) -> u64 {
@@ -128,114 +120,6 @@ impl fmt::Display for SpanRecord {
     }
 }
 
-/// One seqlock-protected slot: `ver` is odd while a write is in flight.
-#[derive(Debug)]
-struct Slot {
-    ver: AtomicU64,
-    words: [AtomicU64; 8],
-}
-
-impl Slot {
-    fn new() -> Self {
-        Self {
-            ver: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// A single-writer span ring. Only the owning thread pushes; any thread
-/// may collect.
-#[derive(Debug)]
-struct ThreadRing {
-    id: u64,
-    /// Next sequence number; doubles as the ring head.
-    head: AtomicU64,
-    /// Everything below this sequence number has been drained already.
-    /// Only touched under the tracer's ring-list lock (drainers
-    /// serialize); the owning writer never reads it.
-    drained: AtomicU64,
-    slots: Vec<Slot>,
-}
-
-impl ThreadRing {
-    fn new(id: u64) -> Self {
-        Self {
-            id,
-            head: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-            slots: (0..TRACE_RING_SLOTS).map(|_| Slot::new()).collect(),
-        }
-    }
-
-    fn push(&self, rec: &SpanRecord) {
-        let seq = self.head.load(Ordering::Relaxed) & SEQ_MASK;
-        let idx = (seq as usize) & (TRACE_RING_SLOTS - 1);
-        let w0 = ((rec.kind as u64) << 56) | ((rec.class as u64) << 48) | seq;
-        let slot = &self.slots[idx];
-        let v = slot.ver.load(Ordering::Relaxed);
-        slot.ver.store(v | 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.words[0].store(w0, Ordering::Relaxed);
-        slot.words[1].store(rec.trace_id, Ordering::Relaxed);
-        slot.words[2].store(rec.span_id, Ordering::Relaxed);
-        slot.words[3].store(rec.parent, Ordering::Relaxed);
-        slot.words[4].store(rec.start_nanos, Ordering::Relaxed);
-        slot.words[5].store(rec.dur_nanos, Ordering::Relaxed);
-        slot.words[6].store(rec.a, Ordering::Relaxed);
-        slot.words[7].store(rec.link, Ordering::Relaxed);
-        slot.ver.store((v | 1).wrapping_add(1), Ordering::Release);
-        self.head.store(seq.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Seqlock read side: keep a slot only if its version word is even
-    /// and unchanged across the payload reads. Consuming: spans below
-    /// the drained watermark were handed out before and are skipped;
-    /// spans pushed after the head snapshot wait for the next drain.
-    fn collect(&self, out: &mut Vec<SpanRecord>) {
-        let floor = self.drained.load(Ordering::Relaxed);
-        let ceiling = self.head.load(Ordering::Acquire) & SEQ_MASK;
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let v1 = slot.ver.load(Ordering::Acquire);
-            if v1 == 0 || v1 & 1 == 1 {
-                continue;
-            }
-            let w: [u64; 8] = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            fence(Ordering::Acquire);
-            if slot.ver.load(Ordering::Relaxed) != v1 {
-                continue; // torn: writer landed mid-read
-            }
-            let seq = w[0] & SEQ_MASK;
-            if (seq as usize) & (TRACE_RING_SLOTS - 1) != idx {
-                continue; // stale slot from before a wrap reset
-            }
-            if seq < floor || seq >= ceiling {
-                continue; // already drained, or pushed mid-collect
-            }
-            let Some(kind) = SpanKind::from_code((w[0] >> 56) as u8) else {
-                continue;
-            };
-            let Some(class) = WaitClass::from_code((w[0] >> 48) as u8) else {
-                continue;
-            };
-            out.push(SpanRecord {
-                thread: self.id,
-                seq,
-                trace_id: w[1],
-                span_id: w[2],
-                parent: w[3],
-                kind,
-                class,
-                start_nanos: w[4],
-                dur_nanos: w[5],
-                a: w[6],
-                link: w[7],
-            });
-        }
-        self.drained.store(ceiling, Ordering::Relaxed);
-    }
-}
-
 /// Counters summarizing a tracer's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TracerStats {
@@ -247,21 +131,18 @@ pub struct TracerStats {
     pub rings: u64,
 }
 
-static TRACER_UID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// (tracer uid → this thread's ring) cache, mirroring the flight
-    /// recorder's: a Vec beats a map at one or two engines per process.
-    static TLS_RINGS: std::cell::RefCell<Vec<(u64, Arc<ThreadRing>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+/// Receives a closed span's duration. `spf-obs` implements it for its
+/// latency histograms; the guard calls it once, on drop.
+pub trait LatencySink {
+    /// Takes one duration sample, in nanoseconds.
+    fn record(&self, nanos: u64);
 }
 
-/// Allocates trace/span ids, owns the per-thread rings, and applies the
-/// sampling gate. One per database instance (inside `Obs`).
+/// Allocates trace/span ids, applies the sampling gate, and is the
+/// span ↔ words codec over the shared seqlock ring. One per database
+/// instance (inside `Obs`).
 pub struct Tracer {
-    uid: u64,
-    rings: Mutex<Vec<Arc<ThreadRing>>>,
-    next_ring: AtomicU64,
+    rings: RingSet,
     /// Next trace id (starts at 1; 0 is the unsampled sentinel).
     next_trace: AtomicU64,
     /// Next span id (starts at 1; 0 means "no span"). Only sampled
@@ -278,9 +159,8 @@ pub struct Tracer {
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracer")
-            .field("uid", &self.uid)
             .field("sample_every", &self.sample_every.load(Ordering::Relaxed))
-            .field("rings", &self.rings.lock().len())
+            .field("rings", &self.rings.ring_count())
             .finish()
     }
 }
@@ -296,9 +176,7 @@ impl Tracer {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            uid: TRACER_UID.fetch_add(1, Ordering::Relaxed),
-            rings: Mutex::new(Vec::new()),
-            next_ring: AtomicU64::new(0),
+            rings: RingSet::new(),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
             origin: Instant::now(),
@@ -321,19 +199,6 @@ impl Tracer {
         self.sample_every.load(Ordering::Relaxed)
     }
 
-    /// Whether any sampling is armed (one relaxed load).
-    #[inline]
-    #[must_use]
-    pub fn sampling_on(&self) -> bool {
-        self.sample_every.load(Ordering::Relaxed) != 0
-    }
-
-    /// Nanoseconds since the tracer was created (the span time base).
-    #[must_use]
-    pub fn now_nanos(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-
     /// The sampling gate: returns a fresh root context for one in
     /// `sample_every` calls, [`TraceCtx::NONE`] otherwise. Unsampled
     /// callers pay one load, one fetch-add, and a branch.
@@ -354,83 +219,71 @@ impl Tracer {
         }
     }
 
-    /// Starts a span under `ctx`. Inert (no clock read, nothing
-    /// recorded) when the context is unsampled.
+    /// Opens the guard for one timed region. On drop its duration goes
+    /// to `latency` (when given) and, as a span, into the calling
+    /// thread's ring when `ctx` is sampled — or, for a
+    /// [`SpanKind::LogForce`] while sampling is on, as an *orphan* in
+    /// trace 0 that sampled spans may still [`link`](SpanRecord::link)
+    /// to. With neither to feed the guard is inert: no clock read,
+    /// nothing recorded.
     #[inline]
-    pub fn begin(&self, ctx: TraceCtx, kind: SpanKind, class: WaitClass, a: u64) -> ActiveSpan<'_> {
-        if !ctx.sampled() {
-            return ActiveSpan { armed: None };
-        }
-        self.begin_armed(ctx.trace_id, ctx.span_seq, kind, class, a)
-    }
-
-    /// Starts an *orphan* span: infrastructure work outside any sampled
-    /// trace (trace id 0) that sampled spans may still [`link`] to —
-    /// e.g. a group-commit leader's force batch whose own operation was
-    /// not sampled. Inert when sampling is off entirely.
-    ///
-    /// [`link`]: SpanRecord::link
-    #[inline]
-    pub fn begin_orphan(&self, kind: SpanKind, class: WaitClass, a: u64) -> ActiveSpan<'_> {
-        if !self.sampling_on() {
-            return ActiveSpan { armed: None };
-        }
-        self.begin_armed(0, 0, kind, class, a)
-    }
-
-    fn begin_armed(
-        &self,
-        trace_id: u64,
-        parent: u64,
+    pub fn span<'a>(
+        &'a self,
+        ctx: TraceCtx,
         kind: SpanKind,
-        class: WaitClass,
         a: u64,
-    ) -> ActiveSpan<'_> {
-        ActiveSpan {
-            armed: Some(ArmedSpan {
+        latency: Option<&'a dyn LatencySink>,
+    ) -> SpanGuard<'a> {
+        let traced = ctx.sampled() || (kind == SpanKind::LogForce && self.sample_every() != 0);
+        if !traced && latency.is_none() {
+            return SpanGuard::inert();
+        }
+        let span_id = match traced {
+            true => self.next_span.fetch_add(1, Ordering::Relaxed),
+            false => 0,
+        };
+        SpanGuard {
+            armed: Some(Armed {
                 tracer: self,
-                trace_id,
-                span_id: self.next_span.fetch_add(1, Ordering::Relaxed),
-                parent,
+                latency,
+                start: Instant::now(),
+                trace_id: ctx.trace_id,
+                span_id,
+                parent: if ctx.sampled() { ctx.span_seq } else { 0 },
                 kind,
-                class,
                 a,
                 link: 0,
-                start_nanos: self.now_nanos(),
             }),
         }
     }
 
-    /// Records a finished span into the calling thread's ring.
-    fn record(&self, rec: &SpanRecord) {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        TLS_RINGS.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            let pos = match cache.iter().position(|(uid, _)| *uid == self.uid) {
-                Some(pos) => pos,
-                None => {
-                    let ring = Arc::new(ThreadRing::new(
-                        self.next_ring.fetch_add(1, Ordering::Relaxed),
-                    ));
-                    self.rings.lock().push(Arc::clone(&ring));
-                    cache.push((self.uid, ring));
-                    cache.len() - 1
-                }
-            };
-            cache[pos].1.push(rec);
-        });
-    }
-
-    /// Snapshots every ring, sorted by start time. Rings keep recording
-    /// while the drain runs; torn slots are skipped.
+    /// Hands every span recorded since the last drain out once, sorted
+    /// by start time. Rings keep recording while the drain runs; torn
+    /// slots are skipped.
     #[must_use]
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let rings = self.rings.lock();
-        let mut out = Vec::new();
-        for ring in rings.iter() {
-            ring.collect(&mut out);
-        }
-        drop(rings);
+        let mut out: Vec<SpanRecord> = self
+            .rings
+            .drain()
+            .into_iter()
+            .filter_map(|e| {
+                let kind = SpanKind::from_code(e.tag as u8)?;
+                let [trace_id, span_id, parent, start_nanos, dur_nanos, a, link] = e.words;
+                Some(SpanRecord {
+                    thread: e.thread,
+                    seq: e.seq,
+                    trace_id,
+                    span_id,
+                    parent,
+                    kind,
+                    class: kind.class(),
+                    start_nanos,
+                    dur_nanos,
+                    a,
+                    link,
+                })
+            })
+            .collect();
         out.sort_by_key(|r| (r.start_nanos, r.thread, r.seq));
         out
     }
@@ -447,43 +300,43 @@ impl Tracer {
         TracerStats {
             sampled_traces: self.sampled.load(Ordering::Relaxed),
             spans_recorded: self.recorded.load(Ordering::Relaxed),
-            rings: self.rings.lock().len() as u64,
+            rings: self.rings.ring_count() as u64,
         }
     }
 }
 
-struct ArmedSpan<'a> {
+struct Armed<'a> {
     tracer: &'a Tracer,
+    latency: Option<&'a dyn LatencySink>,
+    start: Instant,
     trace_id: u64,
+    /// 0 when the span feeds only `latency`.
     span_id: u64,
     parent: u64,
     kind: SpanKind,
-    class: WaitClass,
     a: u64,
     link: u64,
-    start_nanos: u64,
 }
 
-/// A span being timed; records into the thread's ring on drop. Obtained
-/// from [`Tracer::begin`]; inert for unsampled contexts.
-#[must_use = "an active span measures until it is dropped"]
-pub struct ActiveSpan<'a> {
-    armed: Option<ArmedSpan<'a>>,
+/// One timed region; reports on drop. Obtained from [`Tracer::span`].
+#[must_use = "a span guard measures until it is dropped"]
+pub struct SpanGuard<'a> {
+    armed: Option<Armed<'a>>,
 }
 
-impl ActiveSpan<'_> {
-    /// An always-inert span (for default paths without a tracer).
-    pub fn inert() -> ActiveSpan<'static> {
-        ActiveSpan { armed: None }
+impl SpanGuard<'_> {
+    /// A guard that records nothing (for paths without a tracer).
+    pub fn inert() -> Self {
+        Self { armed: None }
     }
 
-    /// Whether this span will record anything.
+    /// Whether this guard read the clock and will report anything.
     #[must_use]
     pub fn is_armed(&self) -> bool {
         self.armed.is_some()
     }
 
-    /// This span's id (0 when inert) — the token other threads link to.
+    /// This span's id (0 when untraced) — the token other threads link to.
     #[must_use]
     pub fn id(&self) -> u64 {
         self.armed.as_ref().map_or(0, |a| a.span_id)
@@ -492,10 +345,13 @@ impl ActiveSpan<'_> {
     /// Context for child spans started under this one.
     #[must_use]
     pub fn ctx(&self) -> TraceCtx {
-        self.armed.as_ref().map_or(TraceCtx::NONE, |a| TraceCtx {
-            trace_id: a.trace_id,
-            span_seq: a.span_id,
-        })
+        match &self.armed {
+            Some(a) if a.span_id != 0 => TraceCtx {
+                trace_id: a.trace_id,
+                span_seq: a.span_id,
+            },
+            _ => TraceCtx::NONE,
+        }
     }
 
     /// Sets the cross-trace link (the span id this one waited on).
@@ -505,21 +361,7 @@ impl ActiveSpan<'_> {
         }
     }
 
-    /// Replaces the payload word.
-    pub fn set_a(&mut self, v: u64) {
-        if let Some(a) = self.armed.as_mut() {
-            a.a = v;
-        }
-    }
-
-    /// Reclassifies the span's wait class before it records.
-    pub fn set_class(&mut self, class: WaitClass) {
-        if let Some(a) = self.armed.as_mut() {
-            a.class = class;
-        }
-    }
-
-    /// Disarms the span: it drops without recording anything. For
+    /// Disarms the guard: it drops without reporting anything. For
     /// speculative spans that turn out not to describe a wait (e.g. a
     /// force request that ended up leading rather than waiting).
     pub fn cancel(mut self) {
@@ -527,32 +369,22 @@ impl ActiveSpan<'_> {
     }
 }
 
-impl fmt::Debug for ActiveSpan<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ActiveSpan")
-            .field("armed", &self.armed.is_some())
-            .field("span_id", &self.id())
-            .finish()
-    }
-}
-
-impl Drop for ActiveSpan<'_> {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some(a) = self.armed.take() {
-            let dur = a.tracer.now_nanos().saturating_sub(a.start_nanos);
-            a.tracer.record(&SpanRecord {
-                thread: 0, // assigned by the ring
-                seq: 0,    // assigned by the ring
-                trace_id: a.trace_id,
-                span_id: a.span_id,
-                parent: a.parent,
-                kind: a.kind,
-                class: a.class,
-                start_nanos: a.start_nanos,
-                dur_nanos: dur,
-                a: a.a,
-                link: a.link,
-            });
+        let Some(s) = self.armed.take() else {
+            return;
+        };
+        let dur = s.start.elapsed().as_nanos() as u64;
+        if let Some(latency) = s.latency {
+            latency.record(dur);
+        }
+        if s.span_id != 0 {
+            let start = s.start.duration_since(s.tracer.origin).as_nanos() as u64;
+            s.tracer.recorded.fetch_add(1, Ordering::Relaxed);
+            s.tracer.rings.push(
+                s.kind as u16,
+                &[s.trace_id, s.span_id, s.parent, start, dur, s.a, s.link],
+            );
         }
     }
 }
@@ -570,9 +402,10 @@ mod tests {
     #[test]
     fn unsampled_ctx_records_nothing() {
         let t = armed_tracer();
-        {
-            let _s = t.begin(TraceCtx::NONE, SpanKind::PutAuto, WaitClass::Run, 0);
-        }
+        let s = t.span(TraceCtx::NONE, SpanKind::Descent, 0, None);
+        assert!(!s.is_armed(), "nothing to feed: no clock read");
+        assert_eq!(s.ctx(), TraceCtx::NONE);
+        drop(s);
         assert!(t.drain().is_empty());
         assert_eq!(t.stats().spans_recorded, 0);
     }
@@ -584,7 +417,7 @@ mod tests {
             assert_eq!(t.sample(), TraceCtx::NONE);
         }
         assert!(!t
-            .begin_orphan(SpanKind::LogForce, WaitClass::Run, 0)
+            .span(TraceCtx::NONE, SpanKind::LogForce, 0, None)
             .is_armed());
     }
 
@@ -603,9 +436,9 @@ mod tests {
         let ctx = t.sample();
         let child_ctx;
         {
-            let root = t.begin(ctx, SpanKind::PutAuto, WaitClass::Run, 42);
+            let root = t.span(ctx, SpanKind::PutAuto, 42, None);
             child_ctx = root.ctx();
-            let mut child = t.begin(child_ctx, SpanKind::PageMiss, WaitClass::MissIo, 7);
+            let mut child = t.span(child_ctx, SpanKind::PageMiss, 7, None);
             child.set_link(99);
         }
         let recs = t.drain();
@@ -628,8 +461,9 @@ mod tests {
         let t = armed_tracer();
         let id;
         {
-            let s = t.begin_orphan(SpanKind::LogForce, WaitClass::ForceWait, 5);
+            let s = t.span(TraceCtx::NONE, SpanKind::LogForce, 5, None);
             id = s.id();
+            assert!(!s.ctx().sampled(), "an orphan roots no children");
         }
         assert_ne!(id, 0);
         let recs = t.drain();
@@ -639,71 +473,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_newest_spans() {
-        let t = armed_tracer();
-        let ctx = t.sample();
-        for i in 0..(TRACE_RING_SLOTS as u64 * 3) {
-            let _s = t.begin(ctx, SpanKind::Get, WaitClass::Run, i);
-        }
-        let recs = t.drain();
-        assert_eq!(recs.len(), TRACE_RING_SLOTS);
-        let min_a = recs.iter().map(|r| r.a).min().unwrap();
-        assert_eq!(
-            min_a,
-            TRACE_RING_SLOTS as u64 * 2,
-            "only the newest survive"
-        );
-    }
-
-    #[test]
-    fn concurrent_drain_sees_no_torn_spans() {
-        // 3 writers spin while 2 drainers snapshot; every decoded span
-        // must be internally consistent (link == a * 3, as written).
-        let t = Arc::new(armed_tracer());
-        let stop = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let t = Arc::clone(&t);
-                let stop = Arc::clone(&stop);
-                s.spawn(move || {
-                    let ctx = t.sample();
-                    let mut i = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
-                        let mut sp = t.begin(ctx, SpanKind::Descent, WaitClass::Run, i);
-                        sp.set_link(i.wrapping_mul(3));
-                        drop(sp);
-                        i += 1;
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let t = Arc::clone(&t);
-                s.spawn(move || {
-                    for _ in 0..200 {
-                        for r in t.drain() {
-                            assert_eq!(r.link, r.a.wrapping_mul(3), "torn span: {r:?}");
-                        }
-                    }
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            stop.store(1, Ordering::Relaxed);
-        });
-        assert_eq!(t.stats().rings, 3, "drainers never allocate rings");
-    }
-
-    #[test]
     fn two_tracers_do_not_share_rings() {
         let t1 = armed_tracer();
         let t2 = armed_tracer();
         let c1 = t1.sample();
         let c2 = t2.sample();
-        {
-            let _a = t1.begin(c1, SpanKind::PutAuto, WaitClass::Run, 1);
-        }
-        {
-            let _b = t2.begin(c2, SpanKind::Commit, WaitClass::Run, 2);
-        }
+        drop(t1.span(c1, SpanKind::PutAuto, 1, None));
+        drop(t2.span(c2, SpanKind::Commit, 2, None));
         assert_eq!(t1.drain().len(), 1);
         let d2 = t2.drain();
         assert_eq!(d2.len(), 1);
@@ -730,6 +506,7 @@ mod tests {
         rec.encode(&mut e);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
+        assert_eq!(bytes.len(), SpanRecord::ENCODED_LEN);
         assert_eq!(SpanRecord::decode(&mut d).unwrap(), rec);
         assert!(d.is_exhausted());
     }

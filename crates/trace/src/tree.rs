@@ -377,8 +377,8 @@ mod tests {
         t.set_sample_every(1);
         let ctx = t.sample();
         {
-            let root = t.begin(ctx, SpanKind::PutAuto, WaitClass::Run, 1);
-            let _child = t.begin(root.ctx(), SpanKind::Descent, WaitClass::Run, 2);
+            let root = t.span(ctx, SpanKind::PutAuto, 1, None);
+            let _child = t.span(root.ctx(), SpanKind::Descent, 2, None);
         }
         let s = t.drain_trees();
         let json = to_chrome_json(&s);

@@ -3,14 +3,14 @@
 //! parents, with consistent trace identities.
 
 use proptest::prelude::*;
-use spf_trace::{SpanKind, SpanNode, TraceCtx, Tracer, WaitClass};
+use spf_trace::{SpanKind, SpanNode, TraceCtx, Tracer};
 
 /// Runs one synthetic operation: a root span with `shape` driving a
 /// chain of nested children (depth = code + 1 per entry).
 fn run_op(tracer: &Tracer, shape: &[u8]) {
     let ctx = tracer.sample();
     assert!(ctx.sampled(), "sample_every=1 must sample every op");
-    let root = tracer.begin(ctx, SpanKind::PutAuto, WaitClass::Run, 0);
+    let root = tracer.span(ctx, SpanKind::PutAuto, 0, None);
     for &code in shape {
         nest(tracer, root.ctx(), code);
     }
@@ -22,8 +22,7 @@ fn nest(tracer: &Tracer, ctx: TraceCtx, depth: u8) {
         1 => SpanKind::PageMiss,
         _ => SpanKind::Commit,
     };
-    let class = WaitClass::ALL[(depth as usize) % WaitClass::ALL.len()];
-    let span = tracer.begin(ctx, kind, class, u64::from(depth));
+    let span = tracer.span(ctx, kind, u64::from(depth), None);
     if depth > 0 {
         nest(tracer, span.ctx(), depth - 1);
     }

@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
-use spf_obs::{EventKind, Obs, Span, SpanKind, TraceCtx, WaitClass};
+use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
 use spf_storage::PageId;
 use spf_wal::{LogManager, LogPayload, LogRecord, Lsn, PageOp, TxId};
 
@@ -271,13 +271,9 @@ impl TxnManager {
                 // peer) on it.
                 let obs = self.inner.obs.get();
                 {
-                    let _span =
-                        obs.map_or_else(spf_obs::SpanGuard::inert, |o| o.span(Span::Commit));
-                    let tspan = match obs {
-                        Some(o) => o.trace_span(ctx, SpanKind::Commit, WaitClass::Run, lsn.0),
-                        None => spf_obs::ActiveSpan::inert(),
-                    };
-                    self.inner.log.force_through_traced(lsn, tspan.ctx());
+                    let span =
+                        obs.map_or_else(SpanGuard::inert, |o| o.span(ctx, SpanKind::Commit, lsn.0));
+                    self.inner.log.force_through_traced(lsn, span.ctx());
                 }
                 if let Some(o) = obs {
                     o.emit(EventKind::TxCommit, lsn.0, 0);

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use spf_obs::{ActiveSpan, EventKind, Obs, Span, SpanKind, TraceCtx, WaitClass};
+use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
 
 use spf_storage::PageId;
 use spf_util::{IoCostModel, IoKind, SimClock};
@@ -512,29 +512,17 @@ impl LogManager {
     fn combined_force(&self, target: u64, ctx: TraceCtx) -> Lsn {
         let inner = &self.inner;
         let obs = inner.obs.get();
+        let span = |kind, a| obs.map_or_else(SpanGuard::inert, |o| o.span(ctx, kind, a));
         // Speculative follower span: recorded (with a link to the
         // covering leader's LogForce span) only if this request is
         // absorbed by another thread's flush; cancelled otherwise.
-        let mut wait_span = match obs {
-            Some(o) => o.trace_span(ctx, SpanKind::ForceWait, WaitClass::ForceWait, target),
-            None => ActiveSpan::inert(),
-        };
+        let mut wait_span = span(SpanKind::ForceWait, target);
         let outcome = inner.force.force_to(target, |from, to, batched| {
-            let _span = obs.map_or_else(spf_obs::SpanGuard::inert, |o| o.span(Span::LogForce));
-            // Leader attribution: record a LogForce trace span even when
-            // this committer itself is unsampled (an orphan in trace 0),
-            // so absorbed waiters can always link to the batch that made
-            // them durable.
-            let tspan = match obs {
-                Some(o) if ctx.sampled() => {
-                    o.tracer()
-                        .begin(ctx, SpanKind::LogForce, WaitClass::ForceWait, to)
-                }
-                Some(o) => o
-                    .tracer()
-                    .begin_orphan(SpanKind::LogForce, WaitClass::ForceWait, to),
-                None => ActiveSpan::inert(),
-            };
+            // Leader attribution: while sampling is on a LogForce span is
+            // recorded even when this committer itself is unsampled (an
+            // orphan in trace 0), so absorbed waiters can always link to
+            // the batch that made them durable.
+            let force_span = span(SpanKind::LogForce, to);
             while inner.buf.complete_end(from) < to {
                 std::thread::yield_now();
             }
@@ -570,7 +558,7 @@ impl LogManager {
             if let Some(o) = obs {
                 o.emit(EventKind::LogForce, to, to - from);
             }
-            tspan.id() // attribution token for absorbed waiters
+            force_span.id() // attribution token for absorbed waiters
         });
         match outcome {
             Forced::Absorbed { token, .. } => {

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use spf_buffer::{BufferPool, BufferPoolConfig, WriteObserver};
+use spf_buffer::{BufferPool, BufferPoolConfig, PoolHooks, WriteObserver};
 use spf_storage::{MemDevice, Page, PageId, PageType, DEFAULT_PAGE_SIZE};
 use spf_wal::{LogManager, LogPayload, LogRecord, Lsn, PageOp, TxId};
 
@@ -262,16 +262,19 @@ fn wal_rule_holds_when_write_back_races_group_commit() {
     }
     let log = LogManager::for_testing();
     // Far fewer frames than pages: constant eviction write-back.
-    let pool = BufferPool::new(
-        BufferPoolConfig { frames: 8 },
-        Arc::new(device.clone()),
-        log.clone(),
-    );
     let observer = Arc::new(WalRuleObserver {
         log: log.clone(),
         checked: AtomicU64::new(0),
     });
-    pool.set_observer(Arc::clone(&observer) as _);
+    let pool = BufferPool::with_hooks(
+        BufferPoolConfig { frames: 8 },
+        Arc::new(device.clone()),
+        log.clone(),
+        PoolHooks {
+            observer: Some(Arc::clone(&observer) as _),
+            ..PoolHooks::default()
+        },
+    );
     let mgr = TxnManager::new(log.clone());
     let barrier = Barrier::new(WRITERS + COMMITTERS);
 
