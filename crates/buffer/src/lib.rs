@@ -41,6 +41,6 @@ pub use pool::{
     PrefetchOutcome, RepairOutcome, Residency, MAX_PRIORITY,
 };
 pub use traits::{
-    AccessContext, AccessObserver, FetchError, PageRecoverer, ReadValidator, RecoverOutcome,
-    ValidationError, WriteObserver,
+    AccessContext, AccessObserver, FetchError, PageRecoverer, ReadValidator, ValidationError,
+    WriteObserver,
 };

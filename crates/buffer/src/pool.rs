@@ -55,8 +55,8 @@ use spf_storage::{Page, PageId, StorageDevice, StorageError};
 use spf_wal::{LogManager, Lsn};
 
 use crate::traits::{
-    AccessContext, AccessObserver, FetchError, PageRecoverer, ReadValidator, RecoverOutcome,
-    ValidationError, WriteObserver,
+    AccessContext, AccessObserver, FetchError, PageRecoverer, ReadValidator, ValidationError,
+    WriteObserver,
 };
 
 /// Number of page-table shards. A power of two so the hash can mask.
@@ -287,6 +287,12 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
+/// A recovered image, staged to be published dirty at its own PageLSN.
+fn dirty_at_page_lsn(page: Page) -> (Page, Option<Lsn>) {
+    let lsn = Lsn(page.page_lsn());
+    (page, Some(lsn))
+}
+
 /// Per-frame bookkeeping guarded by one mutex: the resident page id and
 /// the dirty state (merged so write-back and eviction take a single
 /// frame-lock acquisition instead of separate `id`/`dirty` locks).
@@ -380,24 +386,21 @@ pub enum Residency {
     InFlight,
 }
 
-/// Outcome of a pool-cooperative background repair
-/// ([`BufferPool::repair_absent`]).
+/// Outcome of [`BufferPool::repair`].
 #[derive(Debug)]
 pub enum RepairOutcome {
-    /// The recovered image was installed in a frame, dirty, so the next
-    /// write-back (or an explicit flush) persists it.
+    /// The recovered image is installed, dirty at its PageLSN, so the
+    /// next write-back (or an explicit flush) persists it.
     Repaired,
-    /// The page was resident when the repair started; nothing was
-    /// installed. `dirty` reports the frame's state at that moment.
-    Resident {
-        /// Whether the resident frame held unwritten changes.
-        dirty: bool,
-    },
-    /// Another thread's read or repair was in flight, or no frame could
-    /// be claimed; retry later.
+    /// The page is resident dirty: its newest version exists only in the
+    /// frame, and an image rebuilt from the log would lose every update
+    /// since the last write-back. Refused; nothing was touched.
+    Dirty,
+    /// Another thread's read or repair was in flight, the page latch was
+    /// held, or no frame could be claimed; retry later.
     Busy,
-    /// The supplied recovery closure failed; the in-flight marker was
-    /// removed and waiters were released.
+    /// Recovery declined (or no recoverer is configured); the pool is
+    /// unchanged.
     Failed(String),
 }
 
@@ -418,16 +421,6 @@ pub enum PrefetchOutcome {
     /// foreground fault runs the full Figure 8 ladder and accounts for
     /// it exactly once.
     Failed,
-}
-
-/// A claimed, filled frame waiting to be published under the shard lock.
-struct Staged {
-    idx: usize,
-    page: Page,
-    dirty: bool,
-    rec_lsn: Lsn,
-    priority: u8,
-    prefetched: bool,
 }
 
 /// What [`BufferPool::try_evict`] did with a claimed candidate frame.
@@ -878,15 +871,8 @@ impl BufferPool {
                 Probe::Lead => {
                     // Victim selection and its write-back run with no
                     // shard lock held.
-                    let staged = self.claim_victim(FetchHint::Normal).map(|idx| Staged {
-                        idx,
-                        page,
-                        dirty: true,
-                        rec_lsn,
-                        priority: NORMAL_PRIORITY,
-                        prefetched: false,
-                    });
-                    let (idx, arc) = self.publish_frame(id, staged)?;
+                    let staged = Ok((page, Some(rec_lsn)));
+                    let (idx, arc) = self.publish_frame(id, staged, FetchHint::Normal, false)?;
                     return Ok(PageWriteGuard {
                         guard: RwLock::write_arc(&arc),
                         pool: Arc::clone(&self.inner),
@@ -1054,90 +1040,120 @@ impl BufferPool {
         Some(f(&guard))
     }
 
-    /// Drops `id` from the pool if it is resident, clean, and unpinned —
-    /// all checked atomically under the shard lock, so this never races a
-    /// reader (fetches pin under the same lock) and never loses updates
-    /// (dirty frames are refused). Returns whether the page was dropped.
+    /// Single-page repair of `id` for a failure found off the miss path
+    /// (the tree's structural checks, the scrubber), through the same
+    /// recoverer call the miss path makes.
     ///
-    /// The scrubber uses this to make a clean resident page *absent* so
-    /// that [`repair_absent`](BufferPool::repair_absent) can rebuild its
-    /// failed device image.
-    pub fn try_discard_clean(&self, id: PageId) -> bool {
-        let mut shard = self.inner.shard(id).lock();
-        let Some(Slot::Resident(idx)) = shard.table.get(&id) else {
-            return false;
-        };
-        let frame = &self.inner.frames[*idx];
-        let mut meta = frame.meta.lock();
-        if meta.dirty || frame.pins.load(Ordering::Acquire) != 0 {
-            return false;
-        }
-        *meta = FrameMeta::EMPTY;
-        frame.reset_replacement_state();
-        drop(meta);
-        shard.table.remove(&id);
-        true
-    }
-
-    /// Background repair of a page that is (still) absent from the pool:
-    /// installs the same in-flight marker a miss leader would, so
-    /// concurrent foreground fetches of `id` coalesce behind the repair
-    /// and resolve as hits on the recovered image — they wait briefly
-    /// instead of racing a duplicate detection/recovery. If the page
-    /// turns out to be resident or in flight, nothing happens and the
-    /// caller is told why.
+    /// - **Absent:** the repair holds the in-flight marker a miss leader
+    ///   would, so concurrent fetches coalesce behind it and resolve as
+    ///   hits on the recovered image.
+    /// - **Resident clean:** the frame is latched (only tried, so a
+    ///   caller holding the page itself gets `Busy`, not a self-deadlock)
+    ///   for the whole repair, and its image is replaced only once a
+    ///   recovered one is in hand: a refused repair leaves the good copy
+    ///   serving reads.
+    /// - **Resident dirty:** refused ([`RepairOutcome::Dirty`]).
     ///
-    /// On success the recovered image is published **dirty** (recovery
-    /// LSN = its PageLSN), so the WAL-ordered write-back path persists
-    /// it; callers wanting the device fixed immediately follow up with
-    /// [`flush_page`](BufferPool::flush_page).
-    pub fn repair_absent(
-        &self,
-        id: PageId,
-        recover: impl FnOnce() -> Result<Page, String>,
-    ) -> RepairOutcome {
-        {
+    /// The recovered image is published **dirty** at its PageLSN, so the
+    /// WAL-ordered write-back persists it; callers wanting the device
+    /// fixed now follow up with [`flush_page`](BufferPool::flush_page).
+    pub fn repair(&self, id: PageId, ctx: TraceCtx) -> RepairOutcome {
+        let resident = {
             let mut shard = self.inner.shard(id).lock();
             match shard.table.get(&id) {
                 Some(Slot::Resident(idx)) => {
-                    let meta = self.inner.frames[*idx].meta.lock();
-                    return RepairOutcome::Resident { dirty: meta.dirty };
+                    self.inner.frames[*idx].pins.fetch_add(1, Ordering::Acquire);
+                    Some(*idx)
                 }
                 Some(Slot::InFlight(_)) => return RepairOutcome::Busy,
                 None => {
                     shard
                         .table
                         .insert(id, Slot::InFlight(Arc::new(InFlight::new())));
+                    None
                 }
             }
-        }
-        // We own the marker; all I/O below runs with no shard lock held.
-        let staged = match recover() {
-            Ok(page) => {
-                let rec_lsn = Lsn(page.page_lsn());
-                self.claim_victim(FetchHint::Normal).map(|idx| Staged {
-                    idx,
-                    page,
-                    dirty: true,
-                    rec_lsn,
-                    priority: NORMAL_PRIORITY,
-                    prefetched: false,
-                })
-            }
-            Err(reason) => Err(FetchError::MediaFailure { id, reason }),
         };
-        match self.publish_frame(id, staged) {
-            Ok((frame_idx, _)) => {
-                // publish_frame pinned the frame on our behalf; release it.
-                self.inner.frames[frame_idx]
-                    .pins
-                    .fetch_sub(1, Ordering::Release);
+        let Some(frame_idx) = resident else {
+            // We own the marker; all I/O below runs with no shard lock held.
+            let staged = self
+                .recover(id, ctx)
+                .map(dirty_at_page_lsn)
+                .map_err(|reason| FetchError::MediaFailure { id, reason });
+            return match self.publish_frame(id, staged, FetchHint::Normal, false) {
+                Ok((frame_idx, _)) => {
+                    // publish_frame pinned the frame on our behalf; release it.
+                    self.inner.frames[frame_idx]
+                        .pins
+                        .fetch_sub(1, Ordering::Release);
+                    RepairOutcome::Repaired
+                }
+                Err(FetchError::NoFreeFrames) => RepairOutcome::Busy,
+                Err(FetchError::MediaFailure { reason, .. }) => RepairOutcome::Failed(reason),
+                Err(e) => RepairOutcome::Failed(e.to_string()),
+            };
+        };
+        // Pinned, so the frame cannot be evicted; latched, so no update
+        // can dirty it and no write-back can replace the image the repair
+        // supersedes.
+        let _pin = Pin {
+            pool: Arc::clone(&self.inner),
+            frame_idx,
+        };
+        let frame = &self.inner.frames[frame_idx];
+        let Some(mut page) = frame.page.try_write() else {
+            return RepairOutcome::Busy;
+        };
+        if frame.meta.lock().dirty {
+            return RepairOutcome::Dirty;
+        }
+        match self.recover(id, ctx) {
+            Ok(image) => {
+                let mut meta = frame.meta.lock();
+                meta.dirty = true;
+                meta.rec_lsn = Lsn(image.page_lsn());
+                *page = image;
                 RepairOutcome::Repaired
             }
-            Err(FetchError::NoFreeFrames) => RepairOutcome::Busy,
-            Err(FetchError::MediaFailure { reason, .. }) => RepairOutcome::Failed(reason),
-            Err(e) => RepairOutcome::Failed(e.to_string()),
+            Err(reason) => RepairOutcome::Failed(reason),
         }
+    }
+
+    /// Runs single-page recovery on `id`: the one call of the
+    /// [`PageRecoverer`] hook, for the miss path and
+    /// [`repair`](BufferPool::repair) alike. Each attempt is accounted
+    /// here and nowhere else: the `RepairAttempt` / `RepairOk` /
+    /// `RepairFailed` events, `pages_recovered` / `escalations`, one
+    /// `Repair` span under `ctx` (feeding `page_repair_ns` and the
+    /// trace), and the MTTR sample in the repair ledger. A refusal is
+    /// returned, not escalated: only the caller knows the node shape
+    /// Figure 1 is walked for.
+    fn recover(&self, id: PageId, ctx: TraceCtx) -> Result<Page, String> {
+        let inner = &self.inner;
+        inner.emit(EventKind::RepairAttempt, id.0, 0);
+        let started = inner.log.clock().now();
+        let outcome = match &inner.hooks.recoverer {
+            Some(recoverer) => {
+                let _span = inner.span(ctx, SpanKind::Repair, id.0);
+                recoverer.recover(id)
+            }
+            None => Err(format!("no single-page recoverer configured for {id}")),
+        };
+        match &outcome {
+            Ok(_) => {
+                let took = inner.log.clock().now() - started;
+                bump(&inner.stats.pages_recovered);
+                inner.emit(EventKind::RepairOk, id.0, took.as_nanos());
+                if let Some(o) = &inner.hooks.obs {
+                    o.ledger().record_repair("single_page", took);
+                }
+            }
+            Err(_) => {
+                bump(&inner.stats.escalations);
+                inner.emit(EventKind::RepairFailed, id.0, 0);
+            }
+        }
+        outcome
     }
 
     // ------------------------------------------------------------------
@@ -1172,18 +1188,8 @@ impl BufferPool {
         bump(&self.inner.stats.prefetch_issued);
         self.inner.emit(EventKind::PrefetchIssued, id.0, 0);
         let _span = self.inner.span(TraceCtx::NONE, SpanKind::Prefetch, id.0);
-        let staged = self.prefetch_read_verified(id).and_then(|page| {
-            let idx = self.claim_victim(FetchHint::Normal)?;
-            Ok(Staged {
-                idx,
-                page,
-                dirty: false,
-                rec_lsn: Lsn::NULL,
-                priority: NORMAL_PRIORITY,
-                prefetched: true,
-            })
-        });
-        match self.publish_frame(id, staged) {
+        let staged = self.prefetch_read_verified(id).map(|page| (page, None));
+        match self.publish_frame(id, staged, FetchHint::Normal, true) {
             Ok((frame_idx, _)) => {
                 // publish_frame pinned the frame on our behalf; release it.
                 self.inner.frames[frame_idx]
@@ -1326,38 +1332,32 @@ impl BufferPool {
         bump(&self.inner.stats.misses);
         self.notify_access_observer(id, hint);
         self.inner.emit(EventKind::PageMiss, id.0, 0);
-        let _span = self.inner.span(ctx, SpanKind::PageMiss, id.0);
-        let staged = self.read_verified(id).and_then(|(page, recovered)| {
-            let idx = self.claim_victim(hint)?;
-            let rec_lsn = Lsn(page.page_lsn());
-            Ok(Staged {
-                idx,
-                page,
-                dirty: recovered,
-                rec_lsn,
-                priority: hint.install_priority(),
-                prefetched: false,
-            })
-        });
-        self.publish_frame(id, staged)
+        let span = self.inner.span(ctx, SpanKind::PageMiss, id.0);
+        let staged = self.read_verified(id, span.ctx());
+        self.publish_frame(id, staged, hint, false)
     }
 
-    /// Completes a miss (or `put_new`, or a prefetch) by publishing the
-    /// staged frame under the shard lock — or, on error, removing the
-    /// in-flight marker — and waking every coalesced waiter.
+    /// Completes a miss (or `put_new`, a prefetch, a repair): claims a
+    /// victim frame for the staged image and publishes it under the shard
+    /// lock — dirty at the staged recovery LSN if there is one, at
+    /// `hint`'s clock credit — or, on error, removes the in-flight
+    /// marker; either way every coalesced waiter wakes.
     ///
     /// On success the frame is pinned on the caller's behalf.
     fn publish_frame(
         &self,
         id: PageId,
-        staged: Result<Staged, FetchError>,
+        staged: Result<(Page, Option<Lsn>), FetchError>,
+        hint: FetchHint,
+        prefetched: bool,
     ) -> Result<(usize, Arc<RwLock<Page>>), FetchError> {
         // Install the image in the still-unpublished frame first: the
         // moment the shard entry flips to Resident, hits pin and read the
         // frame with no further synchronization.
-        let staged = staged.map(|s| {
-            *self.inner.frames[s.idx].page.write() = s.page;
-            (s.idx, s.dirty, s.rec_lsn, s.priority, s.prefetched)
+        let staged = staged.and_then(|(page, rec_lsn)| {
+            let idx = self.claim_victim(hint)?;
+            *self.inner.frames[idx].page.write() = page;
+            Ok((idx, rec_lsn))
         });
         let mut shard = self.inner.shard(id).lock();
         let fl = match shard.table.get(&id) {
@@ -1365,16 +1365,18 @@ impl BufferPool {
             _ => unreachable!("in-flight marker owned by this thread"),
         };
         let result = match staged {
-            Ok((idx, dirty, rec_lsn, priority, prefetched)) => {
+            Ok((idx, rec_lsn)) => {
                 let frame = &self.inner.frames[idx];
                 {
                     let mut meta = frame.meta.lock();
                     meta.id = id;
-                    meta.dirty = dirty;
-                    meta.rec_lsn = if dirty { rec_lsn } else { Lsn::NULL };
+                    meta.dirty = rec_lsn.is_some();
+                    meta.rec_lsn = rec_lsn.unwrap_or(Lsn::NULL);
                 }
                 frame.pins.fetch_add(1, Ordering::Acquire);
-                frame.priority.store(priority, Ordering::Relaxed);
+                frame
+                    .priority
+                    .store(hint.install_priority(), Ordering::Relaxed);
                 frame.prefetched.store(prefetched, Ordering::Relaxed);
                 shard.table.insert(id, Slot::Resident(idx));
                 frame.claimed.store(false, Ordering::Release);
@@ -1391,11 +1393,12 @@ impl BufferPool {
     }
 
     /// The paper's Figure 8: read, verify, and on failure either recover
-    /// inline or escalate. Runs with **no lock held**.
-    fn read_verified(&self, id: PageId) -> Result<(Page, bool), FetchError> {
+    /// inline (under `ctx`) or report the failure. A recovered image
+    /// comes with the recovery LSN it is published dirty at. Runs with
+    /// **no lock held**.
+    fn read_verified(&self, id: PageId, ctx: TraceCtx) -> Result<(Page, Option<Lsn>), FetchError> {
         let stats = &self.inner.stats;
-        let emit = |kind, b| self.inner.emit(kind, id.0, b);
-        let detected = |code: u64| emit(EventKind::FaultDetected, code);
+        let detected = |code: u64| self.inner.emit(EventKind::FaultDetected, id.0, code);
         let mut buf = vec![0u8; self.inner.device.page_size()];
         let read_result = self.inner.device.read_page(id, &mut buf);
 
@@ -1418,7 +1421,7 @@ impl BufferPool {
                     Ok(()) => {
                         let validator = self.inner.hooks.validator.as_ref();
                         match validator.map_or(Ok(()), |v| v.validate(id, &page)) {
-                            Ok(()) => return Ok((page, false)),
+                            Ok(()) => return Ok((page, None)),
                             Err(e @ ValidationError::StaleLsn { .. }) => {
                                 bump(&stats.detected_stale_lsn);
                                 detected(spf_obs::detector::STALE_LSN);
@@ -1453,34 +1456,16 @@ impl BufferPool {
             }
         };
 
-        // Single-page failure detected. Recover inline if we can.
-        emit(EventKind::RepairAttempt, 0);
-        match &self.inner.hooks.recoverer {
-            Some(r) => match r.recover(id) {
-                RecoverOutcome::Recovered(page) => {
-                    bump(&stats.pages_recovered);
-                    emit(EventKind::RepairOk, 0);
-                    Ok((page, true))
-                }
-                RecoverOutcome::Escalate(reason) => {
-                    bump(&stats.escalations);
-                    emit(EventKind::RepairFailed, 0);
-                    emit(EventKind::Escalation, spf_obs::failure_class::MEDIA);
-                    Err(FetchError::MediaFailure { id, reason })
-                }
-            },
-            None => {
-                bump(&stats.escalations);
-                emit(EventKind::RepairFailed, 0);
-                emit(EventKind::Escalation, spf_obs::failure_class::MEDIA);
-                match error {
-                    Some(e) => Err(FetchError::UnrecoveredPageFailure { id, error: e }),
-                    None => Err(FetchError::MediaFailure {
-                        id,
-                        reason: format!("unrecoverable read error on {id}, no recovery configured"),
-                    }),
-                }
+        // Single-page failure detected. Recover inline if we can; the
+        // caller escalates what cannot be.
+        match (self.recover(id, ctx), error) {
+            (Ok(page), _) => Ok(dirty_at_page_lsn(page)),
+            // Figure 8 without single-page recovery: the detection itself
+            // is the answer.
+            (Err(_), Some(error)) if self.inner.hooks.recoverer.is_none() => {
+                Err(FetchError::UnrecoveredPageFailure { id, error })
             }
+            (Err(reason), _) => Err(FetchError::MediaFailure { id, reason }),
         }
     }
 
@@ -1931,26 +1916,33 @@ mod tests {
         assert_eq!(pool.stats().detected_hard_error, 1);
     }
 
-    struct FixedRecoverer {
-        image: Page,
+    /// Recovers a page to its canned image, or refuses when it has none.
+    struct Canned(Vec<Page>);
+
+    impl PageRecoverer for Canned {
+        fn recover(&self, id: PageId) -> Result<Page, String> {
+            let page = self.0.iter().find(|p| p.page_id() == id);
+            page.cloned().ok_or_else(|| format!("no backup for {id}"))
+        }
     }
 
-    impl PageRecoverer for FixedRecoverer {
-        fn recover(&self, _id: PageId) -> RecoverOutcome {
-            RecoverOutcome::Recovered(self.image.clone())
+    fn canned(images: Vec<Page>) -> PoolHooks {
+        PoolHooks {
+            recoverer: Some(Arc::new(Canned(images))),
+            ..PoolHooks::default()
         }
+    }
+
+    fn image(id: u64, lsn: u64) -> Page {
+        let mut page = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(id), PageType::BTreeLeaf);
+        page.set_page_lsn(lsn);
+        page.finalize_checksum();
+        page
     }
 
     #[test]
     fn recoverer_repairs_inline_and_access_continues() {
-        let mut good = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(3), PageType::BTreeLeaf);
-        good.set_page_lsn(777);
-        good.finalize_checksum();
-        let hooks = PoolHooks {
-            recoverer: Some(Arc::new(FixedRecoverer { image: good })),
-            ..PoolHooks::default()
-        };
-        let (pool, dev, _log) = setup_with(4, 8, hooks);
+        let (pool, dev, _log) = setup_with(4, 8, canned(vec![image(3, 777)]));
         dev.inject_fault(
             PageId(3),
             FaultSpec::SilentCorruption(CorruptionMode::BitRot { bits: 8 }),
@@ -2120,42 +2112,39 @@ mod tests {
     }
 
     #[test]
-    fn try_discard_clean_refuses_dirty_and_pinned() {
-        let (pool, _dev, _log) = setup(4, 8);
+    fn repair_refuses_dirty_and_latched_frames() {
+        let (pool, _dev, _log) = setup_with(4, 8, canned(vec![image(3, 9)]));
         dirty_page(&pool, PageId(3), Lsn(5));
-        assert!(!pool.try_discard_clean(PageId(3)), "dirty must be refused");
+        assert!(
+            matches!(pool.repair(PageId(3), TraceCtx::NONE), RepairOutcome::Dirty),
+            "dirty must be refused"
+        );
+        assert_eq!(pool.dirty_pages(), vec![(PageId(3), Lsn(5))], "untouched");
         pool.flush_page(PageId(3)).unwrap();
         {
             let _g = pool.fetch(PageId(3)).unwrap();
-            assert!(!pool.try_discard_clean(PageId(3)), "pinned must be refused");
+            assert!(
+                matches!(pool.repair(PageId(3), TraceCtx::NONE), RepairOutcome::Busy),
+                "latched must be refused"
+            );
         }
-        assert!(pool.try_discard_clean(PageId(3)));
-        assert!(!pool.contains(PageId(3)));
-        assert!(!pool.try_discard_clean(PageId(3)), "already absent");
+        assert_eq!(pool.stats().pages_recovered, 0, "no refusal ran recovery");
+        // Clean and free: the frame takes the recovered image, dirty.
+        assert!(matches!(
+            pool.repair(PageId(3), TraceCtx::NONE),
+            RepairOutcome::Repaired
+        ));
+        assert_eq!(pool.dirty_pages(), vec![(PageId(3), Lsn(9))]);
+        assert_eq!(pool.fetch(PageId(3)).unwrap().page_lsn(), 9);
+        assert_eq!(pool.stats().pages_recovered, 1);
     }
 
     #[test]
-    fn repair_absent_installs_dirty_image_or_reports_state() {
-        let (pool, dev, _log) = setup(4, 8);
-
-        // Resident clean / dirty are reported, the closure never runs.
-        {
-            let _g = pool.fetch(PageId(5)).unwrap();
-        }
-        match pool.repair_absent(PageId(5), || panic!("must not recover a resident page")) {
-            RepairOutcome::Resident { dirty: false } => {}
-            other => panic!("expected clean-resident report, got {other:?}"),
-        }
-        dirty_page(&pool, PageId(5), Lsn(7));
-        match pool.repair_absent(PageId(5), || panic!("must not recover a resident page")) {
-            RepairOutcome::Resident { dirty: true } => {}
-            other => panic!("expected dirty-resident report, got {other:?}"),
-        }
+    fn repair_installs_dirty_image_or_reports_failure() {
+        let (pool, dev, _log) = setup_with(4, 8, canned(vec![image(6, 123)]));
 
         // Absent: the recovered image is installed dirty and flushable.
-        let mut good = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(6), PageType::BTreeLeaf);
-        good.set_page_lsn(123);
-        match pool.repair_absent(PageId(6), move || Ok(good)) {
+        match pool.repair(PageId(6), TraceCtx::NONE) {
             RepairOutcome::Repaired => {}
             other => panic!("expected repair, got {other:?}"),
         }
@@ -2165,35 +2154,53 @@ mod tests {
         assert_eq!(Page::from_bytes(dev.raw_image(PageId(6))).page_lsn(), 123);
 
         // Failure removes the marker; the page stays absent and fetchable.
-        match pool.repair_absent(PageId(7), || Err("no backup".to_string())) {
-            RepairOutcome::Failed(reason) => assert_eq!(reason, "no backup"),
+        match pool.repair(PageId(7), TraceCtx::NONE) {
+            RepairOutcome::Failed(reason) => assert_eq!(reason, "no backup for page(7)"),
             other => panic!("expected failure, got {other:?}"),
         }
         assert_eq!(pool.probe(PageId(7)), Residency::Absent);
         assert!(pool.fetch(PageId(7)).is_ok());
+
+        // A refused repair of a clean resident page keeps it serving.
+        assert!(matches!(
+            pool.repair(PageId(7), TraceCtx::NONE),
+            RepairOutcome::Failed(_)
+        ));
+        assert_eq!(pool.probe(PageId(7)), Residency::Clean);
+        let stats = pool.stats();
+        assert_eq!((stats.pages_recovered, stats.escalations), (1, 2));
     }
 
     #[test]
-    fn fetch_coalesces_behind_repair_absent() {
-        let (pool, _dev, _log) = setup(4, 8);
-        let mut good = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(4), PageType::BTreeLeaf);
-        good.set_page_lsn(55);
-        let started = Arc::new(std::sync::Barrier::new(2));
-        let started2 = Arc::clone(&started);
+    fn fetch_coalesces_behind_repair() {
+        struct Slow {
+            started: std::sync::Barrier,
+        }
+        impl PageRecoverer for Slow {
+            fn recover(&self, id: PageId) -> Result<Page, String> {
+                self.started.wait();
+                // Give the reader a moment to reach the marker.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                Ok(image(id.0, 55))
+            }
+        }
+        let slow = Arc::new(Slow {
+            started: std::sync::Barrier::new(2),
+        });
+        let hooks = PoolHooks {
+            recoverer: Some(Arc::clone(&slow) as _),
+            ..PoolHooks::default()
+        };
+        let (pool, _dev, _log) = setup_with(4, 8, hooks);
         let pool2 = pool.clone();
         let reader = std::thread::spawn(move || {
-            started2.wait();
+            slow.started.wait();
             // This fetch starts while the repair holds the in-flight
             // marker; it must wait and then see the recovered image.
             let g = pool2.fetch(PageId(4)).unwrap();
             g.page_lsn()
         });
-        match pool.repair_absent(PageId(4), move || {
-            started.wait();
-            // Give the reader a moment to reach the marker.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            Ok(good)
-        }) {
+        match pool.repair(PageId(4), TraceCtx::NONE) {
             RepairOutcome::Repaired => {}
             other => panic!("expected repair, got {other:?}"),
         }

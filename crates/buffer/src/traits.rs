@@ -48,16 +48,6 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Outcome of an attempted single-page recovery.
-#[derive(Debug)]
-pub enum RecoverOutcome {
-    /// The page was reconstructed; install this image.
-    Recovered(Page),
-    /// Recovery was impossible (no backup, PRI lookup failed…): the
-    /// failure escalates to a media failure, as in Figure 10's fallback.
-    Escalate(String),
-}
-
 /// Validates a page image against outside information on buffer fault.
 pub trait ReadValidator: Send + Sync {
     /// Returns `Err` if the (internally consistent) image must be
@@ -68,9 +58,11 @@ pub trait ReadValidator: Send + Sync {
 
 /// Repairs a page that failed verification or could not be read.
 pub trait PageRecoverer: Send + Sync {
-    /// Attempts single-page recovery of `id`. The pool installs the
-    /// returned image and the faulting access continues.
-    fn recover(&self, id: PageId) -> RecoverOutcome;
+    /// Attempts single-page recovery of `id`: the reconstructed image,
+    /// which the pool installs, or why recovery was impossible (no
+    /// backup, PRI lookup failed…), which the pool's caller escalates as
+    /// in Figure 10's fallback.
+    fn recover(&self, id: PageId) -> Result<Page, String>;
 }
 
 /// Observes page write-back (Figure 11 ordering).

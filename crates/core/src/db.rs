@@ -8,12 +8,12 @@ use parking_lot::Mutex;
 
 use spf_archive::{ArchiveReport, ArchiveStore, LogArchiver, MergePolicy};
 use spf_btree::{BTreeError, BumpAllocator, FosterBTree, KvPairs, PageAllocator};
-use spf_buffer::{BufferPool, BufferPoolConfig, FetchError, PoolHooks};
-use spf_obs::{EventKind, MetricsSnapshot, Obs, SpanKind, Stitched, TraceCtx};
+use spf_buffer::{BufferPool, BufferPoolConfig, FetchError, PoolHooks, RepairOutcome};
+use spf_obs::{MetricsSnapshot, Obs, SpanKind, Stitched, TraceCtx};
 use spf_prefetch::{AccessObserver, GovernorConfig, IoGovernor, Prefetcher};
 use spf_recovery::{
-    BackupStore, FailureClass, MediaRecovery, MediaReport, PageRecoveryIndex, PriMaintainer,
-    RestartReport, SinglePageRecovery, SystemRecovery,
+    BackupStore, MediaRecovery, MediaReport, PageRecoveryIndex, PriMaintainer, RestartReport,
+    SinglePageRecovery, SystemRecovery,
 };
 use spf_scrub::{ScanExtent, ScrubCycleReport, Scrubber};
 use spf_storage::{
@@ -418,17 +418,17 @@ impl Database {
         self.checkpoint()?;
         self.pool
             .flush_all()
-            .map_err(|e| self.escalate(e.to_string()))?;
+            .map_err(|e| self.escalate(None, e.to_string()))?;
         self.device
             .sync()
-            .map_err(|e| self.escalate(e.to_string()))?;
+            .map_err(|e| self.escalate(None, e.to_string()))?;
         if let Some(m) = &self.mirror {
-            m.sync().map_err(|e| self.escalate(e.to_string()))?;
+            m.sync().map_err(|e| self.escalate(None, e.to_string()))?;
         }
         self.backups
             .device()
             .sync()
-            .map_err(|e| self.escalate(e.to_string()))?;
+            .map_err(|e| self.escalate(None, e.to_string()))?;
         self.persist_manifest()?;
         // The shutdown black box: the same capture a panic would take,
         // labelled clean — so "was the last run healthy?" is answerable
@@ -545,7 +545,6 @@ impl Database {
             if let Some(m) = &mirror {
                 spr = spr.with_mirror(m.clone());
             }
-            spr.attach_obs(Arc::clone(&obs));
             Arc::new(spr)
         });
 
@@ -580,18 +579,15 @@ impl Database {
         governor.attach_obs(Arc::clone(&obs));
 
         let scrubber = config.scrub.enabled.then(|| {
-            let s = Arc::new(Scrubber::new(
-                config.scrub,
+            Arc::new(Scrubber::new(
                 config.single_device_node,
                 device.clone(),
                 pool.clone(),
                 Arc::clone(&pri),
-                spr.clone().map(|s| s as _),
                 Arc::new(AllocExtent(Arc::clone(&alloc))),
-            ));
-            s.set_governor(Arc::clone(&governor));
-            s.attach_obs(Arc::clone(&obs));
-            s
+                Arc::clone(&governor),
+                Arc::clone(&obs),
+            ))
         });
 
         let prefetcher = config.prefetch.enabled.then(|| {
@@ -815,105 +811,71 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Runs `f`, and when it reports a detected single-page failure
-    /// (fence mismatch, node corruption, or an unrecovered fetch), invokes
-    /// single-page recovery on the named page and retries — the paper's
+    /// (fence mismatch, node corruption, or an unrecovered fetch), has
+    /// the pool repair the named page and retries — the paper's
     /// "instant, focused, localized recovery" with the transaction merely
-    /// delayed. Without single-page recovery configured the failure
+    /// delayed (a `Repair` span under `ctx`). What cannot be repaired
     /// escalates per Figure 1.
-    ///
-    /// Under a sampled `ctx` the repair shows up as a `Repair` span
-    /// classed as repair wait — the time the delayed transaction spent
-    /// healing.
     fn with_repair<T>(
         &self,
         ctx: TraceCtx,
         f: impl Fn() -> Result<T, BTreeError>,
     ) -> Result<T, DbError> {
-        let mut last_page = None;
+        let mut repaired = None;
         for _ in 0..8 {
-            match f() {
+            let e = match f() {
                 Ok(v) => return Ok(v),
-                Err(e) => {
-                    let Some(page) = e.detected_page() else {
-                        return Err(self.map_tree_error(e));
-                    };
-                    let Some(spr) = &self.spr else {
-                        // Figure 8: "a traditional system offers no choice
-                        // but declare a media failure."
-                        return Err(self.escalate_page(
-                            Some(page),
-                            format!("unrepaired single-page failure at {page}: {e}"),
-                        ));
-                    };
-                    if last_page == Some(page) {
-                        // Recovery did not clear the symptom; escalate
-                        // rather than loop.
-                        return Err(self.escalate_page(
-                            Some(page),
-                            format!("single-page recovery of {page} did not resolve: {e}"),
-                        ));
-                    }
-                    last_page = Some(page);
-                    self.pool.discard_page(page);
-                    self.obs.emit(EventKind::RepairAttempt, page.0, 0);
-                    // Straight to the tracer: `recover_page` itself
-                    // takes the `page_repair_ns` sample.
-                    let _span = self.obs.tracer().span(ctx, SpanKind::Repair, page.0, None);
-                    match spr.recover_page(page) {
-                        Ok(image) => {
-                            self.obs.emit(EventKind::RepairOk, page.0, 0);
-                            let lsn = Lsn(image.page_lsn());
-                            let _ = self.pool.put_new(image, lsn);
-                        }
-                        Err(reason) => {
-                            self.obs.emit(EventKind::RepairFailed, page.0, 0);
-                            return Err(self.escalate_page(Some(page), reason));
-                        }
-                    }
+                Err(e) => e,
+            };
+            let Some(page) = e.detected_page() else {
+                return Err(self.map_tree_error(e));
+            };
+            if self.spr.is_none() {
+                // Figure 8: "a traditional system offers no choice but
+                // declare a media failure."
+                let reason = format!("unrepaired single-page failure at {page}: {e}");
+                return Err(self.escalate(Some(page), reason));
+            }
+            if repaired == Some(page) {
+                // Recovery did not clear the symptom; escalate rather
+                // than loop.
+                let reason = format!("single-page recovery of {page} did not resolve: {e}");
+                return Err(self.escalate(Some(page), reason));
+            }
+            match self.pool.repair(page, ctx) {
+                RepairOutcome::Repaired => repaired = Some(page),
+                RepairOutcome::Busy => std::thread::yield_now(),
+                RepairOutcome::Dirty => {
+                    let reason = format!("{page} failed with unwritten updates: {e}");
+                    return Err(self.escalate(Some(page), reason));
                 }
+                RepairOutcome::Failed(reason) => return Err(self.escalate(Some(page), reason)),
             }
         }
-        Err(self.escalate("repeated single-page failures".to_string()))
+        Err(self.escalate(None, "repeated single-page failures".to_string()))
     }
 
     fn map_tree_error(&self, e: BTreeError) -> DbError {
         match e {
-            BTreeError::Fetch(FetchError::MediaFailure { reason, .. }) => self.escalate(reason),
+            BTreeError::Fetch(FetchError::MediaFailure { id, reason }) => {
+                self.escalate(Some(id), reason)
+            }
             other => DbError::Tree(other),
         }
     }
 
-    /// Applies Figure 1: a failure the engine cannot contain becomes a
-    /// media failure, and on a single-device node a system failure.
-    fn escalate(&self, reason: String) -> DbError {
-        self.escalate_page(None, reason)
-    }
-
-    /// [`escalate`](Database::escalate) with the failed page identified
-    /// (when known), so the repair audit ledger attributes the record.
-    /// Every escalation captures the flight-recorder window that led up
-    /// to it — the forensic dump the paper's Figure-1 hop deserves.
-    fn escalate_page(&self, page: Option<PageId>, reason: String) -> DbError {
-        let class = if self.config.single_device_node {
-            FailureClass::System
-        } else {
-            FailureClass::Media
-        };
-        let code = match class {
-            FailureClass::System => spf_obs::failure_class::SYSTEM,
-            _ => spf_obs::failure_class::MEDIA,
-        };
-        let page_id = page.map_or(u64::MAX, |p| p.0);
-        self.obs.emit(EventKind::Escalation, page_id, code);
-        self.obs
-            .ledger()
-            .record_escalation(spf_obs::EscalationRecord {
-                page_id,
-                detector: "engine",
-                escalated_to: spf_obs::failure_class::name(code),
-                at: self.clock.now(),
-                trace: self.obs.drain_trace(),
-            });
+    /// A failure the engine cannot contain, escalated along Figure 1 for
+    /// this node's shape ([`spf_recovery::escalate`]): the failed page,
+    /// when known, is named in the event and the repair audit ledger,
+    /// together with the flight-recorder window that led up to it.
+    fn escalate(&self, page: Option<PageId>, reason: String) -> DbError {
+        let class = spf_recovery::escalate(
+            &self.obs,
+            page,
+            "engine",
+            self.config.single_device_node,
+            self.clock.now(),
+        );
         DbError::Failure { class, reason }
     }
 
@@ -940,7 +902,7 @@ impl Database {
         let ids: Vec<PageId> = dirty_pages.iter().map(|(id, _)| *id).collect();
         self.pool
             .flush_pages(&ids)
-            .map_err(|e| self.escalate(e.to_string()))?;
+            .map_err(|e| self.escalate(None, e.to_string()))?;
         self.log.append(&LogRecord {
             tx_id: TxId::NONE,
             prev_tx_lsn: Lsn::NULL,
@@ -1002,11 +964,11 @@ impl Database {
         self.checkpoint()?;
         self.pool
             .flush_all()
-            .map_err(|e| self.escalate(e.to_string()))?;
+            .map_err(|e| self.escalate(None, e.to_string()))?;
         let first = self
             .backups
             .take_full_backup(&self.device, self.config.data_pages)
-            .map_err(|e| self.escalate(e.to_string()))?;
+            .map_err(|e| self.escalate(None, e.to_string()))?;
         let horizon = self.log.force();
         let backup = BackupRef::FullBackup {
             first_slot: first.0,

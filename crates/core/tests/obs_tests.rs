@@ -1,11 +1,14 @@
 //! Observability end to end: stats reconciliation on a quiesced engine,
 //! full-snapshot JSON/Prometheus exposition, the Debug-field drift
-//! guard, and the flight recorder's detect→repair/escalate chains.
+//! guard, the flight recorder's detect→repair/escalate chains, and one
+//! escalation (and one repair span) per failure.
 
 use spf::{
-    CorruptionMode, Database, DatabaseConfig, EventKind, FaultSpec, MetricsSnapshot, ScrubConfig,
-    SimDuration,
+    CorruptionMode, Database, DatabaseConfig, DbError, EventKind, FailureClass, FaultSpec,
+    MetricsSnapshot, ScrubConfig, SimDuration,
 };
+use spf_obs::SpanKind;
+use spf_storage::Page;
 
 fn key(i: u64) -> Vec<u8> {
     format!("key-{i:08}").into_bytes()
@@ -408,4 +411,128 @@ fn sampled_put_auto_reconstructs_the_causal_chain() {
     let snap = db.metrics_snapshot();
     assert_eq!(snap.get("latency", "put_auto_ns"), Some(52));
     assert_eq!(snap.get("latency", "commit_ns"), Some(52));
+}
+
+/// Every `Escalation` event in the flight recorder.
+fn escalation_events(db: &Database) -> Vec<spf::Event> {
+    let trace = db.obs().drain_trace();
+    trace.of_kind(EventKind::Escalation).copied().collect()
+}
+
+/// One unrepaired failure is one Figure-1 escalation: one `Escalation`
+/// event and one ledger record, both naming the failed page and the
+/// class Figure 1 ends in for the node's shape.
+#[test]
+fn one_failure_is_one_escalation_naming_its_page() {
+    for (single_device_node, class, code) in [
+        (false, FailureClass::Media, spf_obs::failure_class::MEDIA),
+        (true, FailureClass::System, spf_obs::failure_class::SYSTEM),
+    ] {
+        let db = Database::create(DatabaseConfig {
+            single_device_node,
+            ..DatabaseConfig::traditional()
+        })
+        .unwrap();
+        for i in 0..50 {
+            db.put_auto(&key(i), &val(i)).unwrap();
+        }
+        let victim = db.any_leaf_page().unwrap();
+        db.inject_fault(victim, FaultSpec::HardReadError);
+        db.drop_cache();
+        match db.get(&key(0)) {
+            Err(DbError::Failure { class: got, .. }) => assert_eq!(got, class),
+            other => panic!("expected a {class}, got {other:?}"),
+        }
+
+        let records = db.obs().ledger().escalations();
+        assert_eq!(records.len(), 1, "one ledger record");
+        assert_eq!(records[0].page_id, victim.0);
+        assert_eq!(records[0].escalated_to, spf_obs::failure_class::name(code));
+        let events = escalation_events(&db);
+        assert_eq!(events.len(), 1, "one Escalation event: {events:?}");
+        assert_eq!((events[0].a, events[0].b), (victim.0, code));
+    }
+}
+
+/// A repair the recoverer refuses is counted in `spf.escalations`
+/// whichever detector found the failure — here the tree's fence check,
+/// through the façade, on two swapped leaves whose history is gone.
+#[test]
+fn refused_facade_repair_counts_as_an_escalation() {
+    let db = Database::create(DatabaseConfig {
+        data_pages: 2048,
+        pool_frames: 32,
+        ..DatabaseConfig::default()
+    })
+    .unwrap();
+    let tx = db.begin();
+    for i in 0..3000 {
+        db.put(tx, &key(i), &val(i)).unwrap();
+    }
+    db.commit(tx).unwrap();
+    db.checkpoint().unwrap();
+    let leaves = db.leaf_pages();
+    let (a, b) = (leaves[leaves.len() - 2], leaves[leaves.len() - 1]);
+    let dev = db.device();
+    let mut ia = Page::from_bytes(dev.raw_image(a));
+    let mut ib = Page::from_bytes(dev.raw_image(b));
+    ia.set_page_id(b);
+    ib.set_page_id(a);
+    ia.finalize_checksum();
+    ib.finalize_checksum();
+    dev.raw_overwrite(b, ia.as_bytes());
+    dev.raw_overwrite(a, ib.as_bytes());
+    db.pri().clear();
+    db.drop_cache();
+
+    match db.scan(b"", usize::MAX) {
+        Err(DbError::Failure { class, .. }) => assert_eq!(class, FailureClass::Media),
+        other => panic!("expected a media failure, got {other:?}"),
+    }
+    let stats = db.stats();
+    assert_eq!(stats.spf.recoveries, 0);
+    assert_eq!(stats.spf.escalations, 1);
+    assert_eq!(escalation_events(&db).len(), 1);
+}
+
+/// A sampled operation whose buffer fault is repaired inline carries
+/// exactly one `Repair` span, and `page_repair_ns` takes one sample per
+/// repair.
+#[test]
+fn inline_repair_is_one_span_of_the_sampled_operation() {
+    let db = Database::create(DatabaseConfig {
+        trace_sample_every: 1,
+        ..obs_config()
+    })
+    .unwrap();
+    for i in 0..200 {
+        db.put_auto(&key(i), &val(i)).unwrap();
+    }
+    db.checkpoint().unwrap();
+    let victim = db.any_leaf_page().unwrap();
+    db.inject_fault(
+        victim,
+        FaultSpec::SilentCorruption(CorruptionMode::BitRot { bits: 8 }),
+    );
+    db.drop_cache();
+    let _ = db.drain_trace_trees();
+
+    let mut repairs = Vec::new();
+    for i in 0..200 {
+        db.put_auto(&key(i), &val(i)).unwrap();
+        for tree in db.drain_trace_trees().trees {
+            tree.each_node(|n| {
+                if n.record.kind == SpanKind::Repair {
+                    repairs.push((i, n.record.a));
+                }
+            });
+        }
+    }
+    assert_eq!(db.stats().spf.recoveries, 1);
+    assert_eq!(repairs.len(), 1, "one Repair span: {repairs:?}");
+    assert_eq!(repairs[0].1, victim.0);
+    assert_eq!(
+        db.metrics_snapshot().get("latency", "page_repair_ns"),
+        Some(1)
+    );
 }

@@ -19,10 +19,10 @@
 //! ring in `spf-trace` ([`RingSet`]); they differ in how they read it
 //! (snapshot vs. hand-out-once).
 //!
-//! The buffer pool takes its handle at construction (`PoolHooks`); the
-//! other subsystems hold `OnceLock<Arc<Obs>>` attach points. Either way
-//! an unattached or disabled handle costs one relaxed atomic load on the
-//! hot path.
+//! The buffer pool (`PoolHooks`) and the scrubber take their handle at
+//! construction; the other subsystems hold `OnceLock<Arc<Obs>>` attach
+//! points. Either way an unattached or disabled handle costs one relaxed
+//! atomic load on the hot path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -252,10 +252,8 @@ impl IoGovernor {
     }
 
     /// Empties the bucket, so pacing starts from zero budget instead of
-    /// a free first burst. The database façade drains at wiring time:
-    /// the scrubber's legacy tick loop charged idle from the very first
-    /// tick, and starting empty keeps the engine's simulated-time
-    /// arithmetic in exact parity with it.
+    /// a free first burst: a measurement that wants idle charged from
+    /// the very first page drains before it starts.
     pub fn drain(&self) {
         let mut bucket = self.bucket.lock();
         bucket.refilled_at = self.clock.now();

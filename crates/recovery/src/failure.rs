@@ -1,6 +1,10 @@
 //! The failure-class taxonomy (paper Section 3) and escalation logic
 //! (Figure 1).
 
+use spf_obs::{failure_class, EscalationRecord, EventKind, Obs};
+use spf_storage::PageId;
+use spf_util::SimDuration;
+
 /// The four failure classes. The first three are the traditional taxonomy
 /// ("they are the foundation of today's failure detection, recovery,
 /// reliability, and availability"); the fourth is the paper's
@@ -37,6 +41,25 @@ impl FailureClass {
         }
     }
 
+    /// Every class an unhandled failure of this class passes through,
+    /// in order: Figure 1's arrows followed to the end.
+    pub fn escalation_path(self, single_device_node: bool) -> impl Iterator<Item = FailureClass> {
+        std::iter::successors(self.escalates_to(single_device_node), move |class| {
+            class.escalates_to(single_device_node)
+        })
+    }
+
+    /// The class's code in the observability plane's
+    /// [`failure_class`] vocabulary.
+    fn obs_code(self) -> u64 {
+        match self {
+            FailureClass::Transaction => failure_class::TRANSACTION,
+            FailureClass::Media => failure_class::MEDIA,
+            FailureClass::System => failure_class::SYSTEM,
+            FailureClass::SinglePage => failure_class::SINGLE_PAGE,
+        }
+    }
+
     /// Order-of-magnitude recovery time the paper's Section 6 associates
     /// with each class, as prose.
     #[must_use]
@@ -59,6 +82,35 @@ impl std::fmt::Display for FailureClass {
             FailureClass::SinglePage => write!(f, "single-page failure"),
         }
     }
+}
+
+/// Escalates a single-page failure that was not repaired along Figure 1
+/// for the node's shape, and records it: the one `Escalation` event and
+/// the one repair-ledger record (with the flight-recorder window that led
+/// up to it), both naming `page` — `u64::MAX` when no page is known — and
+/// the terminal class, which is returned. Every escalation in the engine
+/// goes through here, whichever detector found the failure.
+pub fn escalate(
+    obs: &Obs,
+    page: Option<PageId>,
+    detector: &'static str,
+    single_device_node: bool,
+    at: SimDuration,
+) -> FailureClass {
+    let class = FailureClass::SinglePage
+        .escalation_path(single_device_node)
+        .last()
+        .unwrap_or(FailureClass::SinglePage);
+    let page_id = page.map_or(u64::MAX, |p| p.0);
+    obs.emit(EventKind::Escalation, page_id, class.obs_code());
+    obs.ledger().record_escalation(EscalationRecord {
+        page_id,
+        detector,
+        escalated_to: failure_class::name(class.obs_code()),
+        at,
+        trace: obs.drain_trace(),
+    });
+    class
 }
 
 #[cfg(test)]
@@ -93,5 +145,28 @@ mod tests {
         }
         assert_eq!(class, FailureClass::System);
         assert_eq!(hops, 2);
+        assert_eq!(
+            FailureClass::SinglePage
+                .escalation_path(true)
+                .collect::<Vec<_>>(),
+            [FailureClass::Media, FailureClass::System]
+        );
+    }
+
+    #[test]
+    fn escalate_records_one_event_and_one_ledger_record() {
+        let obs = Obs::new(std::sync::Arc::new(spf_util::SimClock::new()), true);
+        let class = escalate(&obs, Some(PageId(7)), "checksum", true, SimDuration::ZERO);
+        assert_eq!(class, FailureClass::System);
+        let records = obs.ledger().escalations();
+        assert_eq!(records.len(), 1);
+        assert_eq!((records[0].page_id, records[0].escalated_to), (7, "system"));
+        let events: Vec<_> = records[0].trace.of_kind(EventKind::Escalation).collect();
+        assert_eq!(events.len(), 1);
+        assert_eq!((events[0].a, events[0].b), (7, failure_class::SYSTEM));
+
+        escalate(&obs, None, "engine", false, SimDuration::ZERO);
+        let last = obs.ledger().escalations().pop().unwrap();
+        assert_eq!((last.page_id, last.escalated_to), (u64::MAX, "media"));
     }
 }

@@ -12,7 +12,7 @@
 //! | [`single_page`] | §5.2.3, Figure 10 — the recovery procedure: restore backup, walk the per-page log chain backward onto a LIFO stack, pop and redo |
 //! | [`system_recovery`] | §5.1.2, §5.2.5, Figure 12 — ARIES-style restart (analysis, redo, undo) exploiting PRI records to skip redo reads and repairing PRI updates lost in the crash |
 //! | [`media`] | §5.1.3 — full-device restore + log replay; also the mirror-style single-page repair baseline (§2) |
-//! | [`failure`] | §3 — the failure-class taxonomy, including escalation |
+//! | [`failure`] | §3, Figure 1 — the failure-class taxonomy, and [`escalate`], the one place an unrepaired failure is escalated and recorded |
 //! | [`versioning`] | §5.1.4 — single-page rollback over the per-page chain (the snapshot-isolation application) |
 //!
 //! ## Substitution note
@@ -47,7 +47,7 @@ pub mod system_recovery;
 pub mod versioning;
 
 pub use backup::{BackupStats, BackupStore};
-pub use failure::FailureClass;
+pub use failure::{escalate, FailureClass};
 pub use maintainer::{BackupPolicy, MaintainerStats, PriMaintainer};
 pub use media::{MediaRecovery, MediaReport, MirrorRepairReport};
 pub use pri::{PageRecoveryIndex, PriEntry, PriStats};

@@ -24,13 +24,12 @@
 //! recovered image is installed *dirty* in the buffer pool, so its next
 //! write-back persists it.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use spf_archive::ArchiveStore;
-use spf_buffer::{PageRecoverer, RecoverOutcome};
-use spf_obs::{Obs, SpanGuard, SpanKind, TraceCtx};
+use spf_buffer::PageRecoverer;
 use spf_storage::{Device, Page, PageId, StorageDevice};
 use spf_util::{SimClock, SimDuration};
 use spf_wal::{BackupRef, LogError, LogManager, LogPayload, LogRecord, Lsn};
@@ -104,8 +103,6 @@ pub struct SinglePageRecovery {
     clock: Arc<SimClock>,
     stats: Mutex<SpfStats>,
     bad_blocks: Mutex<Vec<PageId>>,
-    /// Observability attach point ([`SinglePageRecovery::attach_obs`]).
-    obs: OnceLock<Arc<Obs>>,
 }
 
 impl SinglePageRecovery {
@@ -128,16 +125,7 @@ impl SinglePageRecovery {
             clock,
             stats: Mutex::new(SpfStats::default()),
             bad_blocks: Mutex::new(Vec::new()),
-            obs: OnceLock::new(),
         }
-    }
-
-    /// Attaches the observability handle: each repair is then timed into
-    /// the `page_repair` span histogram and its simulated duration is
-    /// recorded as an MTTR sample in the repair audit ledger. At most
-    /// one handle per recoverer; later calls are ignored.
-    pub fn attach_obs(&self, obs: Arc<Obs>) {
-        let _ = self.obs.set(obs);
     }
 
     /// Attaches a synchronous mirror of the data device. A verified
@@ -181,9 +169,6 @@ impl SinglePageRecovery {
     /// directly; the buffer pool calls it through [`PageRecoverer`].
     pub fn recover_page(&self, id: PageId) -> Result<Page, String> {
         let start_time = self.clock.now();
-        let _span = self.obs.get().map_or_else(SpanGuard::inert, |o| {
-            o.span(TraceCtx::NONE, SpanKind::Repair, id.0)
-        });
 
         // (1) PRI lookup.
         let entry = self
@@ -334,9 +319,6 @@ impl SinglePageRecovery {
         self.bad_blocks.lock().push(id);
 
         let elapsed = self.clock.now() - start_time;
-        if let Some(o) = self.obs.get() {
-            o.ledger().record_repair("single_page", elapsed);
-        }
         let mut stats = self.stats.lock();
         stats.recoveries += 1;
         stats.sim_time = stats.sim_time.saturating_add(elapsed);
@@ -433,14 +415,9 @@ impl SinglePageRecovery {
 }
 
 impl PageRecoverer for SinglePageRecovery {
-    fn recover(&self, id: PageId) -> RecoverOutcome {
-        match self.recover_page(id) {
-            Ok(page) => RecoverOutcome::Recovered(page),
-            Err(reason) => {
-                self.stats.lock().escalations += 1;
-                RecoverOutcome::Escalate(reason)
-            }
-        }
+    fn recover(&self, id: PageId) -> Result<Page, String> {
+        self.recover_page(id)
+            .inspect_err(|_| self.stats.lock().escalations += 1)
     }
 }
 
@@ -757,12 +734,8 @@ mod tests {
     #[test]
     fn missing_pri_entry_escalates() {
         let fx = fixture();
-        match fx.spr.recover(PageId(9)) {
-            RecoverOutcome::Escalate(reason) => {
-                assert!(reason.contains("no page recovery index entry"), "{reason}");
-            }
-            RecoverOutcome::Recovered(_) => panic!("must escalate"),
-        }
+        let reason = fx.spr.recover(PageId(9)).expect_err("must escalate");
+        assert!(reason.contains("no page recovery index entry"), "{reason}");
         assert_eq!(fx.spr.stats().escalations, 1);
     }
 

@@ -2,16 +2,18 @@
 
 use spf_util::SimDuration;
 
-/// How the background scrubber paces itself.
+/// Whether the engine scrubs, and at what budget.
 ///
 /// The scrubber charges every page it reads against the shared
-/// [`spf_util::SimClock`] (as sequential transfer), and additionally
-/// sleeps the simulated clock for [`tick_idle`](ScrubConfig::tick_idle)
-/// after every [`pages_per_tick`](ScrubConfig::pages_per_tick) pages —
-/// the classic token-bucket rate limit that leaves device bandwidth to
-/// foreground work (the foreground/background isolation concern GrASP
-/// raises for transactional workloads). `pages_per_tick / tick_idle` is
-/// therefore the scrub I/O budget in pages per simulated second.
+/// [`spf_util::SimClock`] (as sequential transfer), and pays for it first
+/// from the engine's background-I/O governor, whose rate the façade
+/// derives from these knobs: [`pages_per_tick`](ScrubConfig::pages_per_tick)
+/// pages per [`tick_idle`](ScrubConfig::tick_idle) of simulated time,
+/// with one tick's worth of burst — the token-bucket rate limit that
+/// leaves device bandwidth to foreground work (the foreground/background
+/// isolation concern GrASP raises for transactional workloads).
+/// `pages_per_tick / tick_idle` is therefore the scrub I/O budget in
+/// pages per simulated second.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubConfig {
     /// Whether the engine wires up a scrubber at all. With `false`,
@@ -19,9 +21,9 @@ pub struct ScrubConfig {
     /// no-ops (the seed behaviour: failures are found only when a
     /// foreground read happens to hit them).
     pub enabled: bool,
-    /// Pages verified per tick before the scrubber pauses.
+    /// Pages of budget per tick.
     pub pages_per_tick: usize,
-    /// Simulated pause charged to the shared clock after each tick.
+    /// Simulated time one tick's budget takes to accrue.
     pub tick_idle: SimDuration,
 }
 

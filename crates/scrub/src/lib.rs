@@ -24,12 +24,12 @@
 //!    cross-structure redundancy that catches damage written with a
 //!    fresh, valid checksum.
 //!
-//! Findings go to a repair queue drained through the pool-cooperative
-//! [`spf_buffer::BufferPool::repair_absent`] path, so foreground
-//! fetches coalesce behind an in-flight repair exactly as they would
-//! behind a foreground miss. When repair fails, the failure **escalates
-//! along Figure 1** ([`spf_recovery::FailureClass::escalates_to`]) and
-//! the escalation is recorded rather than panicking the engine.
+//! Findings go to a repair queue drained through
+//! [`spf_buffer::BufferPool::repair`], the pool's one repair entry point,
+//! so foreground fetches coalesce behind an in-flight repair exactly as
+//! they would behind a foreground miss. When repair fails, the failure
+//! **escalates along Figure 1** ([`spf_recovery::escalate`]) and the
+//! escalation is recorded rather than panicking the engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,33 +18,31 @@
 //!    read after the snapshot can never be legitimately older than it —
 //!    a write-back can therefore never race the sweep into a false
 //!    stale-LSN positive.
-//! 3. **Repair behind the miss marker.** Repairs go through
-//!    [`BufferPool::repair_absent`]: the scrubber claims the same
-//!    in-flight marker a miss leader would, so foreground fetches of the
-//!    page coalesce behind the repair and resolve as hits on the
-//!    recovered image. A page that became resident between detection and
-//!    repair was already fetched — and therefore already verified and,
-//!    if needed, repaired inline — by the foreground (Figure 8); the
-//!    queue entry is retired as *deferred*, not retried blindly.
+//! 3. **Repair through the pool.** Findings go to
+//!    [`BufferPool::repair`], the same recoverer call the miss path
+//!    makes: an absent page is repaired behind the in-flight marker a
+//!    miss leader would hold, so foreground fetches coalesce behind it; a
+//!    clean resident copy is replaced only once a recovered image is in
+//!    hand; a dirty frame is refused. A page the foreground holds dirty
+//!    or busy at repair time is retired as *deferred* (its write-back, or
+//!    the next sweep, settles it), not retried blindly.
 //! 4. **Escalate, never panic.** A repair the single-page recoverer
-//!    declines is recorded and escalated along Figure 1
-//!    ([`FailureClass::escalates_to`]): to a media failure, and on a
-//!    single-device node on to a system failure.
+//!    declines is escalated along Figure 1 by [`escalate`]: to a media
+//!    failure, and on a single-device node on to a system failure.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use spf_buffer::{BufferPool, PageRecoverer, RecoverOutcome, RepairOutcome, Residency};
-use spf_obs::{EventKind, Obs, SpanGuard, SpanKind};
+use spf_buffer::{BufferPool, RepairOutcome, Residency};
+use spf_obs::{EventKind, Obs, SpanKind, TraceCtx};
 use spf_prefetch::{BackgroundIo, IoGovernor};
-use spf_recovery::{FailureClass, PageRecoveryIndex};
+use spf_recovery::{escalate, FailureClass, PageRecoveryIndex};
 use spf_storage::{Device, Page, PageId, StorageDevice, StorageError};
 use spf_util::{SimClock, SimDuration};
 
-use crate::config::ScrubConfig;
 use crate::detector::{run_ladder, DetectorClass};
 
 /// Tells the scrubber how far the allocated page range extends; the
@@ -234,57 +232,53 @@ struct ScrubState {
 /// one instance serves both `scrub_now` one-shot sweeps and the
 /// background thread.
 pub struct Scrubber {
-    config: ScrubConfig,
     single_device_node: bool,
     device: Device,
     pool: BufferPool,
     pri: Arc<PageRecoveryIndex>,
-    repairer: Option<Arc<dyn PageRecoverer>>,
     extent: Arc<dyn ScanExtent>,
+    /// The background-I/O budget every scanned page is paid from.
+    governor: Arc<IoGovernor>,
+    obs: Arc<Obs>,
     clock: Arc<SimClock>,
     state: Mutex<ScrubState>,
     stop: AtomicBool,
-    /// Observability attach point ([`Scrubber::attach_obs`]).
-    obs: OnceLock<Arc<Obs>>,
-    /// Unified background-I/O budget ([`Scrubber::set_governor`]). When
-    /// attached, per-page pacing draws from the shared bucket instead of
-    /// the private `pages_per_tick`/`tick_idle` tick loop.
-    governor: OnceLock<Arc<IoGovernor>>,
 }
 
 impl std::fmt::Debug for Scrubber {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scrubber")
-            .field("config", &self.config)
             .field("single_device_node", &self.single_device_node)
+            .field("governor", &self.governor)
             .finish()
     }
 }
 
 impl Scrubber {
     /// Creates a scrubber over the engine's shared substrate handles.
-    /// `repairer` is the single-page recoverer; without one every
-    /// finding becomes a repair failure (and escalates), which is the
-    /// traditional engine's behaviour made visible.
+    /// Sweeps draw one page of `governor` budget per page scanned.
+    /// Findings are repaired by `pool`'s recoverer; a pool without one
+    /// turns every finding into a repair failure (and an escalation),
+    /// which is the traditional engine's behaviour made visible.
     #[must_use]
     pub fn new(
-        config: ScrubConfig,
         single_device_node: bool,
         device: Device,
         pool: BufferPool,
         pri: Arc<PageRecoveryIndex>,
-        repairer: Option<Arc<dyn PageRecoverer>>,
         extent: Arc<dyn ScanExtent>,
+        governor: Arc<IoGovernor>,
+        obs: Arc<Obs>,
     ) -> Self {
         let clock = Arc::clone(device.clock());
         Self {
-            config,
             single_device_node,
             device,
             pool,
             pri,
-            repairer,
             extent,
+            governor,
+            obs,
             clock,
             state: Mutex::new(ScrubState {
                 stats: ScrubStats::default(),
@@ -293,33 +287,7 @@ impl Scrubber {
                 escalated: Vec::new(),
             }),
             stop: AtomicBool::new(false),
-            obs: OnceLock::new(),
-            governor: OnceLock::new(),
         }
-    }
-
-    /// Attaches the observability handle: sweeps gain span timing and a
-    /// per-cycle event, findings feed per-detector-class MTTD into the
-    /// repair audit ledger, and escalations are recorded there with the
-    /// drained flight-recorder window that led up to them. At most one
-    /// handle per scrubber; later calls are ignored.
-    pub fn attach_obs(&self, obs: Arc<Obs>) {
-        let _ = self.obs.set(obs);
-    }
-
-    /// Attaches the unified background-I/O governor: sweep pacing then
-    /// draws one page of budget from the shared bucket per scanned page
-    /// (blocking in simulated time), instead of running the private
-    /// tick loop. At most one governor per scrubber; later calls are
-    /// ignored.
-    pub fn set_governor(&self, governor: Arc<IoGovernor>) {
-        let _ = self.governor.set(governor);
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> ScrubConfig {
-        self.config
     }
 
     /// Statistics snapshot.
@@ -383,9 +351,9 @@ impl Scrubber {
         // Sweeps are sampled like foreground operations: a sampled sweep
         // becomes its own trace tree, with any governor throttling as
         // child wait spans.
-        let span = self.obs.get().map_or_else(SpanGuard::inert, |o| {
-            o.span(o.sample_trace(), SpanKind::ScrubSweep, 0)
-        });
+        let span = self
+            .obs
+            .span(self.obs.sample_trace(), SpanKind::ScrubSweep, 0);
         let tctx = span.ctx();
         let mut report = ScrubCycleReport::default();
         {
@@ -398,46 +366,29 @@ impl Scrubber {
         // One reusable page buffer for the whole sweep: the per-page
         // ladder must not pay a heap allocation + zero-fill each.
         let mut image = Page::from_bytes(vec![0u8; self.device.page_size()]);
-        let mut in_tick = 0usize;
         let mut completed = true;
         for pid in 0..extent {
             if interruptible && self.stop_requested() {
                 completed = false;
                 break;
             }
-            if let Some(gov) = self.governor.get() {
-                // Unified budget: pay for the page before reading it,
-                // idling the simulated clock if the bucket is short.
-                gov.acquire_traced(BackgroundIo::Scrub, 1, tctx);
-            }
+            // Pay for the page before reading it, idling the simulated
+            // clock if the bucket is short.
+            self.governor.acquire_traced(BackgroundIo::Scrub, 1, tctx);
             if !self.scrub_page(PageId(pid), &mut image, &mut report) {
                 completed = false;
                 break; // media failure: nothing left to scrub
             }
-            if self.governor.get().is_none() {
-                // Legacy private pacing (no governor attached).
-                in_tick += 1;
-                if in_tick >= self.config.pages_per_tick {
-                    in_tick = 0;
-                    self.clock.advance(self.config.tick_idle);
-                    // Let foreground threads through on real hardware too.
-                    std::thread::yield_now();
-                }
-            }
         }
-        self.drain_repairs(&mut report);
-        let mut state = self.state.lock();
+        self.drain_repairs(&mut report, tctx);
         if completed {
-            state.stats.cycles_completed += 1;
+            self.state.lock().stats.cycles_completed += 1;
         }
-        drop(state);
-        if let Some(o) = self.obs.get() {
-            o.emit(
-                EventKind::ScrubSweep,
-                report.pages_scanned,
-                report.findings.len() as u64,
-            );
-        }
+        self.obs.emit(
+            EventKind::ScrubSweep,
+            report.pages_scanned,
+            report.findings.len() as u64,
+        );
         report
     }
 
@@ -495,11 +446,11 @@ impl Scrubber {
                 .detect_latency_total
                 .saturating_add(now - baseline);
             state.stats.detect_latency_samples += 1;
-            if let Some(o) = self.obs.get() {
-                o.emit(EventKind::FaultDetected, id.0, detector.obs_code());
-                o.ledger()
-                    .record_detection(detector.obs_name(), now - baseline);
-            }
+            self.obs
+                .emit(EventKind::FaultDetected, id.0, detector.obs_code());
+            self.obs
+                .ledger()
+                .record_detection(detector.obs_name(), now - baseline);
             report.findings.push(ScrubFinding {
                 page: id,
                 detector,
@@ -555,8 +506,8 @@ impl Scrubber {
     }
 
     /// Drains this cycle's findings through the repair path (protocol
-    /// steps 3 and 4).
-    fn drain_repairs(&self, report: &mut ScrubCycleReport) {
+    /// steps 3 and 4); each repair is a child of the sweep's trace.
+    fn drain_repairs(&self, report: &mut ScrubCycleReport, tctx: TraceCtx) {
         let queue: Vec<PageId> = report
             .findings
             .iter()
@@ -565,56 +516,18 @@ impl Scrubber {
             .map(|f| f.page)
             .collect();
         for id in queue {
-            let repair_started = self.clock.now();
-            if let Some(o) = self.obs.get() {
-                o.emit(EventKind::RepairAttempt, id.0, 0);
-            }
-            let Some(repairer) = &self.repairer else {
-                self.record_escalation(
-                    report,
-                    id,
-                    "no single-page recoverer configured".to_string(),
-                );
-                continue;
-            };
-            // A clean resident copy pins the pool's (good, verified)
-            // image in front of the failed device image. It must not be
-            // retired until a recovered replacement is in hand — if
-            // recovery declines, those reads must keep being served.
-            let outcome = if matches!(self.pool.probe(id), Residency::Clean) {
-                match repairer.recover(id) {
-                    RecoverOutcome::Recovered(page) => {
-                        if self.pool.try_discard_clean(id) {
-                            self.pool.repair_absent(id, move || Ok(page))
-                        } else {
-                            // Pinned or re-dirtied: the foreground owns
-                            // the page now; retry next cycle.
-                            RepairOutcome::Busy
-                        }
-                    }
-                    RecoverOutcome::Escalate(reason) => RepairOutcome::Failed(reason),
-                }
-            } else {
-                self.pool.repair_absent(id, || match repairer.recover(id) {
-                    RecoverOutcome::Recovered(page) => Ok(page),
-                    RecoverOutcome::Escalate(reason) => Err(reason),
-                })
-            };
-            match outcome {
+            match self.pool.repair(id, tctx) {
                 RepairOutcome::Repaired => {
                     // Persist immediately: the device image is what the
                     // scrubber is curing, so don't wait for eviction.
                     let _ = self.pool.flush_page(id);
                     self.state.lock().stats.repairs += 1;
                     report.repairs += 1;
-                    if let Some(o) = self.obs.get() {
-                        let took = self.clock.now() - repair_started;
-                        o.emit(EventKind::RepairOk, id.0, took.as_nanos());
-                    }
                 }
-                RepairOutcome::Resident { .. } | RepairOutcome::Busy => {
-                    // The foreground fetched the page meanwhile — and
-                    // Figure 8 verified/repaired it on the way in.
+                RepairOutcome::Dirty | RepairOutcome::Busy => {
+                    // The foreground holds the page: a dirty frame's
+                    // write-back refreshes the device anyway, and a busy
+                    // one is re-found by the next sweep.
                     self.state.lock().stats.repairs_deferred += 1;
                     report.repairs_deferred += 1;
                 }
@@ -623,45 +536,36 @@ impl Scrubber {
         }
     }
 
-    /// Records a repair failure and walks Figure 1's escalation arrows.
+    /// Records a repair failure, escalated along Figure 1.
     fn record_escalation(&self, report: &mut ScrubCycleReport, id: PageId, reason: String) {
-        let mut class = FailureClass::SinglePage;
+        let detector = report
+            .findings
+            .iter()
+            .find(|f| f.page == id)
+            .map_or("unknown", |f| f.detector.obs_name());
+        let escalated_to = escalate(
+            &self.obs,
+            Some(id),
+            detector,
+            self.single_device_node,
+            self.clock.now(),
+        );
+        let escalation = ScrubEscalation {
+            page: id,
+            escalated_to,
+            reason,
+        };
         let mut state = self.state.lock();
         state.stats.repair_failures += 1;
-        while let Some(next) = class.escalates_to(self.single_device_node) {
-            match next {
+        for hop in FailureClass::SinglePage.escalation_path(self.single_device_node) {
+            match hop {
                 FailureClass::Media => state.stats.escalations_media += 1,
                 FailureClass::System => state.stats.escalations_system += 1,
                 _ => {}
             }
-            class = next;
         }
-        let escalation = ScrubEscalation {
-            page: id,
-            escalated_to: class,
-            reason,
-        };
         state.escalated.push(escalation.clone());
         drop(state);
-        if let Some(o) = self.obs.get() {
-            let code = match class {
-                FailureClass::System => spf_obs::failure_class::SYSTEM,
-                _ => spf_obs::failure_class::MEDIA,
-            };
-            o.emit(EventKind::Escalation, id.0, code);
-            let detector = report
-                .findings
-                .iter()
-                .find(|f| f.page == id)
-                .map_or("unknown", |f| f.detector.obs_name());
-            o.ledger().record_escalation(spf_obs::EscalationRecord {
-                page_id: id.0,
-                detector,
-                escalated_to: spf_obs::failure_class::name(code),
-                at: self.clock.now(),
-                trace: o.drain_trace(),
-            });
-        }
         report.escalations.push(escalation);
     }
 }
@@ -669,7 +573,8 @@ impl Scrubber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spf_buffer::BufferPoolConfig;
+    use spf_buffer::{BufferPoolConfig, PageRecoverer, PoolHooks};
+    use spf_prefetch::GovernorConfig;
     use spf_storage::{CorruptionMode, FaultSpec, PageType, DEFAULT_PAGE_SIZE};
     use spf_util::IoCostModel;
     use spf_wal::{LogManager, Lsn};
@@ -682,13 +587,15 @@ mod tests {
         pri: Arc<PageRecoveryIndex>,
     }
 
-    fn fixture(cost: IoCostModel) -> Fixture {
+    /// Formatted pages behind a pool whose recoverer remaps a page, or
+    /// with `refuse` declines every repair.
+    fn fixture(refuse: bool) -> Fixture {
         let clock = Arc::new(SimClock::new());
         let device = Device::Mem(spf_storage::MemDevice::new(
             DEFAULT_PAGE_SIZE,
             PAGES,
             clock,
-            cost,
+            IoCostModel::free(),
             7,
         ));
         for i in 0..PAGES {
@@ -697,10 +604,18 @@ mod tests {
             p.finalize_checksum();
             device.raw_overwrite(PageId(i), p.as_bytes());
         }
-        let pool = BufferPool::new(
+        let recoverer = RemapRecoverer {
+            device: device.clone(),
+            refuse,
+        };
+        let pool = BufferPool::with_hooks(
             BufferPoolConfig { frames: 8 },
             Arc::new(device.clone()),
             LogManager::for_testing(),
+            PoolHooks {
+                recoverer: Some(Arc::new(recoverer)),
+                ..PoolHooks::default()
+            },
         );
         Fixture {
             device,
@@ -718,37 +633,46 @@ mod tests {
     }
 
     impl PageRecoverer for RemapRecoverer {
-        fn recover(&self, id: PageId) -> RecoverOutcome {
+        fn recover(&self, id: PageId) -> Result<Page, String> {
             if self.refuse {
-                return RecoverOutcome::Escalate(format!("no backup for {id}"));
+                return Err(format!("no backup for {id}"));
             }
             self.device.injector().clear(id);
             let mut p = Page::new_formatted(DEFAULT_PAGE_SIZE, id, PageType::Meta);
             p.set_page_lsn(10);
             p.finalize_checksum();
-            RecoverOutcome::Recovered(p)
+            Ok(p)
         }
     }
 
-    fn scrubber(fx: &Fixture, config: ScrubConfig, refuse: bool) -> Scrubber {
+    fn scrubber_with(
+        fx: &Fixture,
+        single_device_node: bool,
+        governor: &Arc<IoGovernor>,
+    ) -> Scrubber {
+        let clock = fx.device.clock();
         Scrubber::new(
-            config,
-            false,
+            single_device_node,
             fx.device.clone(),
             fx.pool.clone(),
             Arc::clone(&fx.pri),
-            Some(Arc::new(RemapRecoverer {
-                device: fx.device.clone(),
-                refuse,
-            })),
             Arc::new(FixedExtent(PAGES)),
+            Arc::clone(governor),
+            Arc::new(Obs::new(Arc::clone(clock), false)),
         )
+    }
+
+    /// An unpaced scrubber on a multi-device node.
+    fn scrubber(fx: &Fixture) -> Scrubber {
+        let governor =
+            IoGovernor::new(GovernorConfig::unthrottled(), Arc::clone(fx.device.clock()));
+        scrubber_with(fx, false, &Arc::new(governor))
     }
 
     #[test]
     fn clean_sweep_finds_nothing_and_counts() {
-        let fx = fixture(IoCostModel::free());
-        let scrub = scrubber(&fx, ScrubConfig::unthrottled(), false);
+        let fx = fixture(false);
+        let scrub = scrubber(&fx);
         let report = scrub.run_cycle();
         assert_eq!(report.pages_scanned, PAGES);
         assert!(report.findings.is_empty());
@@ -759,41 +683,21 @@ mod tests {
     }
 
     #[test]
-    fn rate_limit_charges_idle_time_to_the_sim_clock() {
-        let fx = fixture(IoCostModel::free());
-        let config = ScrubConfig {
-            enabled: true,
-            pages_per_tick: 4,
-            tick_idle: SimDuration::from_millis(10),
-        };
-        let scrub = scrubber(&fx, config, false);
-        let t0 = fx.device.clock().now();
-        scrub.run_cycle();
-        let elapsed = fx.device.clock().now() - t0;
-        // 16 pages at 4/tick = 4 ticks × 10 ms.
-        assert_eq!(elapsed, SimDuration::from_millis(40));
-    }
-
-    #[test]
     fn governed_pacing_replaces_the_tick_loop_at_the_same_rate() {
-        let fx = fixture(IoCostModel::free());
-        let config = ScrubConfig {
-            enabled: true,
-            pages_per_tick: 4,
-            tick_idle: SimDuration::from_millis(10),
-        };
-        let scrub = scrubber(&fx, config, false);
+        let fx = fixture(false);
+        // The engine derives the budget from the scrub knobs: 4 pages
+        // per 10 ms tick.
         let gov = Arc::new(IoGovernor::new(
-            spf_prefetch::GovernorConfig::from_scrub(config.pages_per_tick, config.tick_idle),
+            GovernorConfig::from_scrub(4, SimDuration::from_millis(10)),
             Arc::clone(fx.device.clock()),
         ));
-        scrub.set_governor(Arc::clone(&gov));
+        let scrub = scrubber_with(&fx, false, &gov);
         let t0 = fx.device.clock().now();
         scrub.run_cycle();
         let elapsed = fx.device.clock().now() - t0;
-        // Same budget (400 pages/s), smoother shape: the first tick's
-        // worth rides the burst, the remaining 12 pages wait 2.5 ms
-        // each = 30 ms — never more than the legacy loop's 40 ms.
+        // 400 pages/s: the first tick's worth rides the burst, the
+        // remaining 12 pages wait 2.5 ms each = 30 ms — never more than
+        // the 40 ms a 4-pages-then-10-ms tick loop would charge.
         assert_eq!(elapsed, SimDuration::from_micros(30_000));
         assert_eq!(gov.stats().granted_scrub, PAGES);
         assert!(gov.stats().throttle_waits > 0);
@@ -801,12 +705,12 @@ mod tests {
 
     #[test]
     fn cold_fault_detected_and_repaired() {
-        let fx = fixture(IoCostModel::free());
+        let fx = fixture(false);
         fx.device.inject_fault(
             PageId(3),
             FaultSpec::SilentCorruption(CorruptionMode::BitRot { bits: 6 }),
         );
-        let scrub = scrubber(&fx, ScrubConfig::unthrottled(), false);
+        let scrub = scrubber(&fx);
         let report = scrub.run_cycle();
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].page, PageId(3));
@@ -824,12 +728,12 @@ mod tests {
 
     #[test]
     fn stale_lsn_detected_via_pri_snapshot() {
-        let fx = fixture(IoCostModel::free());
+        let fx = fixture(false);
         // PRI says page 5 was written back at LSN 50; device holds 10.
         fx.pri
             .set_backup(PageId(5), spf_wal::BackupRef::None, Lsn(1));
         fx.pri.set_latest_lsn(PageId(5), Lsn(50));
-        let scrub = scrubber(&fx, ScrubConfig::unthrottled(), false);
+        let scrub = scrubber(&fx);
         let report = scrub.run_cycle();
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].detector, DetectorClass::StaleLsn);
@@ -838,7 +742,7 @@ mod tests {
 
     #[test]
     fn dirty_resident_pages_are_verified_in_place_not_scanned() {
-        let fx = fixture(IoCostModel::free());
+        let fx = fixture(false);
         {
             let mut g = fx.pool.fetch_mut(PageId(2)).unwrap();
             g.mark_dirty(Lsn(99));
@@ -849,7 +753,7 @@ mod tests {
             PageId(2),
             FaultSpec::SilentCorruption(CorruptionMode::ZeroPage),
         );
-        let scrub = scrubber(&fx, ScrubConfig::unthrottled(), false);
+        let scrub = scrubber(&fx);
         let report = scrub.run_cycle();
         assert_eq!(report.verified_in_pool, 1);
         assert_eq!(report.pages_scanned, PAGES - 1);
@@ -859,9 +763,9 @@ mod tests {
 
     #[test]
     fn hard_error_finding_and_refused_repair_escalates() {
-        let fx = fixture(IoCostModel::free());
+        let fx = fixture(true);
         fx.device.inject_fault(PageId(7), FaultSpec::HardReadError);
-        let scrub = scrubber(&fx, ScrubConfig::unthrottled(), true);
+        let scrub = scrubber(&fx);
         let report = scrub.run_cycle();
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].detector, DetectorClass::HardError);
@@ -877,17 +781,11 @@ mod tests {
 
     #[test]
     fn single_device_node_escalates_to_system() {
-        let fx = fixture(IoCostModel::free());
+        let fx = fixture(true);
         fx.device.inject_fault(PageId(1), FaultSpec::HardReadError);
-        let scrub = Scrubber::new(
-            ScrubConfig::unthrottled(),
-            true,
-            fx.device.clone(),
-            fx.pool.clone(),
-            Arc::clone(&fx.pri),
-            None, // no recoverer at all
-            Arc::new(FixedExtent(PAGES)),
-        );
+        let governor =
+            IoGovernor::new(GovernorConfig::unthrottled(), Arc::clone(fx.device.clock()));
+        let scrub = scrubber_with(&fx, true, &Arc::new(governor));
         let report = scrub.run_cycle();
         assert_eq!(report.escalations.len(), 1);
         assert_eq!(report.escalations[0].escalated_to, FailureClass::System);
@@ -898,8 +796,8 @@ mod tests {
 
     #[test]
     fn stop_request_interrupts_background_cycles_only() {
-        let fx = fixture(IoCostModel::free());
-        let scrub = scrubber(&fx, ScrubConfig::unthrottled(), false);
+        let fx = fixture(false);
+        let scrub = scrubber(&fx);
         scrub.request_stop();
         let report = scrub.run_cycle_interruptible();
         assert_eq!(report.pages_scanned, 0);
@@ -920,7 +818,7 @@ mod tests {
 
     #[test]
     fn refused_repair_never_retires_a_good_clean_copy() {
-        let fx = fixture(IoCostModel::free());
+        let fx = fixture(true);
         // Page 5 resident clean: the pool serves good, verified bytes.
         {
             let _g = fx.pool.fetch(PageId(5)).unwrap();
@@ -931,7 +829,7 @@ mod tests {
         fx.pri
             .set_backup(PageId(5), spf_wal::BackupRef::None, Lsn(1));
         fx.pri.set_latest_lsn(PageId(5), Lsn(50));
-        let scrub = scrubber(&fx, ScrubConfig::unthrottled(), true);
+        let scrub = scrubber(&fx);
         let report = scrub.run_cycle();
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.escalations.len(), 1);
@@ -944,8 +842,8 @@ mod tests {
 
     #[test]
     fn mean_time_to_detect_uses_previous_visit() {
-        let fx = fixture(IoCostModel::free());
-        let scrub = scrubber(&fx, ScrubConfig::unthrottled(), false);
+        let fx = fixture(false);
+        let scrub = scrubber(&fx);
         scrub.run_cycle(); // clean baseline visit at t0
         fx.device.clock().advance(SimDuration::from_secs(2));
         fx.device.inject_fault(

@@ -238,6 +238,19 @@ impl CompressedPageImage {
     }
 }
 
+/// Reads an entry count, refusing one the remaining bytes cannot hold at
+/// `entry_bytes` (the smallest encoding of one entry) apiece: the count
+/// sizes a reservation, and a record is not to be trusted with more
+/// memory than it brought.
+fn get_count(dec: &mut Decoder<'_>, entry_bytes: usize) -> Result<usize, DecodeError> {
+    let n = dec.get_varint()? as usize;
+    let max = dec.remaining() / entry_bytes;
+    if n > max {
+        return Err(DecodeError::LengthOutOfRange { got: n, max });
+    }
+    Ok(n)
+}
+
 /// A physiological operation on one slotted page: enough information for
 /// physical redo *and* for generating the inverse (compensation) action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -418,13 +431,8 @@ impl PageOp {
 
     fn decode_range(dec: &mut Decoder<'_>) -> Result<DecodedRange, DecodeError> {
         let pos = dec.get_u16()?;
-        let n = dec.get_varint()? as usize;
-        if n > 1 << 15 {
-            return Err(DecodeError::LengthOutOfRange {
-                got: n,
-                max: 1 << 15,
-            });
-        }
+        // A record is at least its ghost byte and a one-byte length.
+        let n = get_count(dec, 2)?;
         let mut records = Vec::with_capacity(n);
         for _ in 0..n {
             let ghost = dec.get_u8()? != 0;
@@ -764,24 +772,13 @@ impl LogPayload {
                 Ok(LogPayload::BackupTaken { backup, page_lsn })
             }
             Self::TAG_CKPT_BEGIN => {
-                let n_tx = dec.get_varint()? as usize;
-                if n_tx > 1 << 20 {
-                    return Err(DecodeError::LengthOutOfRange {
-                        got: n_tx,
-                        max: 1 << 20,
-                    });
-                }
+                // Both tables hold two `u64`s per entry.
+                let n_tx = get_count(dec, 16)?;
                 let mut active_txns = Vec::with_capacity(n_tx);
                 for _ in 0..n_tx {
                     active_txns.push((TxId(dec.get_u64()?), Lsn(dec.get_u64()?)));
                 }
-                let n_dp = dec.get_varint()? as usize;
-                if n_dp > 1 << 24 {
-                    return Err(DecodeError::LengthOutOfRange {
-                        got: n_dp,
-                        max: 1 << 24,
-                    });
-                }
+                let n_dp = get_count(dec, 16)?;
                 let mut dirty_pages = Vec::with_capacity(n_dp);
                 for _ in 0..n_dp {
                     dirty_pages.push((PageId(dec.get_u64()?), Lsn(dec.get_u64()?)));
