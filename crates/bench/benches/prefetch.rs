@@ -47,6 +47,7 @@ fn bench(c: &mut Criterion) {
             burst: u64::MAX / 2,
         },
         Arc::clone(&clock),
+        Arc::new(spf_obs::Obs::new(Arc::clone(&clock), false)),
     );
     group.bench_function("governor_try_acquire", |b| {
         b.iter(|| std::hint::black_box(governor.try_acquire(BackgroundIo::Prefetch, 1)))

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use spf_bench::{engine, key, load, val};
 use spf_btree::tree::PoolUndo;
+use spf_obs::TraceCtx;
 use spf_txn::TxKind;
 
 fn bench(c: &mut Criterion) {
@@ -30,7 +31,7 @@ fn bench(c: &mut Criterion) {
         let mgr = db.txn_manager();
         b.iter(|| {
             let tx = mgr.begin(TxKind::System);
-            std::hint::black_box(mgr.commit(tx).unwrap());
+            std::hint::black_box(mgr.commit(tx, TraceCtx::NONE).unwrap());
         })
     });
 

@@ -13,6 +13,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use spf_obs::TraceCtx;
 use spf_storage::PageId;
 use spf_txn::{TxKind, TxnManager};
 use spf_wal::{LogManager, LogPayload, LogRecord, Lsn, PageOp, TxId};
@@ -85,7 +86,7 @@ fn concurrent_commit_time(threads: usize, iters: u64) -> Duration {
                         },
                     )
                     .unwrap();
-                    std::hint::black_box(mgr.commit(tx).unwrap());
+                    std::hint::black_box(mgr.commit(tx, TraceCtx::NONE).unwrap());
                 }
                 barrier.wait();
             });

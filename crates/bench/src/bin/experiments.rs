@@ -1513,7 +1513,7 @@ fn e16_wal_group_commit() {
                             },
                         )
                         .unwrap();
-                        mgr.commit(tx).unwrap();
+                        mgr.commit(tx, spf_obs::TraceCtx::NONE).unwrap();
                     }
                     barrier.wait();
                 });

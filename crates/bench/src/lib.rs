@@ -6,7 +6,7 @@
 
 #![forbid(unsafe_code)]
 
-use spf::{Database, DatabaseConfig, PageId, TxId};
+use spf::{Database, DatabaseConfig, PageId};
 
 /// Standard key encoding used across experiments.
 pub fn key(i: u64) -> Vec<u8> {
@@ -82,13 +82,6 @@ pub fn concurrent_fetch_time(
         barrier.wait();
         start.elapsed()
     })
-}
-
-/// Begins a transaction, runs `f`, commits.
-pub fn with_tx(db: &Database, f: impl FnOnce(TxId)) {
-    let tx = db.begin();
-    f(tx);
-    db.commit(tx).unwrap();
 }
 
 /// Minimal fixed-width table printer for experiment output.

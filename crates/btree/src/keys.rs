@@ -31,15 +31,6 @@ pub enum Bound {
 }
 
 impl Bound {
-    /// Borrow the key bytes if this is an ordinary key.
-    #[must_use]
-    pub fn as_key(&self) -> Option<&[u8]> {
-        match self {
-            Bound::Key(k) => Some(k),
-            _ => None,
-        }
-    }
-
     /// The borrowed form of this bound.
     #[inline]
     #[must_use]

@@ -27,6 +27,7 @@
 use std::sync::Arc;
 
 use spf_buffer::{BufferPool, PageWriteGuard};
+use spf_obs::TraceCtx;
 use spf_storage::{Page, PageId, PageType, SlottedPage};
 use spf_txn::{TxKind, TxnManager};
 use spf_wal::{CompressedPageImage, LogPayload, Lsn, PageOp, TxId};
@@ -92,7 +93,7 @@ impl StandardBTree {
             .structure_area_mut()
             .copy_from_slice(&structure(0, PageId::INVALID));
         tree.format_logged(sys, image)?;
-        tree.txn.commit(sys)?;
+        tree.txn.commit(sys, TraceCtx::NONE)?;
         tree.alloc.note_allocated(root);
         Ok(tree)
     }
@@ -397,7 +398,7 @@ impl StandardBTree {
         let result = self.split_leaf_upward(sys, &path);
         match result {
             Ok(()) => {
-                self.txn.commit(sys)?;
+                self.txn.commit(sys, TraceCtx::NONE)?;
                 Ok(())
             }
             Err(e) => {

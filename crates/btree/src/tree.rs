@@ -1,4 +1,4 @@
-//! The Foster B-tree (paper Sections 4.2 and 2; Graefe/Kimura/Kuno [11]).
+//! The Foster B-tree (paper Sections 4.2 and 2; Graefe/Kimura/Kuno \[11\]).
 //!
 //! Properties implemented, each traceable to the paper:
 //!
@@ -35,12 +35,12 @@
 //!   node only through that pointer's owner.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use spf_buffer::{BufferPool, FetchHint, PageReadGuard, PageWriteGuard};
-use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
+use spf_obs::{EventKind, Obs, SpanKind, TraceCtx};
 use spf_storage::{Page, PageId, SlottedPage};
 use spf_txn::{SysAttempt, TxKind, TxnManager};
 use spf_wal::{CompressedPageImage, LogPayload, Lsn, PageOp, TxId};
@@ -183,8 +183,9 @@ fn backoff(attempt: usize) {
 /// deterministically.
 pub type ReacquireHook = Arc<dyn Fn(PageId) + Send + Sync>;
 
-/// [`UndoTarget`] adapter over a buffer pool: rollback compensations are
-/// applied to pooled pages and advance their PageLSN to the CLR's LSN.
+/// [`UndoTarget`](spf_txn::UndoTarget) adapter over a buffer pool:
+/// rollback compensations are applied to pooled pages and advance their
+/// PageLSN to the CLR's LSN.
 pub struct PoolUndo<'a> {
     pool: &'a BufferPool,
 }
@@ -227,8 +228,6 @@ pub struct FosterBTree {
     /// Fast guard so the hook costs one relaxed load when disarmed.
     hook_armed: AtomicBool,
     reacquire_hook: Mutex<Option<ReacquireHook>>,
-    /// Observability attach point ([`FosterBTree::attach_obs`]).
-    obs: OnceLock<Arc<Obs>>,
 }
 
 enum LeafOp {
@@ -265,7 +264,7 @@ impl FosterBTree {
         let sys = tree.txn.begin(TxKind::System);
         let image = crate::node::build_empty_leaf(page_size, root);
         tree.format_logged(sys, image)?;
-        tree.txn.commit(sys)?;
+        tree.txn.commit(sys, TraceCtx::NONE)?;
         tree.alloc.note_allocated(root);
         Ok(tree)
     }
@@ -291,22 +290,14 @@ impl FosterBTree {
             retry_limit: AtomicUsize::new(MAX_RETRIES),
             hook_armed: AtomicBool::new(false),
             reacquire_hook: Mutex::new(None),
-            obs: OnceLock::new(),
         }
     }
 
-    /// Attaches the observability handle: descent retries and
-    /// restructure conflicts then emit flight-recorder events. At most
-    /// one handle per tree; later calls are ignored.
-    pub fn attach_obs(&self, obs: Arc<Obs>) {
-        let _ = self.obs.set(obs);
-    }
-
-    /// Emits a flight-recorder event when a handle is attached.
-    fn obs_emit(&self, kind: EventKind, a: u64, b: u64) {
-        if let Some(o) = self.obs.get() {
-            o.emit(kind, a, b);
-        }
+    /// The engine's observability handle, owned by the log: writes are
+    /// `Descent` spans, and descent retries and restructure conflicts
+    /// are flight-recorder events.
+    fn obs(&self) -> &Obs {
+        self.txn.log().obs()
     }
 
     /// The root page id (stable for the tree's lifetime; root growth
@@ -387,19 +378,9 @@ impl FosterBTree {
     }
 
     /// Inserts or replaces `key → value`; returns the previous live value.
+    /// Under a sampled `ctx` the whole write is one `Descent` span, and
+    /// buffer faults along the way appear as its children.
     pub fn upsert(
-        &self,
-        tx: TxId,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<Option<Vec<u8>>, BTreeError> {
-        self.leaf_write(tx, key, value, LeafOp::Upsert, TraceCtx::NONE)
-    }
-
-    /// [`upsert`](Self::upsert) within a sampled trace: the whole write
-    /// is one `Descent` span, and buffer faults along the way appear as
-    /// its children.
-    pub fn upsert_traced(
         &self,
         tx: TxId,
         key: &[u8],
@@ -612,7 +593,7 @@ impl FosterBTree {
     fn count_retry(&self, retries: &mut usize, at: PageId) -> Result<(), BTreeError> {
         *retries += 1;
         TreeStatCounters::bump(&self.stats.descent_retries);
-        self.obs_emit(EventKind::DescentRetry, at.0, 0);
+        self.obs().emit(EventKind::DescentRetry, at.0, 0);
         if *retries > self.retry_limit.load(Ordering::Relaxed) {
             return Err(BTreeError::TooManyRetries { retries: *retries });
         }
@@ -631,9 +612,7 @@ impl FosterBTree {
         op: LeafOp,
         ctx: TraceCtx,
     ) -> Result<Option<Vec<u8>>, BTreeError> {
-        let span = self.obs.get().map_or_else(SpanGuard::inert, |o| {
-            o.span(ctx, SpanKind::Descent, self.root.0)
-        });
+        let span = self.obs().span(ctx, SpanKind::Descent, self.root.0);
         let ctx = span.ctx();
         let record = leaf_record(key, value);
         if record.len() > self.max_record_size() {
@@ -931,7 +910,7 @@ impl FosterBTree {
             Some(NodeKind::Branch) => TreeStatCounters::bump(&self.stats.branch_splits),
             None => {
                 TreeStatCounters::bump(&self.stats.restructure_conflicts);
-                self.obs_emit(EventKind::Restructure, pid.0, 0);
+                self.obs().emit(EventKind::Restructure, pid.0, 0);
             }
         }
         Ok(())
@@ -1103,7 +1082,7 @@ impl FosterBTree {
             Some(AdoptStep::Nothing) | Some(AdoptStep::Busy) => Ok(false),
             None => {
                 TreeStatCounters::bump(&self.stats.restructure_conflicts);
-                self.obs_emit(EventKind::Restructure, parent.0, 0);
+                self.obs().emit(EventKind::Restructure, parent.0, 0);
                 Ok(false)
             }
         }
@@ -1377,7 +1356,7 @@ impl FosterBTree {
         let result = self.migrate_inner(sys, pid);
         match result {
             Ok(new_pid) => {
-                self.txn.commit(sys)?;
+                self.txn.commit(sys, TraceCtx::NONE)?;
                 self.pool.discard_page(pid);
                 if retire_old {
                     self.alloc.retire(pid);

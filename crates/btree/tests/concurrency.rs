@@ -21,6 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use spf_btree::{BTreeError, BumpAllocator, FosterBTree, PageAllocator, VerifyMode};
 use spf_buffer::{BufferPool, BufferPoolConfig};
+use spf_obs::TraceCtx;
 use spf_storage::{MemDevice, PageId, DEFAULT_PAGE_SIZE};
 use spf_txn::{TxKind, TxnManager};
 use spf_wal::{LogManager, TxId};
@@ -115,11 +116,11 @@ fn disjoint_writers_every_committed_key_readable() {
                 for i in 0..PER_THREAD {
                     tree.insert(tx, &key(base + i), &val(t, i)).unwrap();
                     if i % 25 == 24 {
-                        txn.commit(tx).unwrap();
+                        txn.commit(tx, TraceCtx::NONE).unwrap();
                         tx = txn.begin(TxKind::User);
                     }
                 }
-                txn.commit(tx).unwrap();
+                txn.commit(tx, TraceCtx::NONE).unwrap();
             });
         }
     });
@@ -170,8 +171,8 @@ fn overlapping_upserts_form_a_linear_chain_per_key() {
                         let k = rng.gen_range(0..KEYS);
                         let v = val(t, seq);
                         let tx = txn.begin(TxKind::User);
-                        let prev = tree.upsert(tx, &key(k), &v).unwrap();
-                        txn.commit(tx).unwrap();
+                        let prev = tree.upsert(tx, &key(k), &v, TraceCtx::NONE).unwrap();
+                        txn.commit(tx, TraceCtx::NONE).unwrap();
                         seen.push((k, v, prev));
                     }
                     seen
@@ -232,12 +233,12 @@ fn reader_storm(fx: &Fixture, tree: &FosterBTree, insert: impl Fn(TxId, u64) + S
             for i in 0..TOTAL {
                 insert(tx, i);
                 if (i + 1) % BATCH == 0 {
-                    txn.commit(tx).unwrap();
+                    txn.commit(tx, TraceCtx::NONE).unwrap();
                     watermark.store(i + 1, Ordering::Release);
                     tx = txn.begin(TxKind::User);
                 }
             }
-            txn.commit(tx).unwrap();
+            txn.commit(tx, TraceCtx::NONE).unwrap();
         });
         for r in 0..READERS {
             s.spawn(move || {
@@ -312,7 +313,7 @@ fn one_full_leaf(fx: &Fixture) -> FosterBTree {
     for i in 0..40 {
         tree.insert(tx, &key(i), &val(0, i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     tree
 }
 
@@ -348,10 +349,11 @@ fn injected_splits_drive_foster_hops_and_recovery() {
     // key 39 now lives at the chain's tail: four hops to reach it.
     let tx = fx.txn.begin(TxKind::User);
     assert_eq!(
-        tree.upsert(tx, &key(39), &val(1, 39)).unwrap(),
+        tree.upsert(tx, &key(39), &val(1, 39), TraceCtx::NONE)
+            .unwrap(),
         Some(val(0, 39))
     );
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     assert!(fired.load(Ordering::SeqCst), "hook never fired");
     assert_eq!(
         tree.stats().descent_retries,
@@ -374,7 +376,9 @@ fn too_many_retries_reports_count_and_tree_survives() {
     tree.set_retry_limit(2);
 
     let tx = fx.txn.begin(TxKind::User);
-    let err = tree.upsert(tx, &key(39), &val(1, 39)).unwrap_err();
+    let err = tree
+        .upsert(tx, &key(39), &val(1, 39), TraceCtx::NONE)
+        .unwrap_err();
     match &err {
         BTreeError::TooManyRetries { retries } => {
             assert_eq!(*retries, 3, "limit 2 must trip on the third hop");
@@ -391,10 +395,11 @@ fn too_many_retries_reports_count_and_tree_survives() {
     // even the low limit suffices — for the failed write's own retry too.
     tree.set_reacquire_hook(None);
     assert_eq!(
-        tree.upsert(tx, &key(39), &val(1, 39)).unwrap(),
+        tree.upsert(tx, &key(39), &val(1, 39), TraceCtx::NONE)
+            .unwrap(),
         Some(val(0, 39))
     );
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     assert_eq!(tree.get(&key(39)).unwrap(), Some(val(1, 39)));
     assert_eq!(tree.get(&key(0)).unwrap(), Some(val(0, 0)));
     assert_structurally_clean(&tree);
@@ -442,7 +447,7 @@ fn writer_splits_through_readers_pinned_on_the_root() {
             start.wait();
             let tx = txn.begin(TxKind::User);
             let outcome = (0..KEYS).try_for_each(|i| tree.insert(tx, &key(i), &val(0, i)));
-            txn.commit(tx).unwrap();
+            txn.commit(tx, TraceCtx::NONE).unwrap();
             outcome
         });
         for r in 0..READERS {

@@ -21,6 +21,7 @@ use proptest::prelude::*;
 
 use spf_btree::{BumpAllocator, FosterBTree, PageAllocator, VerifyMode};
 use spf_buffer::{BufferPool, BufferPoolConfig};
+use spf_obs::TraceCtx;
 use spf_storage::{MemDevice, PageId, DEFAULT_PAGE_SIZE};
 use spf_txn::{TxKind, TxnManager};
 use spf_wal::LogManager;
@@ -82,8 +83,10 @@ fn run_plan(plan: &Plan) -> Result<(), String> {
                     let mut seen = Vec::with_capacity(keys.len());
                     for (i, &k) in keys.iter().enumerate() {
                         let tx = txn.begin(TxKind::User);
-                        let prev = tree.upsert(tx, &key(k), &val(t, i)).unwrap();
-                        txn.commit(tx).unwrap();
+                        let prev = tree
+                            .upsert(tx, &key(k), &val(t, i), TraceCtx::NONE)
+                            .unwrap();
+                        txn.commit(tx, TraceCtx::NONE).unwrap();
                         seen.push((k, val(t, i), prev));
                     }
                     seen
@@ -136,11 +139,13 @@ fn run_plan(plan: &Plan) -> Result<(), String> {
     for (k, order) in &linearized {
         for value in order {
             model
-                .upsert(tx, &key(*k), value)
+                .upsert(tx, &key(*k), value, TraceCtx::NONE)
                 .map_err(|e| format!("model replay failed: {e}"))?;
         }
     }
-    model_txn.commit(tx).map_err(|e| e.to_string())?;
+    model_txn
+        .commit(tx, TraceCtx::NONE)
+        .map_err(|e| e.to_string())?;
 
     let got = tree.collect_all().map_err(|e| e.to_string())?;
     let want = model.collect_all().map_err(|e| e.to_string())?;

@@ -11,6 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use spf_btree::{BTreeError, BumpAllocator, FosterBTree, PageAllocator, StandardBTree, VerifyMode};
 use spf_buffer::{BufferPool, BufferPoolConfig};
+use spf_obs::TraceCtx;
 use spf_storage::{MemDevice, PageId, StorageDevice, DEFAULT_PAGE_SIZE};
 use spf_txn::{TxKind, TxnManager};
 use spf_wal::LogManager;
@@ -79,7 +80,7 @@ fn insert_get_roundtrip_small() {
     for i in 0..50 {
         tree.insert(tx, &key(i), &val(i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     for i in 0..50 {
         assert_eq!(tree.get(&key(i)).unwrap(), Some(val(i)), "key {i}");
     }
@@ -97,9 +98,12 @@ fn duplicate_insert_rejected_upsert_replaces() {
         tree.insert(tx, b"k", b"v2"),
         Err(BTreeError::DuplicateKey)
     ));
-    assert_eq!(tree.upsert(tx, b"k", b"v2").unwrap(), Some(b"v1".to_vec()));
+    assert_eq!(
+        tree.upsert(tx, b"k", b"v2", TraceCtx::NONE).unwrap(),
+        Some(b"v1".to_vec())
+    );
     assert_eq!(tree.get(b"k").unwrap(), Some(b"v2".to_vec()));
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
 }
 
 #[test]
@@ -117,7 +121,7 @@ fn delete_ghosts_and_reinsert() {
     // Re-insert over the ghost resurrects the slot.
     tree.insert(tx, b"gone", b"new").unwrap();
     assert_eq!(tree.get(b"gone").unwrap(), Some(b"new".to_vec()));
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     assert!(tree.verify_full().unwrap().is_empty());
 }
 
@@ -130,7 +134,7 @@ fn growth_through_many_splits() {
     for i in 0..n {
         tree.insert(tx, &key(i), &val(i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
 
     let stats = tree.stats();
     assert!(
@@ -175,7 +179,7 @@ fn full_branches_split_so_the_tree_keeps_growing() {
         for i in (chunk * 100)..((chunk + 1) * 100) {
             tree.insert(tx, &key(i), &big).unwrap();
         }
-        fx.txn.commit(tx).unwrap();
+        fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     }
 
     let stats = tree.stats();
@@ -215,7 +219,7 @@ fn reverse_and_random_insert_orders() {
         for &i in &keys {
             tree.insert(tx, &key(i), &val(i)).unwrap();
         }
-        fx.txn.commit(tx).unwrap();
+        fx.txn.commit(tx, TraceCtx::NONE).unwrap();
         let all = tree.collect_all().unwrap();
         assert_eq!(all.len(), 1500);
         assert!(
@@ -238,7 +242,7 @@ fn scan_ranges() {
     for i in 400..420 {
         tree.delete(tx, &key(i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
 
     let out = tree.scan(&key(395), 10).unwrap();
     let got: Vec<Vec<u8>> = out.into_iter().map(|(k, _)| k).collect();
@@ -264,7 +268,7 @@ fn rollback_undoes_tree_updates() {
     for i in 0..100 {
         tree.insert(setup, &key(i), &val(i)).unwrap();
     }
-    fx.txn.commit(setup).unwrap();
+    fx.txn.commit(setup, TraceCtx::NONE).unwrap();
 
     let tx = fx.txn.begin(TxKind::User);
     for i in 100..150 {
@@ -273,7 +277,8 @@ fn rollback_undoes_tree_updates() {
     for i in 0..10 {
         tree.delete(tx, &key(i)).unwrap();
     }
-    tree.upsert(tx, &key(50), b"changed").unwrap();
+    tree.upsert(tx, &key(50), b"changed", TraceCtx::NONE)
+        .unwrap();
 
     // Roll back through the per-transaction chain.
     fx.txn
@@ -307,7 +312,7 @@ fn fence_verification_counts_are_plausible() {
     for i in 0..2000 {
         tree.insert(tx, &key(i), &val(i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     let checks_before = tree.stats().fence_checks;
     for i in 0..100 {
         let _ = tree.get(&key(i * 17)).unwrap();
@@ -328,7 +333,7 @@ fn verify_off_does_no_checks() {
     for i in 0..500 {
         tree.insert(tx, &key(i), &val(i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     for i in 0..500 {
         assert_eq!(tree.get(&key(i)).unwrap(), Some(val(i)));
     }
@@ -347,7 +352,7 @@ fn cross_page_corruption_detection_asymmetry() {
     for i in 0..2000 {
         tree.insert(tx, &key(i), &val(i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     fx.pool.flush_all().unwrap();
 
     // Corrupt on "disk": swap the images of two distinct leaves, fixing
@@ -376,7 +381,7 @@ fn cross_page_corruption_detection_asymmetry() {
     for i in 0..2000 {
         tree.insert(tx, &key(i), &val(i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     fx.pool.flush_all().unwrap();
     let (a, b) = find_two_leaves(&fx.device);
     swap_pages_consistently(&fx.device, a, b);
@@ -436,7 +441,8 @@ fn branch_with_level_zero_is_detected_not_a_panic() {
     let failures = [
         tree.get(&key(1)).map(|_| ()),
         tree.scan(&key(1), 10).map(|_| ()),
-        tree.upsert(tx, &key(1), &val(1)).map(|_| ()),
+        tree.upsert(tx, &key(1), &val(1), TraceCtx::NONE)
+            .map(|_| ()),
     ];
     for outcome in failures {
         let err = outcome.expect_err("level-0 branch must be refused");
@@ -491,7 +497,7 @@ fn standard_tree_basic_operations() {
     for i in 0..50 {
         tree.delete(tx, &key(i * 3)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     for i in 0..3000 {
         let got = tree.get(&key(i)).unwrap();
         if i < 150 && i % 3 == 0 {
@@ -535,7 +541,7 @@ proptest! {
                     }
                 }
                 1 => {
-                    let old = tree.upsert(tx, &k, &v).unwrap();
+                    let old = tree.upsert(tx, &k, &v, TraceCtx::NONE).unwrap();
                     prop_assert_eq!(old, model.insert(k, v));
                 }
                 2 => {
@@ -553,7 +559,7 @@ proptest! {
                 }
             }
         }
-        fx.txn.commit(tx).unwrap();
+        fx.txn.commit(tx, TraceCtx::NONE).unwrap();
         let all = tree.collect_all().unwrap();
         let want: Vec<(Vec<u8>, Vec<u8>)> =
             model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
@@ -572,7 +578,7 @@ fn page_migration_preserves_tree() {
     for i in 0..3000 {
         tree.insert(tx, &key(i), &val(i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     fx.pool.flush_all().unwrap();
 
     // Migrate several leaves and a branch, retiring the old locations.
@@ -606,7 +612,7 @@ fn migrated_page_remains_recoverable_reference() {
     for i in 0..1000 {
         tree.insert(tx, &key(i), &val(i)).unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     fx.pool.flush_all().unwrap();
     let (victim, _) = find_two_leaves(&fx.device);
     let new_pid = tree.migrate_page(victim, true).unwrap();
@@ -614,9 +620,10 @@ fn migrated_page_remains_recoverable_reference() {
 
     let tx = fx.txn.begin(TxKind::User);
     for i in 0..1000 {
-        tree.upsert(tx, &key(i), b"after-migration").unwrap();
+        tree.upsert(tx, &key(i), b"after-migration", TraceCtx::NONE)
+            .unwrap();
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     assert_eq!(
         tree.get(&key(500)).unwrap(),
         Some(b"after-migration".to_vec())

@@ -50,7 +50,7 @@ use std::sync::{Condvar, Mutex as StdMutex, OnceLock};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{Mutex, RawRwLock, RwLock};
 
-use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
+use spf_obs::{EventKind, Obs, SpanKind, TraceCtx};
 use spf_storage::{Page, PageId, StorageDevice, StorageError};
 use spf_wal::{LogManager, Lsn};
 
@@ -480,9 +480,6 @@ pub struct PoolHooks {
     pub recoverer: Option<Arc<dyn PageRecoverer>>,
     /// The write observer (backup policy + PRI maintenance).
     pub observer: Option<Arc<dyn WriteObserver>>,
-    /// The observability handle: the miss and prefetch paths gain span
-    /// timing, plus miss/evict/fault flight-recorder events.
-    pub obs: Option<Arc<Obs>>,
 }
 
 /// The buffer pool. Cheap to clone; clones share the pool.
@@ -498,6 +495,9 @@ struct PoolInner {
     stats: StatCounters,
     device: Arc<dyn StorageDevice>,
     log: LogManager,
+    /// The log's observability handle ([`LogManager::obs`]), held here
+    /// so the miss, latch-wait and prefetch paths reach it in one load.
+    obs: Arc<Obs>,
     hooks: PoolHooks,
     /// Fault feed for the prefetcher ([`BufferPool::set_access_observer`]).
     /// Weak: the observer holds a clone of this pool, and a strong
@@ -511,21 +511,6 @@ impl PoolInner {
         // hands out across all shards.
         let h = (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize;
         &self.shards[h & (SHARDS - 1)]
-    }
-
-    /// Emits a flight-recorder event when a handle was supplied.
-    fn emit(&self, kind: EventKind, a: u64, b: u64) {
-        if let Some(o) = &self.hooks.obs {
-            o.emit(kind, a, b);
-        }
-    }
-
-    /// Opens the span guard for one timed region (inert without a handle).
-    fn span(&self, ctx: TraceCtx, kind: SpanKind, a: u64) -> SpanGuard<'_> {
-        self.hooks
-            .obs
-            .as_ref()
-            .map_or_else(SpanGuard::inert, |o| o.span(ctx, kind, a))
     }
 
     /// Test hook: the clock priority of `id`'s frame, if resident.
@@ -644,6 +629,7 @@ impl BufferPool {
                 clock_hand: AtomicUsize::new(0),
                 stats: StatCounters::default(),
                 device,
+                obs: Arc::clone(log.obs()),
                 log,
                 hooks,
                 access_observer: OnceLock::new(),
@@ -740,7 +726,7 @@ impl BufferPool {
         let guard = match RwLock::try_read_arc(&page_arc) {
             Some(g) => g,
             None => {
-                let _span = self.inner.span(ctx, SpanKind::LatchWait, id.0);
+                let _span = self.inner.obs.span(ctx, SpanKind::LatchWait, id.0);
                 RwLock::read_arc(&page_arc)
             }
         };
@@ -765,7 +751,7 @@ impl BufferPool {
         let guard = match RwLock::try_write_arc(&page_arc) {
             Some(g) => g,
             None => {
-                let _span = self.inner.span(ctx, SpanKind::LatchWait, id.0);
+                let _span = self.inner.obs.span(ctx, SpanKind::LatchWait, id.0);
                 RwLock::write_arc(&page_arc)
             }
         };
@@ -1130,11 +1116,11 @@ impl BufferPool {
     /// Figure 1 is walked for.
     fn recover(&self, id: PageId, ctx: TraceCtx) -> Result<Page, String> {
         let inner = &self.inner;
-        inner.emit(EventKind::RepairAttempt, id.0, 0);
+        inner.obs.emit(EventKind::RepairAttempt, id.0, 0);
         let started = inner.log.clock().now();
         let outcome = match &inner.hooks.recoverer {
             Some(recoverer) => {
-                let _span = inner.span(ctx, SpanKind::Repair, id.0);
+                let _span = inner.obs.span(ctx, SpanKind::Repair, id.0);
                 recoverer.recover(id)
             }
             None => Err(format!("no single-page recoverer configured for {id}")),
@@ -1143,14 +1129,12 @@ impl BufferPool {
             Ok(_) => {
                 let took = inner.log.clock().now() - started;
                 bump(&inner.stats.pages_recovered);
-                inner.emit(EventKind::RepairOk, id.0, took.as_nanos());
-                if let Some(o) = &inner.hooks.obs {
-                    o.ledger().record_repair("single_page", took);
-                }
+                inner.obs.emit(EventKind::RepairOk, id.0, took.as_nanos());
+                inner.obs.ledger().record_repair("single_page", took);
             }
             Err(_) => {
                 bump(&inner.stats.escalations);
-                inner.emit(EventKind::RepairFailed, id.0, 0);
+                inner.obs.emit(EventKind::RepairFailed, id.0, 0);
             }
         }
         outcome
@@ -1186,8 +1170,11 @@ impl BufferPool {
         }
         // We own the marker; all I/O below runs with no shard lock held.
         bump(&self.inner.stats.prefetch_issued);
-        self.inner.emit(EventKind::PrefetchIssued, id.0, 0);
-        let _span = self.inner.span(TraceCtx::NONE, SpanKind::Prefetch, id.0);
+        self.inner.obs.emit(EventKind::PrefetchIssued, id.0, 0);
+        let _span = self
+            .inner
+            .obs
+            .span(TraceCtx::NONE, SpanKind::Prefetch, id.0);
         let staged = self.prefetch_read_verified(id).map(|page| (page, None));
         match self.publish_frame(id, staged, FetchHint::Normal, true) {
             Ok((frame_idx, _)) => {
@@ -1293,6 +1280,7 @@ impl BufferPool {
                         // its own input and oscillates).
                         bump(&self.inner.stats.prefetch_hits);
                         self.inner
+                            .obs
                             .emit(EventKind::PrefetchHit, id.0, hint.context() as u64);
                         self.notify_access_observer(id, hint);
                     }
@@ -1309,10 +1297,9 @@ impl BufferPool {
                     // sample is the leader's read, not each waiter's.
                     let _span = self
                         .inner
-                        .hooks
                         .obs
-                        .as_ref()
-                        .map(|o| o.tracer().span(ctx, SpanKind::PageMiss, id.0, None));
+                        .tracer()
+                        .span(ctx, SpanKind::PageMiss, id.0, None);
                     fl.wait();
                 }
                 Probe::Lead => return self.load_miss(id, hint, ctx),
@@ -1331,8 +1318,8 @@ impl BufferPool {
     ) -> Result<(usize, Arc<RwLock<Page>>), FetchError> {
         bump(&self.inner.stats.misses);
         self.notify_access_observer(id, hint);
-        self.inner.emit(EventKind::PageMiss, id.0, 0);
-        let span = self.inner.span(ctx, SpanKind::PageMiss, id.0);
+        self.inner.obs.emit(EventKind::PageMiss, id.0, 0);
+        let span = self.inner.obs.span(ctx, SpanKind::PageMiss, id.0);
         let staged = self.read_verified(id, span.ctx());
         self.publish_frame(id, staged, hint, false)
     }
@@ -1398,7 +1385,7 @@ impl BufferPool {
     /// **no lock held**.
     fn read_verified(&self, id: PageId, ctx: TraceCtx) -> Result<(Page, Option<Lsn>), FetchError> {
         let stats = &self.inner.stats;
-        let detected = |code: u64| self.inner.emit(EventKind::FaultDetected, id.0, code);
+        let detected = |code: u64| self.inner.obs.emit(EventKind::FaultDetected, id.0, code);
         let mut buf = vec![0u8; self.inner.device.page_size()];
         let read_result = self.inner.device.read_page(id, &mut buf);
 
@@ -1639,6 +1626,7 @@ impl BufferPool {
             bump(&self.inner.stats.prefetch_wasted);
         }
         self.inner
+            .obs
             .emit(EventKind::PageEvict, old_id.0, u64::from(was_dirty));
         Ok(EvictOutcome::Claimed)
     }
@@ -1683,7 +1671,7 @@ impl BufferPool {
         // This joins the log's combined-force protocol, so a write-back
         // racing user commits shares their group-commit flush instead of
         // issuing its own.
-        self.inner.log.force_through(page_lsn);
+        self.inner.log.force_through(page_lsn, TraceCtx::NONE);
 
         // (2) Backup policy hook.
         let observer = self.inner.hooks.observer.as_ref();

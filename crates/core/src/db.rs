@@ -18,6 +18,7 @@ use spf_recovery::{
 use spf_scrub::{ScanExtent, ScrubCycleReport, Scrubber};
 use spf_storage::{
     Device, FaultSpec, FileDevice, MemDevice, MirrorPair, Page, PageId, PageType, StorageDevice,
+    StorageError,
 };
 use spf_txn::{LockTable, TxKind, TxnManager};
 use spf_util::SimClock;
@@ -67,7 +68,6 @@ pub struct Database {
     governor: Arc<IoGovernor>,
     prefetcher: Option<Arc<Prefetcher>>,
     prefetch_thread: Mutex<Option<PrefetchThread>>,
-    obs: Arc<Obs>,
 }
 
 /// Handle of the running prefetch-poll thread plus its private stop
@@ -101,9 +101,8 @@ const ROOT: PageId = PageId(0);
 
 /// Cheap clones of every statistics source, detached from the façade so
 /// the black-box arm (stored inside [`Obs`]) can snapshot at panic time.
-/// Holds `Obs` weakly, but the pool, log and tree it holds strongly each
-/// hold that `Obs` too: the arm is a reference cycle for as long as it is
-/// armed, which `Database`'s `Drop` ends by disarming.
+/// The log it holds owns that `Obs`: the arm is a reference cycle for as
+/// long as it is armed, which `Database`'s `Drop` ends by disarming.
 struct MetricsSources {
     pool: BufferPool,
     log: LogManager,
@@ -119,7 +118,6 @@ struct MetricsSources {
     scrubber: Option<Arc<Scrubber>>,
     prefetcher: Option<Arc<Prefetcher>>,
     governor: Arc<IoGovernor>,
-    obs: std::sync::Weak<Obs>,
 }
 
 impl MetricsSources {
@@ -164,10 +162,9 @@ impl MetricsSources {
                 .unwrap_or_default(),
         );
         snap.add("governor", &self.governor.stats());
-        if let Some(obs) = self.obs.upgrade() {
-            snap.add("latency", obs.spans());
-            snap.add("trace", &obs.tracer().stats());
-        }
+        let obs = self.log.obs();
+        snap.add("latency", obs.spans());
+        snap.add("trace", &obs.tracer().stats());
         snap
     }
 }
@@ -190,30 +187,21 @@ impl Database {
     /// substrate every experiment uses).
     pub fn create(config: DatabaseConfig) -> Result<Self, DbError> {
         let clock = Arc::new(SimClock::new());
-        let device = Device::Mem(MemDevice::new(
-            config.page_size,
-            config.data_pages,
-            Arc::clone(&clock),
-            config.io_cost,
-            config.seed,
-        ));
-        let mirror = config.mirror.then(|| {
-            Device::Mem(MemDevice::new(
+        let (device, mirror, backup_device) = Self::devices(&config, |_, pages, seed| {
+            Ok(Device::Mem(MemDevice::new(
                 config.page_size,
-                config.data_pages,
+                pages,
                 Arc::clone(&clock),
                 config.io_cost,
-                config.seed.wrapping_add(2),
-            ))
-        });
-        let backup_device = Device::Mem(MemDevice::new(
-            config.page_size,
-            BACKUP_PAGES,
+                seed,
+            )))
+        })?;
+        let log = LogManager::new(
             Arc::clone(&clock),
             config.io_cost,
-            config.seed.wrapping_add(1),
-        ));
-        let log = LogManager::new(Arc::clone(&clock), config.io_cost);
+            Self::new_obs(&config, &clock),
+            None,
+        );
         let archive = config
             .archive
             .enabled
@@ -241,36 +229,28 @@ impl Database {
     pub fn create_at(config: DatabaseConfig, path: &Path) -> Result<Self, DbError> {
         std::fs::create_dir_all(path).map_err(|e| Self::dir_err(path, &e))?;
         let clock = Arc::new(SimClock::new());
-        let device = Self::create_file_device(
-            &config,
-            &clock,
-            &path.join(DATA_FILE),
-            config.data_pages,
-            config.seed,
-        )?;
-        let mirror = match config.mirror {
-            true => Some(Self::create_file_device(
-                &config,
-                &clock,
-                &path.join(MIRROR_FILE),
-                config.data_pages,
-                config.seed.wrapping_add(2),
-            )?),
-            false => None,
-        };
-        let backup_device = Self::create_file_device(
-            &config,
-            &clock,
-            &path.join(BACKUP_FILE),
-            BACKUP_PAGES,
-            config.seed.wrapping_add(1),
-        )?;
-        let log = LogManager::new(Arc::clone(&clock), config.io_cost);
+        let (device, mirror, backup_device) = Self::devices(&config, |name, pages, seed| {
+            let file = path.join(name);
+            let dev = FileDevice::create(
+                &file,
+                config.page_size,
+                pages,
+                Arc::clone(&clock),
+                config.io_cost,
+                seed,
+            );
+            Self::file_device(&config, dev)
+        })?;
         let files = WalFiles::create(&path.join(WAL_DIR), Lsn::FIRST.0)
             .map_err(|e| Self::dir_err(path, &e))?;
-        // The sink is armed before the first tree-format records are
-        // appended, so even the creation transaction is durable.
-        log.set_sink(Arc::new(files));
+        // The log is born with its sink, so even the tree-format records
+        // of the creation transaction are durable.
+        let log = LogManager::new(
+            Arc::clone(&clock),
+            config.io_cost,
+            Self::new_obs(&config, &clock),
+            Some(Arc::new(files)),
+        );
         let archive = match config.archive.enabled {
             true => {
                 let store = Self::new_archive(&config, &clock);
@@ -324,37 +304,30 @@ impl Database {
         config.mirror = manifest.mirror;
 
         let clock = Arc::new(SimClock::new());
-        let device = Self::open_file_device(&config, &clock, &path.join(DATA_FILE), config.seed)?;
-        let mirror = match config.mirror {
-            true => Some(Self::open_file_device(
-                &config,
-                &clock,
-                &path.join(MIRROR_FILE),
-                config.seed.wrapping_add(2),
-            )?),
-            false => None,
-        };
-        let backup_device = Self::open_file_device(
-            &config,
-            &clock,
-            &path.join(BACKUP_FILE),
-            config.seed.wrapping_add(1),
-        )?;
+        let (device, mirror, backup_device) = Self::devices(&config, |name, _, seed| {
+            let file = path.join(name);
+            let dev = FileDevice::open(
+                &file,
+                config.page_size,
+                Arc::clone(&clock),
+                config.io_cost,
+                seed,
+            );
+            Self::file_device(&config, dev)
+        })?;
 
-        let (files, base, bytes) =
-            WalFiles::open(&path.join(WAL_DIR)).map_err(|e| Self::dir_err(path, &e))?;
-        let (log, valid_end) =
-            LogManager::restore(Arc::clone(&clock), config.io_cost, base, &bytes);
-        // Physically drop the torn tail so a future crash + reopen never
-        // sees stale pre-crash bytes where fresh records should be.
-        files
-            .trim_to(valid_end.0)
-            .map_err(|e| Self::dir_err(path, &e))?;
+        // The restored log comes back with its torn tail trimmed and its
+        // sink armed: restart itself appends (undo compensation, PRI
+        // maintenance) and forces, as durably as any foreground update.
+        let files = WalFiles::open(&path.join(WAL_DIR)).map_err(|e| Self::dir_err(path, &e))?;
+        let log = LogManager::restore(
+            Arc::clone(&clock),
+            config.io_cost,
+            Self::new_obs(&config, &clock),
+            files,
+        )
+        .map_err(|e| Self::dir_err(path, &e))?;
         log.set_archive_watermark(manifest.archived_through);
-        // Arm the sink before restart: recovery itself appends (undo
-        // compensation, PRI maintenance) and forces — those must be as
-        // durable as any foreground update.
-        log.set_sink(Arc::new(files));
 
         let archive = match config.archive.enabled {
             true => Some(Arc::new(
@@ -433,8 +406,18 @@ impl Database {
         // The shutdown black box: the same capture a panic would take,
         // labelled clean — so "was the last run healthy?" is answerable
         // from the directory alone.
-        self.obs.write_blackbox("clean shutdown");
+        self.obs().write_blackbox("clean shutdown");
         Ok(())
+    }
+
+    /// The engine's one observability handle, built before anything
+    /// else so the log can own it and every later subsystem can read it
+    /// from there. It is always present; `config.obs` gates the
+    /// per-event hot path.
+    fn new_obs(config: &DatabaseConfig, clock: &Arc<SimClock>) -> Arc<Obs> {
+        let obs = Arc::new(Obs::new(Arc::clone(clock), config.obs));
+        obs.set_trace_sampling(config.trace_sample_every);
+        obs
     }
 
     fn new_archive(config: &DatabaseConfig, clock: &Arc<SimClock>) -> ArchiveStore {
@@ -447,40 +430,32 @@ impl Database {
         )
     }
 
-    fn create_file_device(
+    /// The data device, the mirror (when configured) and the backup
+    /// device, each made by `make(file name, capacity in pages, fault
+    /// injector seed)`.
+    fn devices(
         config: &DatabaseConfig,
-        clock: &Arc<SimClock>,
-        path: &Path,
-        pages: u64,
-        seed: u64,
-    ) -> Result<Device, DbError> {
-        let dev = FileDevice::create(
-            path,
-            config.page_size,
-            pages,
-            Arc::clone(clock),
-            config.io_cost,
-            seed,
-        )
-        .map_err(|e| DbError::RecoveryFailed(format!("create {}: {e}", path.display())))?;
-        dev.set_wall_clock(config.wall_clock_io);
-        Ok(Device::File(dev))
+        make: impl Fn(&str, u64, u64) -> Result<Device, DbError>,
+    ) -> Result<(Device, Option<Device>, Device), DbError> {
+        let data = make(DATA_FILE, config.data_pages, config.seed)?;
+        let mirror = match config.mirror {
+            true => Some(make(
+                MIRROR_FILE,
+                config.data_pages,
+                config.seed.wrapping_add(2),
+            )?),
+            false => None,
+        };
+        let backup = make(BACKUP_FILE, BACKUP_PAGES, config.seed.wrapping_add(1))?;
+        Ok((data, mirror, backup))
     }
 
-    fn open_file_device(
+    /// A created or opened file device, clocked per `config`.
+    fn file_device(
         config: &DatabaseConfig,
-        clock: &Arc<SimClock>,
-        path: &Path,
-        seed: u64,
+        dev: Result<FileDevice, StorageError>,
     ) -> Result<Device, DbError> {
-        let dev = FileDevice::open(
-            path,
-            config.page_size,
-            Arc::clone(clock),
-            config.io_cost,
-            seed,
-        )
-        .map_err(|e| DbError::RecoveryFailed(format!("open {}: {e}", path.display())))?;
+        let dev = dev.map_err(|e| DbError::RecoveryFailed(e.to_string()))?;
         dev.set_wall_clock(config.wall_clock_io);
         Ok(Device::File(dev))
     }
@@ -510,15 +485,11 @@ impl Database {
             Some(m) => Arc::new(MirrorPair::new(device.clone(), m.clone())),
             None => Arc::new(device.clone()),
         };
-        // One observability handle per engine, attached to every
-        // subsystem before the first operation (tree formatting below is
-        // already traced). Attaching is unconditional; `config.obs`
-        // gates the per-event hot path.
-        let obs = Arc::new(Obs::new(Arc::clone(&clock), config.obs));
-        obs.set_trace_sampling(config.trace_sample_every);
-        log.attach_obs(Arc::clone(&obs));
+        // The log owns the observability handle; the transaction manager,
+        // pool and tree read it from there, so all of them are traced
+        // from their first operation (tree formatting below included).
+        let obs = log.obs();
         let txn = TxnManager::new(log.clone());
-        txn.attach_obs(Arc::clone(&obs));
         let alloc = Arc::new(BumpAllocator::new(0, config.data_pages));
         let pri = Arc::new(PageRecoveryIndex::new());
         let maintainer = Arc::new(PriMaintainer::new(
@@ -562,7 +533,6 @@ impl Database {
                 validator: spr.as_ref().map(|_| Arc::clone(&maintainer) as _),
                 observer: spr.as_ref().map(|_| Arc::clone(&maintainer) as _),
                 recoverer: spr.clone().map(|s| s as _),
-                obs: Some(Arc::clone(&obs)),
             },
         );
 
@@ -575,8 +545,8 @@ impl Database {
         let governor = Arc::new(IoGovernor::new(
             GovernorConfig::from_scrub(config.scrub.pages_per_tick, config.scrub.tick_idle),
             Arc::clone(&clock),
+            Arc::clone(obs),
         ));
-        governor.attach_obs(Arc::clone(&obs));
 
         let scrubber = config.scrub.enabled.then(|| {
             Arc::new(Scrubber::new(
@@ -586,7 +556,7 @@ impl Database {
                 Arc::clone(&pri),
                 Arc::new(AllocExtent(Arc::clone(&alloc))),
                 Arc::clone(&governor),
-                Arc::clone(&obs),
+                Arc::clone(obs),
             ))
         });
 
@@ -627,7 +597,6 @@ impl Database {
                 config.verify_mode,
             )
         };
-        tree.attach_obs(Arc::clone(&obs));
         let tree = Arc::new(tree);
 
         let db = Self {
@@ -654,7 +623,6 @@ impl Database {
             governor,
             prefetcher,
             prefetch_thread: Mutex::new(None),
-            obs,
         };
         // File-backed engines arm black-box capture: a panic (with the
         // hook installed) or a clean close persists the flight recorder,
@@ -663,7 +631,7 @@ impl Database {
         // `Drop` disarms it, or the engine would never be freed.
         if let Some(dir) = db.path.clone() {
             let sources = db.metrics_sources();
-            db.obs
+            db.obs()
                 .arm_blackbox(dir, Box::new(move || sources.snapshot().to_json()));
         }
         Ok(db)
@@ -702,18 +670,12 @@ impl Database {
     }
 
     /// Commits `tx` (forces the log — durability).
-    pub fn commit(&self, tx: TxId) -> Result<Lsn, DbError> {
-        self.commit_traced(tx, TraceCtx::NONE)
-    }
-
-    /// [`commit`](Database::commit) within a sampled trace: the commit
-    /// and its log force (or group-commit wait) become child spans.
     ///
     /// The key locks go only once the commit record exists — whether or
     /// not that succeeded: releasing first would let a second writer
     /// update a key whose first writer can still fail to commit.
-    fn commit_traced(&self, tx: TxId, ctx: TraceCtx) -> Result<Lsn, DbError> {
-        let committed = self.txn.commit_traced(tx, ctx);
+    pub fn commit(&self, tx: TxId) -> Result<Lsn, DbError> {
+        let committed = self.txn.commit(tx, TraceCtx::NONE);
         self.locks.release_all(tx);
         Ok(committed?)
     }
@@ -740,20 +702,10 @@ impl Database {
 
     /// Inserts or replaces `key → value`; returns the previous value.
     pub fn put(&self, tx: TxId, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, DbError> {
-        self.put_traced(tx, key, value, TraceCtx::NONE)
-    }
-
-    /// [`put`](Database::put) within a sampled trace: the descent, any
-    /// buffer faults it takes, and any inline repair become child spans.
-    fn put_traced(
-        &self,
-        tx: TxId,
-        key: &[u8],
-        value: &[u8],
-        ctx: TraceCtx,
-    ) -> Result<Option<Vec<u8>>, DbError> {
         self.lock_key(tx, key)?;
-        self.with_repair(ctx, || self.tree.upsert_traced(tx, key, value, ctx))
+        self.with_repair(TraceCtx::NONE, || {
+            self.tree.upsert(tx, key, value, TraceCtx::NONE)
+        })
     }
 
     /// Inserts `key → value`; duplicate keys are an error.
@@ -790,13 +742,20 @@ impl Database {
     pub fn put_auto(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, DbError> {
         // The causal-tracing entry point: one in `trace_sample_every`
         // calls roots a trace tree here, and the context rides by value
-        // through descent, buffer faults, commit, and the WAL force.
-        let span = self.obs.span(self.obs.sample_trace(), SpanKind::PutAuto, 0);
+        // through descent, buffer faults, any inline repair, commit, and
+        // the WAL force. The body is `put` then `commit`, under `ctx`.
+        let obs = self.obs();
+        let span = obs.span(obs.sample_trace(), SpanKind::PutAuto, 0);
         let ctx = span.ctx();
         let tx = self.begin();
-        match self.put_traced(tx, key, value, ctx) {
+        let put = self
+            .lock_key(tx, key)
+            .and_then(|()| self.with_repair(ctx, || self.tree.upsert(tx, key, value, ctx)));
+        match put {
             Ok(old) => {
-                self.commit_traced(tx, ctx)?;
+                let committed = self.txn.commit(tx, ctx);
+                self.locks.release_all(tx);
+                committed?;
                 Ok(old)
             }
             Err(e) => {
@@ -870,7 +829,7 @@ impl Database {
     /// together with the flight-recorder window that led up to it.
     fn escalate(&self, page: Option<PageId>, reason: String) -> DbError {
         let class = spf_recovery::escalate(
-            &self.obs,
+            self.obs(),
             page,
             "engine",
             self.config.single_device_node,
@@ -1033,9 +992,9 @@ impl Database {
     /// backup-page source scaled up to the whole device): every
     /// verifiable mirror page is copied onto the primary, unverifiable
     /// ones are rebuilt from archive + WAL history, and restart recovery
-    /// then replays the tail. Unlike [`media_recover`]
-    /// (`Database::media_recover`) this needs no full backup — the
-    /// mirror *is* the backup.
+    /// then replays the tail. Unlike
+    /// [`media_recover`](Database::media_recover) this needs no full
+    /// backup — the mirror *is* the backup.
     pub fn media_recover_from_mirror(&self) -> Result<(MediaReport, RestartReport), DbError> {
         let mirror = self
             .mirror
@@ -1119,8 +1078,9 @@ impl Database {
         safe
     }
 
-    /// Truncates the WAL up to [`safe_truncation_lsn`]
-    /// (`Database::safe_truncation_lsn`), reclaiming its memory. Returns
+    /// Truncates the WAL up to
+    /// [`safe_truncation_lsn`](Database::safe_truncation_lsn), reclaiming
+    /// its memory. Returns
     /// the bytes dropped (0 when nothing can go yet — e.g. no checkpoint
     /// or no archive run covers the prefix).
     pub fn truncate_wal(&self) -> Result<u64, DbError> {
@@ -1453,7 +1413,7 @@ impl Database {
                 .map(|p| p.stats())
                 .unwrap_or_default(),
             governor: self.governor.stats(),
-            trace: self.obs.tracer().stats(),
+            trace: self.obs().tracer().stats(),
             now: self.clock.now(),
         }
     }
@@ -1488,7 +1448,6 @@ impl Database {
             scrubber: self.scrubber.clone(),
             prefetcher: self.prefetcher.clone(),
             governor: Arc::clone(&self.governor),
-            obs: Arc::downgrade(&self.obs),
         }
     }
 
@@ -1497,7 +1456,7 @@ impl Database {
     /// group-commit leader force).
     #[must_use]
     pub fn drain_trace_trees(&self) -> Stitched {
-        self.obs.tracer().drain_trees()
+        self.obs().tracer().drain_trees()
     }
 
     /// Drains the trace rings and renders every stitched trace as Chrome
@@ -1511,7 +1470,7 @@ impl Database {
     /// tracing toggle, span histograms, and the repair audit ledger.
     #[must_use]
     pub fn obs(&self) -> &Arc<Obs> {
-        &self.obs
+        self.log.obs()
     }
 }
 
@@ -1524,6 +1483,6 @@ impl Drop for Database {
     fn drop(&mut self) {
         self.stop_scrubber();
         self.stop_prefetcher();
-        self.obs.disarm_blackbox();
+        self.obs().disarm_blackbox();
     }
 }

@@ -15,6 +15,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
+use spf_storage::PAGE_HEADER_SIZE;
 use spf_util::{crc32c, Decoder, Encoder};
 use spf_wal::Lsn;
 
@@ -25,6 +26,10 @@ pub const MANIFEST_TMP: &str = "manifest.spfm.tmp";
 
 const MAGIC: u32 = 0x5350_464D; // "SPFM"
 const VERSION: u16 = 1;
+
+/// Page sizes the engine can format (`Page::new_formatted`): room for
+/// the header and a record heap, and slot offsets that fit a `u16`.
+const PAGE_SIZES: std::ops::RangeInclusive<usize> = PAGE_HEADER_SIZE + 64..=1 << 15;
 
 /// Durable root metadata for a file-backed database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +77,10 @@ impl Manifest {
         enc.finish()
     }
 
+    /// Decodes a manifest, refusing one whose CRC does not match, whose
+    /// bytes run past the last field, or whose geometry the engine
+    /// cannot use: a CRC only proves the bytes are the ones written, not
+    /// that a writer wrote something sensible.
     fn decode(bytes: &[u8]) -> Result<Self, String> {
         if bytes.len() < 4 {
             return Err("manifest too short".into());
@@ -121,7 +130,17 @@ impl Manifest {
                 last_full_backup,
             })
         };
-        take().map_err(|e| format!("manifest decode failed: {e}"))
+        let manifest = take().map_err(|e| format!("manifest decode failed: {e}"))?;
+        if !dec.is_exhausted() {
+            return Err(format!("manifest has {} trailing bytes", dec.remaining()));
+        }
+        if !PAGE_SIZES.contains(&manifest.page_size) {
+            return Err(format!(
+                "manifest page size {} outside {PAGE_SIZES:?}",
+                manifest.page_size
+            ));
+        }
+        Ok(manifest)
     }
 
     /// Durably writes the manifest into `dir` with create–rename–fsync.
@@ -228,8 +247,58 @@ mod tests {
         assert!(Manifest::load(dir.path()).is_err());
     }
 
+    /// `bytes` with its CRC trailer recomputed over the (mutated) body.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 4;
+        let crc = crc32c(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn implausible_page_size_and_trailing_bytes_are_refused() {
+        for page_size in [0, 1, PAGE_HEADER_SIZE + 63, (1 << 15) + 1, usize::MAX] {
+            let m = Manifest {
+                page_size,
+                ..sample(1)
+            };
+            let err = Manifest::decode(&m.encode()).unwrap_err();
+            assert!(err.contains("page size"), "{page_size}: {err}");
+        }
+        let mut bytes = sample(1).encode();
+        bytes.insert(bytes.len() - 4, 0);
+        let err = Manifest::decode(&reseal(bytes)).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The CRC only guards against accidents: a manifest whose
+        /// trailer was recomputed over mutated fields, or over a cut or
+        /// extended body, reaches every check in `decode` — which
+        /// answers `Ok` or `Err`, never panics, and never accepts a
+        /// page size the engine cannot format.
+        #[test]
+        fn resealed_mutations_never_panic_decode(
+            seed in 0u64..1000,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            shape in 0u8..3,
+        ) {
+            let mut bytes = sample(seed).encode();
+            let body = bytes.len() - 4;
+            match shape {
+                0 => bytes[at % body] = byte,
+                1 => {
+                    bytes.drain(at % body..body);
+                }
+                _ => bytes.insert(at % (body + 1), byte),
+            }
+            if let Ok(m) = Manifest::decode(&reseal(bytes)) {
+                prop_assert!(PAGE_SIZES.contains(&m.page_size));
+            }
+        }
 
         /// A crash at any step of the create–rename–fsync protocol
         /// leaves either the old or the new manifest readable — never a

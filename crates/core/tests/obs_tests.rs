@@ -413,6 +413,56 @@ fn sampled_put_auto_reconstructs_the_causal_chain() {
     assert_eq!(snap.get("latency", "commit_ns"), Some(52));
 }
 
+/// The reopen path is wired like `create`: the restored log is born
+/// with the engine's one observability handle, so a `put_auto` on a
+/// `Database::open`ed directory traces its commit and the log force
+/// under it, and the force leader still reports to the flight recorder.
+#[test]
+fn reopened_engine_traces_commit_and_log_force() {
+    let tmp = tempdir::TempDir::new("obs-reopen").unwrap();
+    let dir = tmp.path().join("db");
+    let config = DatabaseConfig {
+        trace_sample_every: 1,
+        scrub: ScrubConfig::disabled(),
+        ..obs_config()
+    };
+    let db = Database::create_at(config, &dir).unwrap();
+    db.put_auto(&key(0), &val(0)).unwrap();
+    drop(db);
+
+    let db = Database::open(&dir, config).unwrap();
+    let _ = db.drain_trace_trees(); // restart's own work is not the point
+    let _ = db.obs().drain_trace();
+    db.put_auto(&key(1), &val(1)).unwrap();
+
+    let stitched = db.drain_trace_trees();
+    let tree = stitched
+        .trees
+        .iter()
+        .find(|t| t.roots.iter().any(|r| r.record.kind == SpanKind::PutAuto))
+        .expect("a put_auto-rooted trace tree");
+    let (mut commit, mut force) = (false, false);
+    tree.each_node(|n| match n.record.kind {
+        SpanKind::Commit => commit = true,
+        SpanKind::LogForce => force = true,
+        SpanKind::ForceWait => force |= n.record.link != 0,
+        _ => {}
+    });
+    assert!(commit, "no Commit span in the put_auto trace");
+    assert!(
+        force,
+        "no LogForce (or linked ForceWait) in the put_auto trace"
+    );
+    assert!(
+        db.obs()
+            .drain_trace()
+            .of_kind(EventKind::LogForce)
+            .next()
+            .is_some(),
+        "the force leader must emit LogForce"
+    );
+}
+
 /// Every `Escalation` event in the flight recorder.
 fn escalation_events(db: &Database) -> Vec<spf::Event> {
     let trace = db.obs().drain_trace();

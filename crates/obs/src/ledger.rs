@@ -117,12 +117,6 @@ impl RepairLedger {
         self.escalations.lock().clone()
     }
 
-    /// Total escalations currently retained.
-    #[must_use]
-    pub fn escalation_count(&self) -> usize {
-        self.escalations.lock().len()
-    }
-
     /// Renders a human-readable audit report (MTTD/MTTR tables plus the
     /// most recent escalations with their event windows).
     #[must_use]

@@ -19,10 +19,13 @@
 //! ring in `spf-trace` ([`RingSet`]); they differ in how they read it
 //! (snapshot vs. hand-out-once).
 //!
-//! The buffer pool (`PoolHooks`) and the scrubber take their handle at
-//! construction; the other subsystems hold `OnceLock<Arc<Obs>>` attach
-//! points. Either way an unattached or disabled handle costs one relaxed
-//! atomic load on the hot path.
+//! One handle per engine, built before anything else and owned by the
+//! write-ahead log (`LogManager::new` takes it, `LogManager::obs` hands
+//! it out). The transaction manager, buffer pool and B-tree read it
+//! through the log they are built over; the I/O governor and the
+//! scrubber, which hold no log, take it as a constructor argument. No
+//! subsystem is ever without one: outside an engine it is a disabled
+//! handle, which costs one relaxed atomic load on the hot path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,8 +45,8 @@ pub use registry::{
     Observable,
 };
 // The causal-tracing plane (`spf-trace`) is re-exported wholesale so
-// subsystems reach it through their existing `Arc<Obs>` attach points
-// without growing a second dependency edge.
+// subsystems reach it through the `Arc<Obs>` they already hold without
+// growing a second dependency edge.
 pub use spf_trace::{
     render_flame, stitch, to_chrome_json, LatencySink, RingSet, SpanGuard, SpanKind, SpanNode,
     SpanRecord, Stitched, TraceCtx, TraceTree, Tracer, TracerStats, WaitClass, WaitProfile,

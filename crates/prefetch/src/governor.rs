@@ -24,10 +24,10 @@
 //! throttles background work, so the foreground preempts by
 //! construction.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
-use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
+use spf_obs::{EventKind, Obs, SpanKind, TraceCtx};
 use spf_util::{SimClock, SimDuration};
 
 /// Token-bucket units: one page = `PAGE_UNITS` nano-pages, so refill
@@ -137,7 +137,7 @@ pub struct IoGovernor {
     config: GovernorConfig,
     clock: Arc<SimClock>,
     bucket: Mutex<Bucket>,
-    obs: OnceLock<Arc<Obs>>,
+    obs: Arc<Obs>,
 }
 
 impl std::fmt::Debug for IoGovernor {
@@ -150,9 +150,12 @@ impl std::fmt::Debug for IoGovernor {
 
 impl IoGovernor {
     /// Creates a governor over the system's shared simulated clock. The
-    /// bucket starts full (one burst of budget).
+    /// bucket starts full (one burst of budget). Throttle waits surface
+    /// through `obs` in the flight recorder
+    /// ([`EventKind::GovernorThrottle`]) and, in sampled traces, as
+    /// `GovernorWait` spans.
     #[must_use]
-    pub fn new(config: GovernorConfig, clock: Arc<SimClock>) -> Self {
+    pub fn new(config: GovernorConfig, clock: Arc<SimClock>, obs: Arc<Obs>) -> Self {
         let config = config.normalized();
         let now = clock.now();
         Self {
@@ -163,16 +166,8 @@ impl IoGovernor {
                 refilled_at: now,
                 stats: GovernorStats::default(),
             }),
-            obs: OnceLock::new(),
+            obs,
         }
-    }
-
-    /// Installs the observability handle: throttle waits then surface in
-    /// the flight recorder ([`EventKind::GovernorThrottle`]) and, in
-    /// sampled traces, as `GovernorWait` spans. At most one handle per
-    /// governor; later calls are ignored.
-    pub fn attach_obs(&self, obs: Arc<Obs>) {
-        let _ = self.obs.set(obs);
     }
 
     /// The configuration in force.
@@ -214,15 +209,11 @@ impl IoGovernor {
     /// idle (this is the scrubber's old tick pause, centralized) and the
     /// draw then succeeds. Also yields the OS thread so foreground work
     /// gets through on real hardware.
-    pub fn acquire(&self, kind: BackgroundIo, pages: u64) {
-        self.acquire_traced(kind, pages, TraceCtx::NONE);
-    }
-
-    /// [`acquire`](IoGovernor::acquire) within a sampled trace: a draw
-    /// that has to wait for refill records a `GovernorWait` span (its
-    /// payload word is the simulated idle charged) and a
-    /// `GovernorThrottle` flight-recorder event.
-    pub fn acquire_traced(&self, kind: BackgroundIo, pages: u64, ctx: TraceCtx) {
+    ///
+    /// A draw that has to wait for refill records a `GovernorWait` span
+    /// under `ctx` (its payload word is the simulated idle charged) and
+    /// a `GovernorThrottle` flight-recorder event.
+    pub fn acquire(&self, kind: BackgroundIo, pages: u64, ctx: TraceCtx) {
         let Some(rate) = self.config.pages_per_sec else {
             self.bucket.lock().stats.grant(kind, pages);
             return;
@@ -235,10 +226,9 @@ impl IoGovernor {
             // ceil(shortfall / rate) nanoseconds buys the missing budget.
             let wait_nanos =
                 (shortfall.div_ceil(u128::from(rate))).min(u128::from(u64::MAX)) as u64;
-            let _span = self.obs.get().map_or_else(SpanGuard::inert, |o| {
-                o.emit(EventKind::GovernorThrottle, pages, wait_nanos);
-                o.span(ctx, SpanKind::GovernorWait, wait_nanos)
-            });
+            self.obs
+                .emit(EventKind::GovernorThrottle, pages, wait_nanos);
+            let _span = self.obs.span(ctx, SpanKind::GovernorWait, wait_nanos);
             let wait = SimDuration::from_nanos(wait_nanos);
             self.clock.advance(wait);
             bucket.stats.throttle_waits += 1;
@@ -292,6 +282,7 @@ mod tests {
                 burst,
             },
             Arc::clone(&clock),
+            Arc::new(Obs::new(Arc::clone(&clock), false)),
         );
         (clock, gov)
     }
@@ -321,9 +312,9 @@ mod tests {
     #[test]
     fn acquire_charges_idle_time_to_the_clock() {
         let (clock, gov) = governor(1000, 1);
-        gov.acquire(BackgroundIo::Scrub, 1); // burst
+        gov.acquire(BackgroundIo::Scrub, 1, TraceCtx::NONE); // burst
         let t0 = clock.now();
-        gov.acquire(BackgroundIo::Scrub, 1); // must wait 1 ms at 1000 pages/s
+        gov.acquire(BackgroundIo::Scrub, 1, TraceCtx::NONE); // must wait 1 ms at 1000 pages/s
         let waited = clock.now() - t0;
         assert_eq!(waited, SimDuration::from_millis(1));
         let stats = gov.stats();
@@ -336,7 +327,7 @@ mod tests {
     fn combined_draws_share_one_budget() {
         let (_clock, gov) = governor(1000, 2);
         assert!(gov.try_acquire(BackgroundIo::Prefetch, 1));
-        gov.acquire(BackgroundIo::Scrub, 1);
+        gov.acquire(BackgroundIo::Scrub, 1, TraceCtx::NONE);
         // Bucket empty: the prefetcher is refused while the scrubber
         // would wait — one budget, two disciplines.
         assert!(!gov.try_acquire(BackgroundIo::Prefetch, 1));
@@ -345,11 +336,12 @@ mod tests {
     #[test]
     fn unthrottled_always_grants() {
         let clock = Arc::new(SimClock::new());
-        let gov = IoGovernor::new(GovernorConfig::unthrottled(), clock);
+        let obs = Arc::new(Obs::new(Arc::clone(&clock), false));
+        let gov = IoGovernor::new(GovernorConfig::unthrottled(), clock, obs);
         for _ in 0..10_000 {
             assert!(gov.try_acquire(BackgroundIo::Prefetch, 1));
         }
-        gov.acquire(BackgroundIo::Scrub, 10_000);
+        gov.acquire(BackgroundIo::Scrub, 10_000, TraceCtx::NONE);
         assert_eq!(gov.stats().throttle_waits, 0);
     }
 
@@ -372,20 +364,20 @@ mod tests {
     #[test]
     fn throttle_wait_emits_event_and_trace_span() {
         let clock = Arc::new(SimClock::new());
+        let obs = Arc::new(Obs::new(Arc::clone(&clock), true));
+        obs.set_trace_sampling(1);
         let gov = IoGovernor::new(
             GovernorConfig {
                 pages_per_sec: Some(1000),
                 burst: 1,
             },
             Arc::clone(&clock),
+            Arc::clone(&obs),
         );
-        let obs = Arc::new(Obs::new(Arc::clone(&clock), true));
-        obs.set_trace_sampling(1);
-        gov.attach_obs(Arc::clone(&obs));
 
         let ctx = obs.sample_trace();
-        gov.acquire_traced(BackgroundIo::Scrub, 1, ctx); // burst: no wait
-        gov.acquire_traced(BackgroundIo::Scrub, 1, ctx); // must wait 1 ms
+        gov.acquire(BackgroundIo::Scrub, 1, ctx); // burst: no wait
+        gov.acquire(BackgroundIo::Scrub, 1, ctx); // must wait 1 ms
 
         let throttles: Vec<_> = obs
             .drain_trace()
@@ -430,7 +422,7 @@ mod tests {
                 granted += 1;
             }
             if step % 2 == 0 {
-                gov.acquire(BackgroundIo::Scrub, 1);
+                gov.acquire(BackgroundIo::Scrub, 1, TraceCtx::NONE);
                 granted += 1;
             }
         }

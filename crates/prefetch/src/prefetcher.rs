@@ -257,7 +257,9 @@ mod tests {
             Arc::new(device.clone()),
             spf_wal::LogManager::for_testing(),
         );
-        let governor = Arc::new(IoGovernor::new(gov, Arc::new(SimClock::new())));
+        let clock = Arc::new(SimClock::new());
+        let obs = Arc::new(spf_obs::Obs::new(Arc::clone(&clock), false));
+        let governor = Arc::new(IoGovernor::new(gov, clock, obs));
         let prefetcher = Arc::new(Prefetcher::new(
             PrefetchConfig::default_on(),
             pool.clone(),

@@ -59,18 +59,6 @@ impl FailureClass {
             FailureClass::SinglePage => failure_class::SINGLE_PAGE,
         }
     }
-
-    /// Order-of-magnitude recovery time the paper's Section 6 associates
-    /// with each class, as prose.
-    #[must_use]
-    pub fn expected_recovery_time(self) -> &'static str {
-        match self {
-            FailureClass::Transaction => "less than a second (rollback)",
-            FailureClass::System => "about a minute (restart; depends on checkpoint frequency)",
-            FailureClass::Media => "minutes to hours (restore backup + replay log)",
-            FailureClass::SinglePage => "a second or less (dozens of I/Os; no transaction aborts)",
-        }
-    }
 }
 
 impl std::fmt::Display for FailureClass {

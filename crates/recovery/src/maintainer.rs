@@ -148,11 +148,6 @@ impl PriMaintainer {
     pub fn stats(&self) -> MaintainerStats {
         *self.stats.lock()
     }
-
-    /// Clears statistics (between experiment phases).
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = MaintainerStats::default();
-    }
 }
 
 impl WriteObserver for PriMaintainer {

@@ -154,11 +154,6 @@ impl SinglePageRecovery {
         *self.stats.lock()
     }
 
-    /// Clears statistics (between experiment phases).
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = SpfStats::default();
-    }
-
     /// Pages that failed and were repaired (the bad-block report).
     #[must_use]
     pub fn bad_blocks(&self) -> Vec<PageId> {
@@ -762,7 +757,8 @@ mod tests {
         let clock = Arc::new(SimClock::new());
         let cost = spf_util::IoCostModel::disk_2012();
         let pri = Arc::new(PageRecoveryIndex::new());
-        let log = LogManager::new(Arc::clone(&clock), cost);
+        let obs = Arc::new(spf_obs::Obs::new(Arc::clone(&clock), false));
+        let log = LogManager::new(Arc::clone(&clock), cost, obs, None);
         let device = Device::Mem(spf_storage::MemDevice::new(
             DEFAULT_PAGE_SIZE,
             16,

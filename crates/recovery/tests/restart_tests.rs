@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use spf_buffer::{BufferPool, BufferPoolConfig};
+use spf_obs::TraceCtx;
 use spf_recovery::{PageRecoveryIndex, SystemRecovery};
 use spf_storage::{MemDevice, Page, PageId, PageType, DEFAULT_PAGE_SIZE};
 use spf_txn::{TxKind, TxnManager};
@@ -78,7 +79,7 @@ fn uncommitted_system_transaction_is_rolled_back() {
             ghost: false,
         },
     );
-    fx.txn.commit(user).unwrap();
+    fx.txn.commit(user, TraceCtx::NONE).unwrap();
 
     // A system transaction mimicking half a split: removes a record from
     // page 1, inserts it into page 2 — then the system fails before its
@@ -159,7 +160,7 @@ fn interleaved_winners_and_losers() {
             ghost: false,
         },
     );
-    fx.txn.commit(winner).unwrap(); // forces; loser records durable too
+    fx.txn.commit(winner, TraceCtx::NONE).unwrap(); // forces; loser records durable too
 
     fx.pool.discard_all();
     fx.log.crash();
@@ -194,7 +195,7 @@ fn restart_rebuilds_pri_equivalently() {
             );
         }
     }
-    fx.txn.commit(tx).unwrap();
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
     // Flush everything; log PriUpdates by hand to model a maintainer.
     for page in 4..10u64 {
         fx.pool.flush_page(PageId(page)).unwrap();

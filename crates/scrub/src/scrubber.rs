@@ -296,16 +296,6 @@ impl Scrubber {
         self.state.lock().stats
     }
 
-    /// Clears statistics and latency baselines (between experiment
-    /// phases).
-    pub fn reset_stats(&self) {
-        let mut state = self.state.lock();
-        state.stats = ScrubStats::default();
-        state.last_visit.clear();
-        state.first_sweep = None;
-        state.escalated.clear();
-    }
-
     /// Every escalated repair failure recorded so far.
     #[must_use]
     pub fn escalated(&self) -> Vec<ScrubEscalation> {
@@ -374,7 +364,7 @@ impl Scrubber {
             }
             // Pay for the page before reading it, idling the simulated
             // clock if the bucket is short.
-            self.governor.acquire_traced(BackgroundIo::Scrub, 1, tctx);
+            self.governor.acquire(BackgroundIo::Scrub, 1, tctx);
             if !self.scrub_page(PageId(pid), &mut image, &mut report) {
                 completed = false;
                 break; // media failure: nothing left to scrub
@@ -650,7 +640,6 @@ mod tests {
         single_device_node: bool,
         governor: &Arc<IoGovernor>,
     ) -> Scrubber {
-        let clock = fx.device.clock();
         Scrubber::new(
             single_device_node,
             fx.device.clone(),
@@ -658,14 +647,22 @@ mod tests {
             Arc::clone(&fx.pri),
             Arc::new(FixedExtent(PAGES)),
             Arc::clone(governor),
-            Arc::new(Obs::new(Arc::clone(clock), false)),
+            quiet_obs(fx),
         )
+    }
+
+    /// A disabled observability handle on the fixture's clock.
+    fn quiet_obs(fx: &Fixture) -> Arc<Obs> {
+        Arc::new(Obs::new(Arc::clone(fx.device.clock()), false))
     }
 
     /// An unpaced scrubber on a multi-device node.
     fn scrubber(fx: &Fixture) -> Scrubber {
-        let governor =
-            IoGovernor::new(GovernorConfig::unthrottled(), Arc::clone(fx.device.clock()));
+        let governor = IoGovernor::new(
+            GovernorConfig::unthrottled(),
+            Arc::clone(fx.device.clock()),
+            quiet_obs(fx),
+        );
         scrubber_with(fx, false, &Arc::new(governor))
     }
 
@@ -690,6 +687,7 @@ mod tests {
         let gov = Arc::new(IoGovernor::new(
             GovernorConfig::from_scrub(4, SimDuration::from_millis(10)),
             Arc::clone(fx.device.clock()),
+            quiet_obs(&fx),
         ));
         let scrub = scrubber_with(&fx, false, &gov);
         let t0 = fx.device.clock().now();
@@ -783,8 +781,11 @@ mod tests {
     fn single_device_node_escalates_to_system() {
         let fx = fixture(true);
         fx.device.inject_fault(PageId(1), FaultSpec::HardReadError);
-        let governor =
-            IoGovernor::new(GovernorConfig::unthrottled(), Arc::clone(fx.device.clock()));
+        let governor = IoGovernor::new(
+            GovernorConfig::unthrottled(),
+            Arc::clone(fx.device.clock()),
+            quiet_obs(&fx),
+        );
         let scrub = scrubber_with(&fx, true, &Arc::new(governor));
         let report = scrub.run_cycle();
         assert_eq!(report.escalations.len(), 1);

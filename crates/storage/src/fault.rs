@@ -23,7 +23,7 @@
 //! The last two fire at *sync* time and therefore only apply to devices
 //! with an explicit durability boundary ([`crate::FileDevice`]'s write
 //! cache); a [`crate::MemDevice`] persists writes immediately and never
-//! consults [`FaultInjector::on_sync`].
+//! consults the injector's sync hook.
 //!
 //! All randomness is drawn from a seeded RNG owned by the injector, so
 //! every experiment is reproducible.

@@ -12,7 +12,7 @@
 //!
 //! The shared [`FaultInjector`] is layered *on top of the file*: reads
 //! and writes consult it like `MemDevice` does, and sync additionally
-//! consults [`FaultInjector::on_sync`] per cached page, which is where
+//! consults the injector's sync hook per cached page, which is where
 //! the file-specific faults fire — [`crate::FaultSpec::LostWriteAtSync`]
 //! (fsync acknowledged, bytes dropped) and
 //! [`crate::FaultSpec::FailStopDuringSync`] (a power failure mid-fsync:

@@ -2,9 +2,11 @@
 //!
 //! System transactions never appear here: the paper's Figure 5 notes they
 //! rely on latches only. User transactions take exclusive key locks before
-//! updates; conflicts fail fast (no blocking, no deadlock detection — the
-//! workspace's workloads are single-threaded, the table exists to keep the
-//! transaction semantics honest and testable).
+//! updates; conflicts fail fast: a second writer of a key is refused with
+//! an error, not queued, so no thread ever waits on a key lock and no
+//! deadlock can form; the refused caller decides whether to retry. The
+//! table keeps the transaction semantics honest under concurrent
+//! writers, not fair.
 
 use std::collections::HashMap;
 

@@ -3,11 +3,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
-use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
+use spf_obs::{EventKind, SpanKind, TraceCtx};
 use spf_storage::PageId;
 use spf_wal::{LogManager, LogPayload, LogRecord, Lsn, PageOp, TxId};
 
@@ -127,8 +126,6 @@ struct Inner {
     next_tx: AtomicU64,
     active: Mutex<HashMap<TxId, ActiveTx>>,
     stats: Mutex<TxnStats>,
-    /// Observability attach point ([`TxnManager::attach_obs`]).
-    obs: OnceLock<std::sync::Arc<Obs>>,
 }
 
 impl std::fmt::Debug for TxnManager {
@@ -140,7 +137,9 @@ impl std::fmt::Debug for TxnManager {
 }
 
 impl TxnManager {
-    /// Creates a manager appending to `log`.
+    /// Creates a manager appending to `log`. User commits are timed and
+    /// traced through the log's observability handle
+    /// ([`LogManager::obs`]).
     #[must_use]
     pub fn new(log: LogManager) -> Self {
         Self {
@@ -149,17 +148,14 @@ impl TxnManager {
                 next_tx: AtomicU64::new(1),
                 active: Mutex::new(HashMap::new()),
                 stats: Mutex::new(TxnStats::default()),
-                obs: OnceLock::new(),
             }),
         }
     }
 
-    /// Attaches the observability handle: user commits then carry span
-    /// timing (including the group-commit force wait) and emit a
-    /// [`EventKind::TxCommit`] event. At most one handle per manager;
-    /// later calls are ignored.
-    pub fn attach_obs(&self, obs: std::sync::Arc<Obs>) {
-        let _ = self.inner.obs.set(obs);
+    /// The log this manager appends to.
+    #[must_use]
+    pub fn log(&self) -> &LogManager {
+        &self.inner.log
     }
 
     /// Begins a transaction of `kind`, logging its begin record.
@@ -198,17 +194,7 @@ impl TxnManager {
         prev_page_lsn: Lsn,
         op: PageOp,
     ) -> Result<Lsn, TxError> {
-        let mut active = self.inner.active.lock();
-        let entry = active.get_mut(&tx).ok_or(TxError::NotActive(tx))?;
-        let lsn = self.inner.log.append(&LogRecord {
-            tx_id: tx,
-            prev_tx_lsn: entry.last_lsn,
-            page_id,
-            prev_page_lsn,
-            payload: LogPayload::Update { op },
-        });
-        entry.last_lsn = lsn;
-        Ok(lsn)
+        self.log_other(tx, page_id, prev_page_lsn, LogPayload::Update { op })
     }
 
     /// Appends an arbitrary record on behalf of `tx` (page formats,
@@ -238,14 +224,11 @@ impl TxnManager {
     /// record — concurrent committers combine into one group-commit
     /// flush — while system commits do not force at all (Figure 5 /
     /// Section 5.1.5). Returns the commit record's LSN.
-    pub fn commit(&self, tx: TxId) -> Result<Lsn, TxError> {
-        self.commit_traced(tx, TraceCtx::NONE)
-    }
-
-    /// [`TxnManager::commit`] carrying a sampled operation's trace
-    /// context: the commit (and its log-force wait, with group-commit
-    /// leader/follower attribution) is recorded as spans of that trace.
-    pub fn commit_traced(&self, tx: TxId, ctx: TraceCtx) -> Result<Lsn, TxError> {
+    ///
+    /// A user commit is one `Commit` span under `ctx`, with its log-force
+    /// wait (group-commit leader/follower attribution included) as a
+    /// child, and emits a [`EventKind::TxCommit`] event.
+    pub fn commit(&self, tx: TxId, ctx: TraceCtx) -> Result<Lsn, TxError> {
         let entry = {
             let mut active = self.inner.active.lock();
             active.remove(&tx).ok_or(TxError::NotActive(tx))?
@@ -269,15 +252,12 @@ impl TxnManager {
                 // before the stats lock is taken — a committer absorbed as
                 // a group-commit waiter must not block the leader (or any
                 // peer) on it.
-                let obs = self.inner.obs.get();
+                let obs = self.inner.log.obs();
                 {
-                    let span =
-                        obs.map_or_else(SpanGuard::inert, |o| o.span(ctx, SpanKind::Commit, lsn.0));
-                    self.inner.log.force_through_traced(lsn, span.ctx());
+                    let span = obs.span(ctx, SpanKind::Commit, lsn.0);
+                    self.inner.log.force_through(lsn, span.ctx());
                 }
-                if let Some(o) = obs {
-                    o.emit(EventKind::TxCommit, lsn.0, 0);
-                }
+                obs.emit(EventKind::TxCommit, lsn.0, 0);
                 self.inner.stats.lock().user_commits += 1;
             }
             TxKind::System => {
@@ -348,7 +328,7 @@ impl TxnManager {
         if entry.kind == TxKind::User {
             // Like commit: force through the abort record via the
             // group-commit path rather than flushing the whole buffer.
-            self.inner.log.force_through(abort_lsn);
+            self.inner.log.force_through(abort_lsn, TraceCtx::NONE);
         }
         let mut stats = self.inner.stats.lock();
         stats.aborts += 1;
@@ -379,7 +359,7 @@ impl TxnManager {
             let sys = self.begin(TxKind::System);
             match body(sys) {
                 Ok(SysAttempt::Done(value)) => {
-                    self.commit(sys)?;
+                    self.commit(sys, TraceCtx::NONE)?;
                     return Ok(Some(value));
                 }
                 Ok(SysAttempt::Conflict) => {
@@ -495,7 +475,7 @@ mod tests {
         let tx = mgr.begin(TxKind::User);
         mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
         let before_forces = log.stats().forces;
-        let commit_lsn = mgr.commit(tx).unwrap();
+        let commit_lsn = mgr.commit(tx, TraceCtx::NONE).unwrap();
         assert_eq!(log.stats().forces, before_forces + 1);
         assert!(log.durable_lsn() > commit_lsn, "commit record durable");
     }
@@ -507,7 +487,7 @@ mod tests {
         let tx = mgr.begin(TxKind::System);
         mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
         let before = log.stats().forces;
-        let commit_lsn = mgr.commit(tx).unwrap();
+        let commit_lsn = mgr.commit(tx, TraceCtx::NONE).unwrap();
         assert_eq!(log.stats().forces, before, "system commit must not force");
         assert!(
             log.durable_lsn() <= commit_lsn,
@@ -736,10 +716,10 @@ mod tests {
         let actives = mgr.active_txns();
         assert_eq!(actives.len(), 2);
         assert_eq!(actives[0].0, a);
-        mgr.commit(a).unwrap();
-        mgr.commit(b).unwrap();
+        mgr.commit(a, TraceCtx::NONE).unwrap();
+        mgr.commit(b, TraceCtx::NONE).unwrap();
         assert_eq!(mgr.active_count(), 0);
-        assert_eq!(mgr.commit(a), Err(TxError::NotActive(a)));
+        assert_eq!(mgr.commit(a, TraceCtx::NONE), Err(TxError::NotActive(a)));
     }
 
     #[test]

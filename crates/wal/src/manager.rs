@@ -42,10 +42,10 @@
 //!   Figure 10).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
-use spf_obs::{EventKind, Obs, SpanGuard, SpanKind, TraceCtx};
+use spf_obs::{EventKind, Obs, SpanKind, TraceCtx};
 
 use spf_storage::PageId;
 use spf_util::{IoCostModel, IoKind, SimClock};
@@ -53,7 +53,7 @@ use spf_util::{IoCostModel, IoKind, SimClock};
 use crate::group_force::{Forced, GroupForce};
 use crate::record::{LogPayload, LogRecord, Lsn, TxId};
 use crate::segment::SegmentedBuffer;
-use crate::sink::LogSink;
+use crate::sink::{LogSink, WalFiles};
 
 /// Errors from log reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,14 +300,17 @@ struct Inner {
     force: GroupForce,
     stats: Counters,
     control: Mutex<Control>,
-    /// Durable backing for forced bytes. `None` (the simulated default)
-    /// means "durable" is an accounting fiction that survives
-    /// [`LogManager::crash`] but not a real process kill; with a sink,
-    /// the force leader writes and syncs it before publishing `durable`.
-    sink: Mutex<Option<Arc<dyn LogSink>>>,
-    /// Observability attach point ([`LogManager::attach_obs`]); unset
-    /// costs the force leader one load and nothing else.
-    obs: OnceLock<Arc<Obs>>,
+    /// Durable backing for forced bytes, fixed at construction. `None`
+    /// (the simulated default) means "durable" is an accounting fiction
+    /// that survives [`LogManager::crash`] but not a real process kill;
+    /// with a sink, the force leader writes and syncs it before
+    /// publishing `durable`.
+    sink: Option<Arc<dyn LogSink>>,
+    /// The engine's one observability handle, owned here: the force
+    /// leader times each flush and emits a [`EventKind::LogForce`] event,
+    /// and every subsystem built over this log reads it through
+    /// [`LogManager::obs`].
+    obs: Arc<Obs>,
 }
 
 /// The write-ahead log.
@@ -343,121 +346,121 @@ impl std::fmt::Debug for LogManager {
 }
 
 impl LogManager {
-    /// Creates an empty log charging `cost` against `clock`.
+    /// Creates an empty log charging `cost` against `clock`. With a
+    /// `sink`, every force writes and syncs the flushed range through it
+    /// before the force returns — from the very first record on.
     #[must_use]
-    pub fn new(clock: Arc<SimClock>, cost: IoCostModel) -> Self {
+    pub fn new(
+        clock: Arc<SimClock>,
+        cost: IoCostModel,
+        obs: Arc<Obs>,
+        sink: Option<Arc<dyn LogSink>>,
+    ) -> Self {
+        // Reserve the header region so LSN 0 is never a record.
+        let buf = SegmentedBuffer::new(Lsn::FIRST.0);
+        Self::over(buf, Vec::new(), clock, cost, obs, sink)
+    }
+
+    /// A log whose every byte in `buf` is durable, with the
+    /// checkpoint-begin records at `checkpoints` (ascending).
+    fn over(
+        buf: SegmentedBuffer,
+        checkpoints: Vec<Lsn>,
+        clock: Arc<SimClock>,
+        cost: IoCostModel,
+        obs: Arc<Obs>,
+        sink: Option<Arc<dyn LogSink>>,
+    ) -> Self {
+        let end = buf.end();
         Self {
             inner: Arc::new(Inner {
-                // Reserve the header region so LSN 0 is never a record.
-                buf: SegmentedBuffer::new(Lsn::FIRST.0),
-                durable: AtomicU64::new(Lsn::FIRST.0),
-                force: GroupForce::new(Lsn::FIRST.0),
+                buf,
+                durable: AtomicU64::new(end),
+                force: GroupForce::new(end),
                 stats: Counters::default(),
                 control: Mutex::new(Control {
-                    checkpoints: Vec::new(),
-                    durable_ckpts: 0,
+                    durable_ckpts: checkpoints.len(),
+                    checkpoints,
                     archive_watermark: Lsn::NULL,
                 }),
-                sink: Mutex::new(None),
-                obs: OnceLock::new(),
+                sink,
+                obs,
             }),
             clock,
             cost,
         }
     }
 
-    /// Rebuilds a log from the bytes a [`LogSink`] persisted: `base` is
-    /// the virtual offset of `bytes[0]` (the first segment file's
-    /// name), as returned by [`crate::WalFiles::open`].
+    /// Rebuilds a log from the segment files a previous incarnation's
+    /// [`WalFiles`] sink persisted, and arms `files` as this log's sink.
     ///
     /// The stored tail may be torn — a kill can land between the sink's
-    /// `append` and its `sync` — so the constructor walks the records
-    /// forward and accepts the longest prefix that parses (checksummed
-    /// frames make a torn record detectable). Everything behind the
-    /// tear becomes the durable log, its checkpoint-begin records
-    /// re-indexed; the tear itself and anything after are discarded,
-    /// exactly like [`LogManager::crash`] discards the unforced tail.
-    /// Returns the manager and the valid end — the caller should
-    /// physically trim the sink to it before re-attaching it with
-    /// [`set_sink`](LogManager::set_sink).
+    /// `append` and its `sync` — so the records are walked forward and
+    /// the longest prefix that parses is accepted (checksummed frames
+    /// make a torn record detectable). Everything behind the tear
+    /// becomes the durable log, its checkpoint-begin records re-indexed;
+    /// the tear itself and anything after are discarded, exactly like
+    /// [`LogManager::crash`] discards the unforced tail, and trimmed
+    /// from the files so that a later crash never finds stale pre-crash
+    /// bytes where fresh records should be. The sink is armed before the
+    /// log is returned: restart itself appends and forces.
     ///
     /// The archive watermark restarts at `NULL`; the caller restores it
-    /// from its own metadata ([`set_archive_watermark`]
-    /// (LogManager::set_archive_watermark)).
-    #[must_use]
+    /// from its own metadata ([`LogManager::set_archive_watermark`]).
     pub fn restore(
         clock: Arc<SimClock>,
         cost: IoCostModel,
-        base: u64,
-        bytes: &[u8],
-    ) -> (Self, Lsn) {
-        let buf = SegmentedBuffer::new(base);
-        if !bytes.is_empty() {
-            let at = buf.reserve(bytes.len() as u64);
-            debug_assert_eq!(at, base);
-            buf.write(at, bytes);
-        }
+        obs: Arc<Obs>,
+        files: WalFiles,
+    ) -> std::io::Result<Self> {
+        let (base, bytes) = files.read_stored()?;
+        // A first segment past the header means the log was truncated
+        // there (whole segment files below the cut were unlinked); one
+        // inside the header is no log's.
+        let buf = match base {
+            b if b == Lsn::FIRST.0 => SegmentedBuffer::new(b),
+            b if b > Lsn::FIRST.0 => SegmentedBuffer::truncated_at(b),
+            b => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("WAL starts at {b}, inside the log header"),
+                ))
+            }
+        };
         // Forward walk: collect checkpoints, stop at the first byte
         // range that does not parse as a record.
         let mut checkpoints = Vec::new();
         let mut off = 0usize;
-        while off < bytes.len() {
-            match LogRecord::decode(&bytes[off..]) {
-                Ok((record, len)) => {
-                    if matches!(record.payload, LogPayload::CheckpointBegin { .. }) {
-                        checkpoints.push(Lsn(base + off as u64));
-                    }
-                    off += len;
-                }
-                Err(_) => break,
+        while let Ok((record, len)) = LogRecord::decode(&bytes[off..]) {
+            if matches!(record.payload, LogPayload::CheckpointBegin { .. }) {
+                checkpoints.push(Lsn(base + off as u64));
             }
+            off += len;
         }
-        let valid_end = base + off as u64;
-        if valid_end < base + bytes.len() as u64 {
-            buf.crash_to(valid_end);
+        if off > 0 {
+            let at = buf.reserve(off as u64);
+            debug_assert_eq!(at, base);
+            buf.write(at, &bytes[..off]);
         }
-        let durable_ckpts = checkpoints.len();
-        let mgr = Self {
-            inner: Arc::new(Inner {
-                buf,
-                durable: AtomicU64::new(valid_end),
-                force: GroupForce::new(valid_end),
-                stats: Counters::default(),
-                control: Mutex::new(Control {
-                    checkpoints,
-                    durable_ckpts,
-                    archive_watermark: Lsn::NULL,
-                }),
-                sink: Mutex::new(None),
-                obs: OnceLock::new(),
-            }),
-            clock,
-            cost,
-        };
-        (mgr, Lsn(valid_end))
+        files.trim_to(base + off as u64)?;
+        let sink = Some(Arc::new(files) as Arc<dyn LogSink>);
+        Ok(Self::over(buf, checkpoints, clock, cost, obs, sink))
     }
 
-    /// Attaches the observability handle. The force leader then times
-    /// each flush into the `log_force` span histogram and emits a
-    /// [`EventKind::LogForce`] flight-recorder event per flush. At most
-    /// one handle per log; later calls are ignored.
-    pub fn attach_obs(&self, obs: Arc<Obs>) {
-        let _ = self.inner.obs.set(obs);
-    }
-
-    /// Attaches the durable sink. From now on every force writes and
-    /// syncs the flushed range through it before the force returns.
-    /// Intended to be called once, right after construction or
-    /// [`restore`](LogManager::restore) — bytes forced earlier are not
-    /// retroactively written.
-    pub fn set_sink(&self, sink: Arc<dyn LogSink>) {
-        *self.inner.sink.lock() = Some(sink);
-    }
-
-    /// Creates a log with free I/O for unit tests.
+    /// Creates a log with free I/O, no sink and a disabled
+    /// observability handle, for unit tests.
     #[must_use]
     pub fn for_testing() -> Self {
-        Self::new(Arc::new(SimClock::new()), IoCostModel::free())
+        let clock = Arc::new(SimClock::new());
+        let obs = Arc::new(Obs::new(Arc::clone(&clock), false));
+        Self::new(clock, IoCostModel::free(), obs, None)
+    }
+
+    /// The engine's observability handle (owned by the log; see
+    /// [`LogManager::new`]).
+    #[must_use]
+    pub fn obs(&self) -> &Arc<Obs> {
+        &self.inner.obs
     }
 
     /// The shared simulated clock.
@@ -511,18 +514,16 @@ impl LogManager {
     /// boundary.
     fn combined_force(&self, target: u64, ctx: TraceCtx) -> Lsn {
         let inner = &self.inner;
-        let obs = inner.obs.get();
-        let span = |kind, a| obs.map_or_else(SpanGuard::inert, |o| o.span(ctx, kind, a));
         // Speculative follower span: recorded (with a link to the
         // covering leader's LogForce span) only if this request is
         // absorbed by another thread's flush; cancelled otherwise.
-        let mut wait_span = span(SpanKind::ForceWait, target);
+        let mut wait_span = inner.obs.span(ctx, SpanKind::ForceWait, target);
         let outcome = inner.force.force_to(target, |from, to, batched| {
             // Leader attribution: while sampling is on a LogForce span is
             // recorded even when this committer itself is unsampled (an
             // orphan in trace 0), so absorbed waiters can always link to
             // the batch that made them durable.
-            let force_span = span(SpanKind::LogForce, to);
+            let force_span = inner.obs.span(ctx, SpanKind::LogForce, to);
             while inner.buf.complete_end(from) < to {
                 std::thread::yield_now();
             }
@@ -531,8 +532,7 @@ impl LogManager {
             // on the strength of bytes a kill would erase. A sink error
             // is fatal for the same reason — there is no honest way to
             // return from a force that did not persist.
-            let sink = inner.sink.lock().clone();
-            if let Some(sink) = sink {
+            if let Some(sink) = &inner.sink {
                 let bytes = inner
                     .buf
                     .copy(from, to)
@@ -555,9 +555,7 @@ impl LogManager {
             if batched {
                 inner.stats.force_batches.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(o) = obs {
-                o.emit(EventKind::LogForce, to, to - from);
-            }
+            inner.obs.emit(EventKind::LogForce, to, to - from);
             force_span.id() // attribution token for absorbed waiters
         });
         match outcome {
@@ -587,15 +585,11 @@ impl LogManager {
     /// appended later — e.g. other pages' PRI updates — need not be).
     /// No-op if that prefix is already durable. User commits take this
     /// path too, so commits and write-backs share the group-commit batch.
-    pub fn force_through(&self, lsn: Lsn) -> Lsn {
-        self.force_through_traced(lsn, TraceCtx::NONE)
-    }
-
-    /// [`LogManager::force_through`] carrying a sampled operation's
-    /// trace context: the force wait (or led flush) is recorded as a
-    /// span of that trace, with group-commit leader/follower
+    ///
+    /// Under a sampled `ctx` the force wait (or led flush) is recorded as
+    /// a span of that trace, with group-commit leader/follower
     /// attribution.
-    pub fn force_through_traced(&self, lsn: Lsn, ctx: TraceCtx) -> Lsn {
+    pub fn force_through(&self, lsn: Lsn, ctx: TraceCtx) -> Lsn {
         let durable = self.inner.durable.load(Ordering::Acquire);
         if !lsn.is_valid() || lsn.0 < durable {
             return Lsn(durable);
@@ -738,7 +732,7 @@ impl LogManager {
         self.inner.buf.truncate_to(cut);
         // Release sink storage below the cut. Best effort: failing to
         // unlink an old segment wastes disk but loses nothing.
-        if let Some(sink) = self.inner.sink.lock().clone() {
+        if let Some(sink) = &self.inner.sink {
             let _ = sink.truncate_to(cut);
         }
         // Checkpoints below the cut are unreadable now; all of them were
@@ -1089,6 +1083,11 @@ mod tests {
     use super::*;
     use crate::record::PageOp;
 
+    fn disk_log(clock: &Arc<SimClock>, cost: IoCostModel) -> LogManager {
+        let obs = Arc::new(Obs::new(Arc::clone(clock), false));
+        LogManager::new(Arc::clone(clock), cost, obs, None)
+    }
+
     fn update_record(tx: u64, prev_tx: Lsn, page: u64, prev_page: Lsn) -> LogRecord {
         make_record(
             TxId(tx),
@@ -1214,7 +1213,7 @@ mod tests {
     fn scan_records_charges_one_command_overhead_per_scan() {
         let clock = Arc::new(SimClock::new());
         let cost = IoCostModel::disk_2012();
-        let log = LogManager::new(Arc::clone(&clock), cost);
+        let log = disk_log(&clock, cost);
         let mut prev = Lsn::NULL;
         for i in 0..4000 {
             prev = log.append(&update_record(1, prev, i % 7, Lsn::NULL));
@@ -1369,7 +1368,7 @@ mod tests {
         let b = log.append(&update_record(1, a, 2, Lsn::NULL));
         let c = log.append(&update_record(1, b, 3, Lsn::NULL));
         // Force through the middle record: a and b durable, c not.
-        let durable = log.force_through(b);
+        let durable = log.force_through(b, TraceCtx::NONE);
         assert_eq!(durable, c, "durable end = start of the next record");
         assert!(log.read_record(a).is_ok());
         assert!(log.read_record(b).is_ok());
@@ -1387,11 +1386,11 @@ mod tests {
         log.force();
         let forces = log.stats().forces;
         // Already durable: no new force.
-        log.force_through(a);
+        log.force_through(a, TraceCtx::NONE);
         assert_eq!(log.stats().forces, forces);
         // Null and out-of-range LSNs never panic.
-        log.force_through(Lsn::NULL);
-        log.force_through(Lsn(1 << 40));
+        log.force_through(Lsn::NULL, TraceCtx::NONE);
+        log.force_through(Lsn(1 << 40), TraceCtx::NONE);
     }
 
     #[test]
@@ -1402,7 +1401,7 @@ mod tests {
         let a = log.append(&update_record(1, Lsn::NULL, 1, Lsn::NULL));
         let b = log.append(&update_record(1, a, 2, Lsn::NULL));
         let before = log.stats().forces;
-        let durable = log.force_through(Lsn(log.end_lsn().0 + 1_000));
+        let durable = log.force_through(Lsn(log.end_lsn().0 + 1_000), TraceCtx::NONE);
         assert_eq!(durable, log.end_lsn(), "everything becomes durable");
         assert_eq!(log.stats().forces, before + 1);
         assert!(log.durable_lsn() > b, "both records durable");
@@ -1420,7 +1419,7 @@ mod tests {
         let a = log.append(&update_record(1, Lsn::NULL, 1, Lsn::NULL));
         let b = log.append(&update_record(1, a, 2, Lsn::NULL));
         let before = log.stats().forces;
-        let durable = log.force_through(Lsn(a.0 + 1));
+        let durable = log.force_through(Lsn(a.0 + 1), TraceCtx::NONE);
         assert_eq!(durable, log.end_lsn(), "fallback forces the whole buffer");
         assert_eq!(log.stats().forces, before + 1);
         log.crash();
@@ -1517,7 +1516,7 @@ mod tests {
         let mut prev = Lsn::NULL;
         for i in 0..10 {
             prev = log.append(&update_record(1, prev, i, Lsn::NULL));
-            log.force_through(prev);
+            log.force_through(prev, TraceCtx::NONE);
         }
         let stats = log.stats();
         assert_eq!(stats.forces, 10, "one flush per uncombined force");
@@ -1694,7 +1693,7 @@ mod tests {
     fn force_charges_sequential_io() {
         use spf_util::SimDuration;
         let clock = Arc::new(SimClock::new());
-        let log = LogManager::new(Arc::clone(&clock), IoCostModel::disk_2012());
+        let log = disk_log(&clock, IoCostModel::disk_2012());
         log.append(&update_record(1, Lsn::NULL, 1, Lsn::NULL));
         let before = clock.now();
         log.force();

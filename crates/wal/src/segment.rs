@@ -231,16 +231,33 @@ impl SegmentedBuffer {
     /// (all-zero) header region, so offset 0 is never a record.
     pub(crate) fn new(header_len: u64) -> Self {
         debug_assert!(header_len < SEG_BYTES);
-        let seg = Segment::new(0);
-        seg.filled.store(header_len as usize, Ordering::Relaxed);
+        Self::starting_at(header_len, 0)
+    }
+
+    /// An empty buffer resuming a log truncated at `cut`, as if
+    /// [`truncate_to`](SegmentedBuffer::truncate_to) had run: offsets
+    /// below `cut` read as truncated, and only the segment holding `cut`
+    /// is allocated.
+    pub(crate) fn truncated_at(cut: u64) -> Self {
+        Self::starting_at(cut, cut)
+    }
+
+    /// Appends resume at `start`, the truncation point is `base`.
+    fn starting_at(start: u64, base: u64) -> Self {
+        let first_index = start / SEG_BYTES;
+        let seg = Segment::new(first_index * SEG_BYTES);
+        // The bytes below `start` are header or truncated: never copied
+        // in, but complete as far as the force path is concerned.
+        seg.filled
+            .store((start % SEG_BYTES) as usize, Ordering::Relaxed);
         Self {
-            base: AtomicU64::new(0),
-            reserved: AtomicU64::new(header_len),
-            complete_cache: AtomicU64::new(header_len),
+            base: AtomicU64::new(base),
+            reserved: AtomicU64::new(start),
+            complete_cache: AtomicU64::new(start),
             id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
             generation: AtomicU64::new(0),
             dir: RwLock::new(Directory {
-                first_index: 0,
+                first_index,
                 segs: vec![Arc::new(seg)],
             }),
         }
@@ -641,5 +658,28 @@ mod tests {
         buf.write(b, &payload);
         assert_eq!(buf.copy(a, a + 13).unwrap(), vec![0xEE; 13]);
         assert_eq!(buf.copy(b, b + 24).unwrap(), payload);
+    }
+
+    #[test]
+    fn a_buffer_resumed_past_a_cut_allocates_only_the_cut_segment() {
+        // A log restored after truncation starts far past offset 0; the
+        // segments below the cut were never written and must not exist.
+        let cut = 1000 * SEG_BYTES + 24;
+        let buf = SegmentedBuffer::truncated_at(cut);
+        assert_eq!(
+            (buf.base(), buf.end(), buf.complete_end(cut)),
+            (cut, cut, cut)
+        );
+        let lsn = buf.reserve(40);
+        assert_eq!(lsn, cut);
+        buf.write(lsn, &[7u8; 40]);
+        assert_eq!(buf.complete_end(cut), cut + 40);
+        assert_eq!(buf.copy(lsn, lsn + 40).unwrap(), vec![7u8; 40]);
+        assert_eq!(
+            buf.copy(cut - 8, cut),
+            Err(cut),
+            "below the cut is truncated"
+        );
+        assert_eq!(buf.dir.read().segs.len(), 1);
     }
 }

@@ -1,8 +1,8 @@
 //! Durable backing for the log buffer: the [`LogSink`] trait and its
 //! file-based implementation, [`WalFiles`].
 //!
-//! The in-memory [`SegmentedBuffer`](crate::segment) gives the log its
-//! virtual address space; a sink makes the durable prefix *actually*
+//! The in-memory segmented log buffer gives the log its virtual
+//! address space; a sink makes the durable prefix *actually*
 //! durable. The force path hands the sink each newly forced byte range
 //! **before** publishing the new durable LSN, and a force does not
 //! return until the sink's `sync` has — so `durable_lsn` never claims
@@ -138,12 +138,13 @@ impl WalFiles {
         })
     }
 
-    /// Opens an existing WAL directory, returning the handle, the
-    /// virtual offset of the first stored byte, and every stored byte
-    /// in log order. The caller (log restore) decides how much of the
-    /// tail is a valid record stream; [`trim_to`](WalFiles::trim_to)
-    /// then discards the rest physically.
-    pub fn open(dir: &Path) -> io::Result<(Self, u64, Vec<u8>)> {
+    /// Opens an existing WAL directory. Fails if it holds no segment,
+    /// if the segments do not tile one contiguous byte range, or if
+    /// that range starts past half the LSN space (no log grows that
+    /// far, and one that started there could not grow at all). The
+    /// bytes are read by [`LogManager::restore`](crate::LogManager::restore),
+    /// which also decides how much of the tail is a valid record stream.
+    pub fn open(dir: &Path) -> io::Result<Self> {
         let mut bases: Vec<u64> = fs::read_dir(dir)?
             .filter_map(|e| e.ok())
             .filter_map(|e| parse_segment_name(&e.file_name().to_string_lossy()))
@@ -155,7 +156,15 @@ impl WalFiles {
                 format!("no WAL segments in {}", dir.display()),
             ));
         };
-        let mut bytes = Vec::new();
+        if first > u64::MAX / 2 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "WAL segment offset {first} in {} is no log's",
+                    dir.display()
+                ),
+            ));
+        }
         let mut closed = Vec::new();
         let mut current = None;
         let mut expected = first;
@@ -170,12 +179,11 @@ impl WalFiles {
                 ));
             }
             let last = i == bases.len() - 1;
-            let mut file = OpenOptions::new()
+            let file = OpenOptions::new()
                 .read(true)
                 .write(last)
                 .open(dir.join(segment_name(base)))?;
             let len = file.metadata()?.len();
-            file.read_to_end(&mut bytes)?;
             expected = base + len;
             if last {
                 current = Some(Current { file, base, len });
@@ -183,19 +191,33 @@ impl WalFiles {
                 closed.push(Closed { base, len });
             }
         }
-        Ok((
-            Self {
-                dir: dir.to_path_buf(),
-                segment_bytes: DEFAULT_SEGMENT_BYTES,
-                state: Mutex::new(State {
-                    closed,
-                    current,
-                    next_base: expected,
-                }),
-            },
-            first,
-            bytes,
-        ))
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            segment_bytes: DEFAULT_SEGMENT_BYTES,
+            state: Mutex::new(State {
+                closed,
+                current,
+                next_base: expected,
+            }),
+        })
+    }
+
+    /// The virtual offset of the first stored byte, and every stored
+    /// byte in log order.
+    pub(crate) fn read_stored(&self) -> io::Result<(u64, Vec<u8>)> {
+        let st = self.state.lock();
+        let mut bases = st
+            .closed
+            .iter()
+            .map(|c| c.base)
+            .chain(st.current.as_ref().map(|c| c.base))
+            .peekable();
+        let first = bases.peek().copied().unwrap_or(st.next_base);
+        let mut bytes = Vec::new();
+        for base in bases {
+            File::open(self.dir.join(segment_name(base)))?.read_to_end(&mut bytes)?;
+        }
+        Ok((first, bytes))
     }
 
     /// Overrides the rotation threshold (tests use small segments to
@@ -216,7 +238,7 @@ impl WalFiles {
     /// `end` — the torn tail a restart's record walk rejected. Without
     /// this, stale bytes from before the crash could sit beyond the new
     /// logical end and be misread as records after a *second* crash.
-    pub fn trim_to(&self, end: u64) -> io::Result<()> {
+    pub(crate) fn trim_to(&self, end: u64) -> io::Result<()> {
         let mut st = self.state.lock();
         if let Some(cur) = st.current.as_mut() {
             if end < cur.base + cur.len {
@@ -228,13 +250,6 @@ impl WalFiles {
         }
         st.next_base = st.next_base.min(end);
         Ok(())
-    }
-
-    /// Total stored bytes across all segment files (diagnostics).
-    #[must_use]
-    pub fn stored_bytes(&self) -> u64 {
-        let st = self.state.lock();
-        st.closed.iter().map(|c| c.len).sum::<u64>() + st.current.as_ref().map_or(0, |c| c.len)
     }
 }
 
@@ -315,8 +330,7 @@ mod tests {
     use tempdir::TempDir;
 
     fn read_all(dir: &Path) -> (u64, Vec<u8>) {
-        let (_, base, bytes) = WalFiles::open(dir).unwrap();
-        (base, bytes)
+        WalFiles::open(dir).unwrap().read_stored().unwrap()
     }
 
     #[test]
@@ -366,7 +380,8 @@ mod tests {
         files.append(0, b"goodrecordTORNTA").unwrap();
         files.sync().unwrap();
         drop(files);
-        let (files, base, bytes) = WalFiles::open(&dir).unwrap();
+        let files = WalFiles::open(&dir).unwrap();
+        let (base, bytes) = files.read_stored().unwrap();
         assert_eq!((base, bytes.len()), (0, 16));
         // Restart decided only the first 10 bytes parse as records.
         files.trim_to(10).unwrap();
@@ -394,10 +409,9 @@ mod tests {
         names.sort_unstable();
         // Segments [0,4) and [4,8) are gone; [8,12) still holds byte 9.
         assert_eq!(names.first(), Some(&8));
-        let (files, base, bytes) = WalFiles::open(&dir).unwrap();
+        let (base, bytes) = read_all(&dir);
         assert_eq!(base, 8);
         assert_eq!(bytes.len(), 16);
-        drop(files);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use spf_buffer::{BufferPool, BufferPoolConfig, PoolHooks, WriteObserver};
+use spf_obs::TraceCtx;
 use spf_storage::{MemDevice, Page, PageId, PageType, DEFAULT_PAGE_SIZE};
 use spf_wal::{LogManager, LogPayload, LogRecord, Lsn, PageOp, TxId};
 
@@ -187,7 +188,7 @@ fn concurrent_committers_share_group_commit_flushes() {
                         },
                     )
                     .unwrap();
-                    let commit_lsn = mgr.commit(tx).unwrap();
+                    let commit_lsn = mgr.commit(tx, TraceCtx::NONE).unwrap();
                     assert!(
                         log.durable_lsn() > commit_lsn,
                         "commit must not return before its record is durable"
@@ -319,7 +320,7 @@ fn wal_rule_holds_when_write_back_races_group_commit() {
                         },
                     )
                     .unwrap();
-                    mgr.commit(tx).unwrap();
+                    mgr.commit(tx, TraceCtx::NONE).unwrap();
                 }
             });
         }

@@ -2,15 +2,20 @@
 //! survive a "process kill" (dropping every in-memory structure and
 //! reopening from the directory), unforced bytes do not, and a torn
 //! tail — the file ending mid-record — is detected and discarded by
-//! [`LogManager::restore`].
+//! [`LogManager::restore`]. Segment files a crash left behind are
+//! hostile input: whatever they hold, `restore` answers `Ok` with a
+//! prefix that re-decodes record by record, or `Err` — it never panics.
 
+use std::path::Path;
 use std::sync::Arc;
 
+use proptest::prelude::*;
+use spf_obs::Obs;
 use spf_storage::PageId;
 use spf_util::{IoCostModel, SimClock};
 use spf_wal::manager::make_record;
 use spf_wal::record::PageOp;
-use spf_wal::{LogManager, LogPayload, LogRecord, LogSink, Lsn, TxId, WalFiles};
+use spf_wal::{LogError, LogManager, LogPayload, LogRecord, LogSink, Lsn, TxId, WalFiles};
 use tempdir::TempDir;
 
 fn update_record(tx: u64, prev_tx: Lsn, page: u64, prev_page: Lsn) -> LogRecord {
@@ -42,20 +47,33 @@ fn checkpoint_record() -> LogRecord {
     )
 }
 
-fn fresh_log_with_files(dir: &std::path::Path) -> LogManager {
-    let log = LogManager::for_testing();
-    let files = WalFiles::create(dir, Lsn::FIRST.0).unwrap();
-    log.set_sink(Arc::new(files));
-    log
+fn quiet_obs(clock: &Arc<SimClock>) -> Arc<Obs> {
+    Arc::new(Obs::new(Arc::clone(clock), false))
 }
 
-fn reopen(dir: &std::path::Path) -> (LogManager, Lsn) {
-    let (files, base, bytes) = WalFiles::open(dir).unwrap();
-    let (log, valid_end) =
-        LogManager::restore(Arc::new(SimClock::new()), IoCostModel::free(), base, &bytes);
-    files.trim_to(valid_end.0).unwrap();
-    log.set_sink(Arc::new(files));
-    (log, valid_end)
+/// A fresh log born with `files` as its sink.
+fn log_over(files: WalFiles) -> LogManager {
+    let clock = Arc::new(SimClock::new());
+    let obs = quiet_obs(&clock);
+    LogManager::new(clock, IoCostModel::free(), obs, Some(Arc::new(files)))
+}
+
+fn fresh_log_with_files(dir: &Path) -> LogManager {
+    log_over(WalFiles::create(dir, Lsn::FIRST.0).unwrap())
+}
+
+fn restore(dir: &Path) -> std::io::Result<LogManager> {
+    let clock = Arc::new(SimClock::new());
+    let obs = quiet_obs(&clock);
+    LogManager::restore(clock, IoCostModel::free(), obs, WalFiles::open(dir)?)
+}
+
+/// Reopens `dir` the way a restarted process does; returns the log and
+/// the durable end its record walk accepted.
+fn reopen(dir: &Path) -> (LogManager, Lsn) {
+    let log = restore(dir).unwrap();
+    let end = log.durable_lsn();
+    (log, end)
 }
 
 #[test]
@@ -121,10 +139,10 @@ fn torn_tail_is_detected_and_discarded() {
 
     // Simulate a kill between the sink's append and its sync: some
     // bytes of the next record reached the file, but not all of it.
-    let (files, base, bytes) = WalFiles::open(&dir).unwrap();
+    let files = WalFiles::open(&dir).unwrap();
     let torn = update_record(2, Lsn::NULL, 12, Lsn::NULL).encode();
     files
-        .append(base + bytes.len() as u64, &torn[..torn.len() / 2])
+        .append(durable_end.0, &torn[..torn.len() / 2])
         .unwrap();
     files.sync().unwrap();
     drop(files);
@@ -152,11 +170,11 @@ fn torn_tail_is_detected_and_discarded() {
 fn truncation_unlinks_old_segments_and_reopen_starts_at_new_base() {
     let tmp = TempDir::new("durable-log").unwrap();
     let dir = tmp.path().join("wal");
-    let log = LogManager::for_testing();
-    let files = WalFiles::create(&dir, Lsn::FIRST.0)
-        .unwrap()
-        .with_segment_bytes(128);
-    log.set_sink(Arc::new(files));
+    let log = log_over(
+        WalFiles::create(&dir, Lsn::FIRST.0)
+            .unwrap()
+            .with_segment_bytes(128),
+    );
 
     let mut prev = Lsn::NULL;
     let mut lsns = Vec::new();
@@ -173,8 +191,114 @@ fn truncation_unlinks_old_segments_and_reopen_starts_at_new_base() {
     drop(log);
 
     let (log, _) = reopen(&dir);
-    assert!(log.read_record(lsns[5]).is_err(), "below the new base");
+    // The unlinked segments come back as a truncation, not as a hole:
+    // recovery reads the truncation point to know the archive holds
+    // the rest.
+    let floor = log.truncate_point();
+    assert!(floor > Lsn::FIRST && floor <= cut, "truncated at {floor:?}");
+    assert!(
+        matches!(log.read_record(lsns[5]), Err(LogError::Truncated { .. })),
+        "below the new base"
+    );
     for &lsn in &lsns[10..] {
         assert!(log.read_record(lsn).is_ok(), "retained record at {lsn:?}");
+    }
+}
+
+/// Writes `stored` into an empty WAL directory as segment files named
+/// the way `WalFiles` names them (`{base:020}.wal`), split at `split`
+/// into two files when that falls inside the bytes.
+fn write_segments(dir: &Path, base: u64, stored: &[u8], split: usize) {
+    std::fs::create_dir_all(dir).unwrap();
+    let name = |at: u64| dir.join(format!("{at:020}.wal"));
+    if split > 0 && split < stored.len() {
+        std::fs::write(name(base), &stored[..split]).unwrap();
+        std::fs::write(name(base + split as u64), &stored[split..]).unwrap();
+    } else {
+        std::fs::write(name(base), stored).unwrap();
+    }
+}
+
+/// What `restore` may make of `stored` written at `base`: `Err`, or a
+/// log whose durable range is a prefix of `stored` that re-decodes
+/// record by record into exactly the records the log serves — and that
+/// a second restore finds again (the rejected tail was trimmed, not
+/// left behind).
+fn check_restore(stored: &[u8], base: u64, split: usize) -> Result<(), TestCaseError> {
+    let tmp = TempDir::new("hostile-wal").unwrap();
+    let dir = tmp.path().join("wal");
+    write_segments(&dir, base, stored, split);
+    let Ok(log) = restore(&dir) else {
+        return Ok(());
+    };
+    let end = log.durable_lsn().0;
+    prop_assert!(end >= base && end - base <= stored.len() as u64);
+    let prefix = &stored[..(end - base) as usize];
+    let served = log.scan_from(Lsn(base)).unwrap();
+    let mut off = 0usize;
+    for (lsn, record) in &served {
+        prop_assert_eq!(lsn.0, base + off as u64);
+        let decoded = LogRecord::decode(&prefix[off..]);
+        prop_assert!(decoded.is_ok(), "accepted bytes at {off} do not decode");
+        let (again, len) = decoded.unwrap();
+        prop_assert_eq!(&again, record);
+        off += len;
+    }
+    prop_assert_eq!(off, prefix.len());
+    drop(log);
+    let reopened = restore(&dir);
+    prop_assert!(reopened.is_ok(), "a restored directory must reopen");
+    prop_assert_eq!(reopened.unwrap().durable_lsn().0, end);
+    Ok(())
+}
+
+/// A valid stream of `n` records of varied sizes and kinds.
+fn valid_stream(n: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    for i in 0..n as u64 {
+        let record = match i % 3 {
+            2 => checkpoint_record(),
+            _ => update_record(i, Lsn::NULL, 10 + i, Lsn::NULL),
+        };
+        out.extend_from_slice(&record.encode());
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn arbitrary_segment_bytes_never_panic_restore(
+        stored in proptest::collection::vec(any::<u8>(), 0..600),
+        split in 0usize..600,
+    ) {
+        check_restore(&stored, Lsn::FIRST.0, split)?;
+    }
+
+    #[test]
+    fn a_flipped_byte_or_a_cut_tail_keeps_a_decodable_prefix(
+        records in 1usize..8,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+        cut in any::<bool>(),
+        split in 0usize..400,
+    ) {
+        let mut stored = valid_stream(records);
+        let at = at % stored.len();
+        if cut {
+            stored.truncate(at);
+        } else {
+            stored[at] ^= flip;
+        }
+        check_restore(&stored, Lsn::FIRST.0, split)?;
+    }
+
+    #[test]
+    fn a_segment_named_past_any_real_log_is_refused_or_restored(
+        base in any::<u64>(),
+        records in 0usize..4,
+    ) {
+        check_restore(&valid_stream(records), base, 0)?;
     }
 }
