@@ -13,9 +13,11 @@
 //! records) and its file is removed; stray `.tmp` files are removed
 //! too.
 
-use std::fs::{self, File};
+use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use spf_util::atomic_file::{replace, sync_dir};
 
 use crate::run::ArchiveRun;
 use crate::ArchiveError;
@@ -44,10 +46,6 @@ fn io_err(context: &str, e: &io::Error) -> ArchiveError {
     }
 }
 
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
 /// Durably writes `run`'s file into `dir` (tmp, fsync, rename, fsync
 /// dir). When this returns the run survives any crash.
 pub(crate) fn write_run_file(
@@ -55,16 +53,8 @@ pub(crate) fn write_run_file(
     level: usize,
     run: &ArchiveRun,
 ) -> Result<(), ArchiveError> {
-    let final_path = dir.join(run_file_name(level, run.id()));
-    let tmp_path = dir.join(format!("{}.tmp", run_file_name(level, run.id())));
-    let write = || -> io::Result<()> {
-        let mut tmp = File::create(&tmp_path)?;
-        io::Write::write_all(&mut tmp, &run.encode())?;
-        tmp.sync_all()?;
-        fs::rename(&tmp_path, &final_path)?;
-        sync_dir(dir)
-    };
-    write().map_err(|e| io_err("writing archive run file", &e))
+    replace(dir, &run_file_name(level, run.id()), &run.encode())
+        .map_err(|e| io_err("writing archive run file", &e))
 }
 
 /// Removes run files (post-merge input cleanup). Best effort per file;

@@ -91,6 +91,7 @@ mod tests {
             payload: LogPayload::Update {
                 op: PageOp::SetGhost {
                     pos: 0,
+                    key: Vec::new(),
                     old: false,
                     new: true,
                 },

@@ -39,6 +39,13 @@ use crate::ArchiveError;
 
 const MAGIC: u32 = 0x5350_4641; // "SPFA"
 
+/// Serialized bytes of one index entry.
+const INDEX_ENTRY_BYTES: usize = 20;
+
+/// The fewest body bytes one record can take: its original LSN plus the
+/// WAL frame. Bounds how many records a byte range can claim.
+const MIN_RECORD_BYTES: usize = 8 + LogRecord::FRAME_BYTES;
+
 /// One per-page slice of a run's body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IndexEntry {
@@ -164,8 +171,8 @@ impl ArchiveRun {
     /// Serialized size in bytes — what storing the run costs.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        // header 36 + body + index count 4 + entries * 20 + footer 4
-        36 + self.body.len() + 4 + self.index.len() * 20 + 4
+        // header 36 + body + index count 4 + entries + footer 4
+        36 + self.body.len() + 4 + self.index.len() * INDEX_ENTRY_BYTES + 4
     }
 
     /// Everything but the footer, in serialized form (the CRC input).
@@ -222,7 +229,15 @@ impl ArchiveRun {
         let record_count = dec.get_u32().map_err(err)?;
         let body_len = dec.get_u32().map_err(err)? as usize;
         let body = dec.get_bytes(body_len).map_err(err)?.to_vec();
+        // Counts are hostile: bounded by the bytes that could hold them
+        // before anything is reserved.
         let index_count = dec.get_u32().map_err(err)? as usize;
+        if index_count > dec.remaining() / INDEX_ENTRY_BYTES {
+            return Err(corrupt(format!(
+                "index claims {index_count} entries in {} bytes",
+                dec.remaining()
+            )));
+        }
         let mut index = Vec::with_capacity(index_count);
         for _ in 0..index_count {
             index.push(IndexEntry {
@@ -231,6 +246,20 @@ impl ArchiveRun {
                 count: dec.get_u32().map_err(err)?,
                 len: dec.get_u32().map_err(err)?,
             });
+        }
+        // The slices must tile the body in page order, as `finish` lays
+        // them out: then no record is decoded twice, and every lookup's
+        // binary search is sound.
+        let (mut next, mut records) = (0u64, 0u64);
+        for (i, e) in index.iter().enumerate() {
+            if u64::from(e.offset) != next || (i > 0 && index[i - 1].page >= e.page) {
+                return Err(corrupt(format!("index entry {i} is out of order")));
+            }
+            next += u64::from(e.len);
+            records += u64::from(e.count);
+        }
+        if next != body.len() as u64 || records != u64::from(record_count) {
+            return Err(corrupt("index does not tile the body".to_string()));
         }
         Ok(Self {
             id,
@@ -265,7 +294,8 @@ impl ArchiveRun {
             });
         }
         let mut dec = Decoder::new(&self.body[start..end]);
-        let mut out = Vec::with_capacity(entry.count as usize);
+        let mut out =
+            Vec::with_capacity((entry.count as usize).min(entry.len as usize / MIN_RECORD_BYTES));
         for _ in 0..entry.count {
             let lsn = Lsn(dec.get_u64().map_err(|e| ArchiveError::Corrupt {
                 run: self.id,
@@ -310,7 +340,9 @@ impl ArchiveRun {
 
     /// Every record in the run, in `(page, LSN)` order.
     pub fn decode_all(&self) -> Result<Vec<(Lsn, LogRecord)>, ArchiveError> {
-        let mut out = Vec::with_capacity(self.record_count as usize);
+        let mut out = Vec::with_capacity(
+            (self.record_count as usize).min(self.body.len() / MIN_RECORD_BYTES),
+        );
         for entry in &self.index {
             out.extend(self.decode_slice(entry)?);
         }

@@ -469,6 +469,7 @@ fn e5_pri_size() {
         "state",
         "range entries",
         "approx bytes",
+        "image bytes",
         "bytes/page",
         "fraction of DB",
     ]);
@@ -488,11 +489,15 @@ fn e5_pri_size() {
         db.take_full_backup().unwrap();
         let db_bytes = data_pages * page_size as u64;
 
-        let mut emit = |state: &str, stats: spf_recovery::PriStats| {
+        // "image bytes": what a checkpoint image really spends on the
+        // index (varint range deltas), next to the paper's estimate.
+        let mut emit = |state: &str, pri: &spf_recovery::PageRecoveryIndex| {
+            let stats = pri.stats();
             table.row(&[
                 format!("{label}: {state}"),
                 stats.entries.to_string(),
                 stats.approx_bytes.to_string(),
+                pri.encoded_bytes().to_string(),
                 format!("{:.3}", stats.approx_bytes as f64 / data_pages as f64),
                 format!(
                     "{:.2}‰",
@@ -500,19 +505,28 @@ fn e5_pri_size() {
                 ),
             ]);
         };
-        emit("right after full backup", db.pri().stats());
+        emit("right after full backup", db.pri());
 
         for (frac, updated) in [(1u64, 40u64), (10, 400), (100, 4000)] {
             update_all(&db, updated, 1);
             db.pool().flush_all().unwrap();
-            emit(&format!("{frac}% of pages updated since"), db.pri().stats());
+            emit(&format!("{frac}% of pages updated since"), db.pri());
         }
-        // Worst case comparison row.
+        // Worst case comparison row: every page its own entry, with a
+        // backup slot and a latest LSN of today's magnitude.
         let stats = db.pri().stats();
+        let dense = spf_recovery::PageRecoveryIndex::new();
+        let lsn = db.log().end_lsn().0;
+        for p in 0..data_pages {
+            let slot = spf_wal::BackupRef::BackupPage(PageId(p));
+            dense.set_backup(PageId(p), slot, spf_wal::Lsn(lsn - p));
+            dense.set_latest_lsn(PageId(p), spf_wal::Lsn(lsn + p));
+        }
         table.row(&[
             format!("{label}: paper worst case"),
             data_pages.to_string(),
             stats.dense_bytes.to_string(),
+            dense.encoded_bytes().to_string(),
             "16.000".into(),
             format!(
                 "{:.2}‰",

@@ -30,12 +30,12 @@ use spf_buffer::{BufferPool, PageWriteGuard};
 use spf_obs::TraceCtx;
 use spf_storage::{Page, PageId, PageType, SlottedPage};
 use spf_txn::{TxKind, TxnManager};
-use spf_wal::{CompressedPageImage, LogPayload, Lsn, PageOp, TxId};
+use spf_wal::{Lsn, PageOp, TxId};
 
 use crate::alloc::PageAllocator;
 use crate::error::BTreeError;
 use crate::keys::{decode_branch, decode_leaf, encode_branch, encode_leaf, Bound, BoundRef};
-use crate::tree::TreeStats;
+use crate::tree::{format_new, TreeStats};
 
 const MAX_RETRIES: usize = 64;
 
@@ -92,7 +92,7 @@ impl StandardBTree {
         image
             .structure_area_mut()
             .copy_from_slice(&structure(0, PageId::INVALID));
-        tree.format_logged(sys, image)?;
+        format_new(&tree.pool, &tree.txn, sys, image)?;
         tree.txn.commit(sys, TraceCtx::NONE)?;
         tree.alloc.note_allocated(root);
         Ok(tree)
@@ -264,6 +264,7 @@ impl StandardBTree {
                     &mut guard,
                     PageOp::SetGhost {
                         pos,
+                        key: key.to_vec(),
                         old: true,
                         new: false,
                     },
@@ -310,6 +311,7 @@ impl StandardBTree {
             &mut guard,
             PageOp::SetGhost {
                 pos,
+                key: key.to_vec(),
                 old: false,
                 new: true,
             },
@@ -357,24 +359,6 @@ impl StandardBTree {
         let lsn = self.txn.log_update(tx, guard.page_id(), prev, op.clone())?;
         op.redo(&mut *guard);
         guard.mark_dirty(lsn);
-        Ok(lsn)
-    }
-
-    fn format_logged(&self, tx: TxId, image: Page) -> Result<Lsn, BTreeError> {
-        let pid = image.page_id();
-        let lsn = self.txn.log_other(
-            tx,
-            pid,
-            Lsn::NULL,
-            LogPayload::PageFormat {
-                image: CompressedPageImage::capture(&image),
-            },
-        )?;
-        let mut img = image;
-        img.set_page_lsn(lsn.0);
-        img.reset_update_count();
-        self.pool.put_new(img, lsn)?;
-        self.pool.notify_page_formatted(pid, lsn);
         Ok(lsn)
     }
 
@@ -579,7 +563,7 @@ impl StandardBTree {
                     .expect("half a node fits a fresh page");
             }
         }
-        self.format_logged(sys, image)?;
+        format_new(&self.pool, &self.txn, sys, image)?;
 
         self.apply_logged(
             sys,
@@ -618,7 +602,7 @@ impl StandardBTree {
         drop(guard);
         copy.set_page_id(copy_pid);
         copy.reset_update_count();
-        self.format_logged(sys, copy)?;
+        format_new(&self.pool, &self.txn, sys, copy)?;
 
         let mut new_root = Page::new_formatted(self.page_size, self.root, PageType::BTreeBranch);
         new_root
@@ -631,7 +615,7 @@ impl StandardBTree {
             sp.push(&encode_branch(right.0, &Bound::PosInf), false)
                 .expect("fits");
         }
-        self.format_logged(sys, new_root)?;
+        format_new(&self.pool, &self.txn, sys, new_root)?;
         crate::tree::TreeStatCounters::bump(&self.stats.root_growths);
         Ok(())
     }

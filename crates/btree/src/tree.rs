@@ -199,19 +199,101 @@ impl<'a> PoolUndo<'a> {
 }
 
 impl spf_txn::UndoTarget for PoolUndo<'_> {
-    fn page_lsn(&self, page: PageId) -> Lsn {
-        self.pool
-            .fetch(page)
-            .map(|g| Lsn(g.page_lsn()))
-            .unwrap_or(Lsn::NULL)
+    /// Physical undo: `op` lands on `page` at the slot it names.
+    fn compensate(
+        &self,
+        _kind: TxKind,
+        page: PageId,
+        op: &PageOp,
+        log: &mut spf_txn::LogClr<'_>,
+    ) -> Result<(), String> {
+        match self.pool.fetch_mut(page) {
+            Ok(mut g) => {
+                let clr_lsn = log(page, Lsn(g.page_lsn()), op);
+                op.redo(&mut g);
+                g.mark_dirty(clr_lsn);
+            }
+            // An unfetchable page (its failure escalated) still gets its
+            // CLR: restart's redo applies it once the page is back.
+            Err(_) => {
+                log(page, Lsn::NULL, op);
+            }
+        }
+        Ok(())
     }
+}
 
-    fn apply(&self, page: PageId, op: &PageOp, clr_lsn: Lsn) {
-        if let Ok(mut g) = self.pool.fetch_mut(page) {
-            op.redo(&mut g);
-            g.mark_dirty(clr_lsn);
+/// Logical undo for user transactions: a record a user transaction
+/// wrote is found again by its key — concurrent inserts shift slots and
+/// splits move records between pages, so the slot the update was logged
+/// at may hold another record by now. Structural updates (system
+/// transactions) are undone where they were made, through [`PoolUndo`].
+impl spf_txn::UndoTarget for FosterBTree {
+    fn compensate(
+        &self,
+        kind: TxKind,
+        page: PageId,
+        op: &PageOp,
+        log: &mut spf_txn::LogClr<'_>,
+    ) -> Result<(), String> {
+        let key = match op {
+            PageOp::RemoveRecord { old_bytes: r, .. }
+            | PageOp::ReplaceRecord { new_bytes: r, .. } => {
+                crate::keys::decode_leaf(r).ok().map(|(k, _)| k)
+            }
+            PageOp::SetGhost { key, .. } => Some(key.as_slice()),
+            _ => None,
+        };
+        match key {
+            Some(key) if kind == TxKind::User => self
+                .compensate_by_key(key, op, log)
+                .map_err(|e| format!("undo of {page} by key: {e}")),
+            _ => PoolUndo::new(&self.pool).compensate(kind, page, op, log),
         }
     }
+}
+
+/// Installs a fresh page image: latched — and dirty at the log end read
+/// now — *before* its format record is appended, so a checkpoint that
+/// waits out the page latches held when it read the log end never misses
+/// a format below that end. Shared by both tree variants.
+pub(crate) fn format_new(
+    pool: &BufferPool,
+    txn: &TxnManager,
+    tx: TxId,
+    image: Page,
+) -> Result<Lsn, BTreeError> {
+    let mut guard = pool.put_new(image.clone(), txn.log().end_lsn())?;
+    format_latched(pool, txn, tx, &mut guard, image)
+}
+
+/// Logs a page-format record for `image` and installs it through the
+/// already-held write `guard`; the PRI learns the format record as the
+/// page's backup before the latch goes.
+pub(crate) fn format_latched(
+    pool: &BufferPool,
+    txn: &TxnManager,
+    tx: TxId,
+    guard: &mut PageWriteGuard,
+    image: Page,
+) -> Result<Lsn, BTreeError> {
+    let pid = image.page_id();
+    debug_assert_eq!(pid, guard.page_id());
+    let lsn = txn.log_other(
+        tx,
+        pid,
+        Lsn::NULL, // per-page chain restarts at a format record
+        LogPayload::PageFormat {
+            image: CompressedPageImage::capture(&image),
+        },
+    )?;
+    let mut img = image;
+    img.set_page_lsn(lsn.0);
+    img.reset_update_count();
+    **guard = img;
+    guard.mark_dirty(lsn);
+    pool.notify_page_formatted(pid, lsn);
+    Ok(lsn)
 }
 
 /// The Foster B-tree.
@@ -263,7 +345,7 @@ impl FosterBTree {
         let tree = Self::open(pool, txn, alloc, root, page_size, verify);
         let sys = tree.txn.begin(TxKind::System);
         let image = crate::node::build_empty_leaf(page_size, root);
-        tree.format_logged(sys, image)?;
+        format_new(&tree.pool, &tree.txn, sys, image)?;
         tree.txn.commit(sys, TraceCtx::NONE)?;
         tree.alloc.note_allocated(root);
         Ok(tree)
@@ -636,12 +718,114 @@ impl FosterBTree {
                 progress += 1;
                 continue;
             }
-            // Writers descend with shared latches and upgrade only at the
-            // leaf: the descent guard drops here and the leaf is
-            // re-latched in write mode below — the window a concurrent
-            // restructure can slip into, handled by the bounded retries.
+            let (mut guard, pos, exact) = self.write_latch_leaf(key, ctx, &mut conflicts)?;
+            let target = guard.page_id();
+            if exact {
+                let view = NodeView::new(&guard)?;
+                let (k, v, ghost) = view.leaf_entry(pos)?;
+                debug_assert_eq!(k, key);
+                let old_value = v.to_vec();
+                let old_record = leaf_record(k, v);
+                match op {
+                    LeafOp::Insert if !ghost => return Err(BTreeError::DuplicateKey),
+                    LeafOp::Insert | LeafOp::Upsert => {
+                        // Replace bytes (if changed), then clear the ghost.
+                        if old_record != record {
+                            // The replacement may need space.
+                            if record.len() > old_record.len()
+                                && !self.fits(&mut guard, record.len() - old_record.len())
+                            {
+                                drop(guard);
+                                self.make_room(target)?;
+                                progress += 1;
+                                continue 'restart;
+                            }
+                            self.apply_logged(
+                                tx,
+                                &mut guard,
+                                PageOp::ReplaceRecord {
+                                    pos,
+                                    old_bytes: old_record,
+                                    new_bytes: record.clone(),
+                                },
+                            )?;
+                        }
+                        if ghost {
+                            self.apply_logged(
+                                tx,
+                                &mut guard,
+                                PageOp::SetGhost {
+                                    pos,
+                                    key: key.to_vec(),
+                                    old: true,
+                                    new: false,
+                                },
+                            )?;
+                        }
+                        return Ok(if ghost { None } else { Some(old_value) });
+                    }
+                    LeafOp::Delete => {
+                        if ghost {
+                            return Ok(None);
+                        }
+                        self.apply_logged(
+                            tx,
+                            &mut guard,
+                            PageOp::SetGhost {
+                                pos,
+                                key: key.to_vec(),
+                                old: false,
+                                new: true,
+                            },
+                        )?;
+                        return Ok(Some(old_value));
+                    }
+                }
+            } else {
+                match op {
+                    LeafOp::Delete => return Ok(None),
+                    LeafOp::Insert | LeafOp::Upsert => {
+                        if !self.fits(&mut guard, record.len() + spf_storage::slotted::SLOT_SIZE) {
+                            drop(guard);
+                            self.make_room(target)?;
+                            progress += 1;
+                            continue 'restart;
+                        }
+                        self.apply_logged(
+                            tx,
+                            &mut guard,
+                            PageOp::InsertRecord {
+                                pos,
+                                bytes: record.clone(),
+                                ghost: false,
+                            },
+                        )?;
+                        return Ok(None);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Write-latches the leaf that holds (or would hold) `key`. Writers
+    /// descend with shared latches and upgrade only at the leaf: the
+    /// descent guard drops and the leaf is re-latched in write mode —
+    /// the window a concurrent restructure can slip into. A split that
+    /// moved the key into a foster child is followed by crabbing (next
+    /// node latched before this one drops); a node that no longer covers
+    /// the key (an adoption lowered its high fence) or stopped being a
+    /// leaf (the root grew) sends the walk back to the root after a
+    /// pause. Both count against `conflicts`. Returns the guard, the
+    /// slot `key` occupies or belongs at, and whether it holds `key`.
+    fn write_latch_leaf(
+        &self,
+        key: &[u8],
+        ctx: TraceCtx,
+        conflicts: &mut usize,
+    ) -> Result<(PageWriteGuard, u16, bool), BTreeError> {
+        'descend: loop {
             let (guard, _, _) = self.descend(key, FetchHint::Normal, ctx)?;
-            let mut target = guard.page_id();
+            let target = guard.page_id();
             drop(guard);
             self.fire_reacquire_hook(target);
             let mut guard = self.pool.fetch_mut_ctx(target, ctx)?;
@@ -652,121 +836,88 @@ impl FosterBTree {
                 } else {
                     None
                 };
-                let (pos, exact) = match step {
-                    Some(Descent::Leaf { pos, exact }) => (pos, exact),
+                match step {
+                    Some(Descent::Leaf { pos, exact }) => return Ok((guard, pos, exact)),
                     Some(Descent::Foster {
                         child,
                         separator,
                         high,
                     }) => {
-                        // A concurrent split moved the key into a foster
-                        // child: crab along the chain (next node latched
-                        // before this one drops), bounded-many times.
-                        self.count_retry(&mut conflicts, child)?;
+                        self.count_retry(conflicts, child)?;
                         let next = self.pool.fetch_mut_ctx(child, ctx)?;
                         self.check_fences(&next, separator, high)?;
-                        target = child;
                         guard = next;
-                        continue;
                     }
-                    // The node no longer covers the key (a concurrent
-                    // adoption lowered its high fence) or stopped being a
-                    // leaf (the root grew): re-descend, latch-free and
-                    // after a pause so the winning restructure can finish.
                     None | Some(Descent::Child { .. }) => {
                         drop(guard);
-                        self.count_retry(&mut conflicts, self.root)?;
-                        backoff(conflicts);
-                        continue 'restart;
-                    }
-                };
-
-                if exact {
-                    let view = NodeView::new(&guard)?;
-                    let (k, v, ghost) = view.leaf_entry(pos)?;
-                    debug_assert_eq!(k, key);
-                    let old_value = v.to_vec();
-                    let old_record = leaf_record(k, v);
-                    match op {
-                        LeafOp::Insert if !ghost => return Err(BTreeError::DuplicateKey),
-                        LeafOp::Insert | LeafOp::Upsert => {
-                            // Replace bytes (if changed), then clear the ghost.
-                            if old_record != record {
-                                // The replacement may need space.
-                                if record.len() > old_record.len()
-                                    && !self.fits(&mut guard, record.len() - old_record.len())
-                                {
-                                    drop(guard);
-                                    self.make_room(target)?;
-                                    progress += 1;
-                                    continue 'restart;
-                                }
-                                self.apply_logged(
-                                    tx,
-                                    &mut guard,
-                                    PageOp::ReplaceRecord {
-                                        pos,
-                                        old_bytes: old_record,
-                                        new_bytes: record.clone(),
-                                    },
-                                )?;
-                            }
-                            if ghost {
-                                self.apply_logged(
-                                    tx,
-                                    &mut guard,
-                                    PageOp::SetGhost {
-                                        pos,
-                                        old: true,
-                                        new: false,
-                                    },
-                                )?;
-                            }
-                            return Ok(if ghost { None } else { Some(old_value) });
-                        }
-                        LeafOp::Delete => {
-                            if ghost {
-                                return Ok(None);
-                            }
-                            self.apply_logged(
-                                tx,
-                                &mut guard,
-                                PageOp::SetGhost {
-                                    pos,
-                                    old: false,
-                                    new: true,
-                                },
-                            )?;
-                            return Ok(Some(old_value));
-                        }
-                    }
-                } else {
-                    match op {
-                        LeafOp::Delete => return Ok(None),
-                        LeafOp::Insert | LeafOp::Upsert => {
-                            if !self
-                                .fits(&mut guard, record.len() + spf_storage::slotted::SLOT_SIZE)
-                            {
-                                drop(guard);
-                                self.make_room(target)?;
-                                progress += 1;
-                                continue 'restart;
-                            }
-                            self.apply_logged(
-                                tx,
-                                &mut guard,
-                                PageOp::InsertRecord {
-                                    pos,
-                                    bytes: record.clone(),
-                                    ghost: false,
-                                },
-                            )?;
-                            return Ok(None);
-                        }
+                        self.count_retry(conflicts, self.root)?;
+                        backoff(*conflicts);
+                        continue 'descend;
                     }
                 }
             }
         }
+    }
+
+    /// A user transaction's compensation applied to `key`'s record where
+    /// it is now (see [`UndoTarget`](spf_txn::UndoTarget)): the inverse
+    /// `op` is re-aimed at the record's current page and slot, making
+    /// room first if restoring a longer image needs it.
+    fn compensate_by_key(
+        &self,
+        key: &[u8],
+        op: &PageOp,
+        log: &mut spf_txn::LogClr<'_>,
+    ) -> Result<(), BTreeError> {
+        let mut conflicts = 0usize;
+        for _ in 0..=MAX_RETRIES {
+            let (mut guard, pos, exact) =
+                self.write_latch_leaf(key, TraceCtx::NONE, &mut conflicts)?;
+            if !exact {
+                return Ok(()); // nothing of this key left to undo
+            }
+            let (bytes, ghost) = guard.record_at(pos).ok_or(BTreeError::NodeCorrupt {
+                page: guard.page_id(),
+                detail: format!("slot {pos} vanished under the latch"),
+            })?;
+            let current = bytes.to_vec();
+            let here = match op {
+                PageOp::RemoveRecord { .. } => PageOp::RemoveRecord {
+                    pos,
+                    old_bytes: current,
+                    old_ghost: ghost,
+                },
+                PageOp::ReplaceRecord { new_bytes, .. } => {
+                    if new_bytes.len() > current.len()
+                        && !self.fits(&mut guard, new_bytes.len() - current.len())
+                    {
+                        let leaf = guard.page_id();
+                        drop(guard);
+                        self.make_room(leaf)?;
+                        continue;
+                    }
+                    PageOp::ReplaceRecord {
+                        pos,
+                        old_bytes: current,
+                        new_bytes: new_bytes.clone(),
+                    }
+                }
+                PageOp::SetGhost { new, .. } => PageOp::SetGhost {
+                    pos,
+                    key: key.to_vec(),
+                    old: ghost,
+                    new: *new,
+                },
+                _ => unreachable!("only leaf-record compensations are re-aimed"),
+            };
+            let lsn = log(guard.page_id(), Lsn(guard.page_lsn()), &here);
+            here.redo(&mut guard);
+            guard.mark_dirty(lsn);
+            return Ok(());
+        }
+        Err(BTreeError::TooManyRetries {
+            retries: MAX_RETRIES,
+        })
     }
 
     fn fits(&self, guard: &mut PageWriteGuard, needed: usize) -> bool {
@@ -841,54 +992,6 @@ impl FosterBTree {
         let lsn = self.txn.log_update(tx, guard.page_id(), prev, op.clone())?;
         op.redo(&mut *guard);
         guard.mark_dirty(lsn);
-        Ok(lsn)
-    }
-
-    /// Logs a page-format record and installs the image in the pool.
-    fn format_logged(&self, tx: TxId, image: Page) -> Result<Lsn, BTreeError> {
-        let pid = image.page_id();
-        let lsn = self.txn.log_other(
-            tx,
-            pid,
-            Lsn::NULL, // per-page chain restarts at a format record
-            LogPayload::PageFormat {
-                image: CompressedPageImage::capture(&image),
-            },
-        )?;
-        let mut img = image;
-        img.set_page_lsn(lsn.0);
-        img.reset_update_count();
-        self.pool.put_new(img, lsn)?;
-        self.pool.notify_page_formatted(pid, lsn);
-        Ok(lsn)
-    }
-
-    /// Logs a page-format record and installs the image *through an
-    /// already-held write guard*. [`BufferPool::put_new`] would
-    /// self-deadlock here: the page latch is not reentrant, and root
-    /// growth must keep the root latched from re-validation to rewrite.
-    fn format_in_place(
-        &self,
-        tx: TxId,
-        guard: &mut PageWriteGuard,
-        image: Page,
-    ) -> Result<Lsn, BTreeError> {
-        let pid = image.page_id();
-        debug_assert_eq!(pid, guard.page_id());
-        let lsn = self.txn.log_other(
-            tx,
-            pid,
-            Lsn::NULL, // per-page chain restarts at a format record
-            LogPayload::PageFormat {
-                image: CompressedPageImage::capture(&image),
-            },
-        )?;
-        let mut img = image;
-        img.set_page_lsn(lsn.0);
-        img.reset_update_count();
-        **guard = img;
-        guard.mark_dirty(lsn);
-        self.pool.notify_page_formatted(pid, lsn);
         Ok(lsn)
     }
 
@@ -982,7 +1085,7 @@ impl FosterBTree {
             &moved,
             old_foster.as_ref().map(|(p, s)| (*p, s)),
         );
-        self.format_logged(sys, child_image)?;
+        format_new(&self.pool, &self.txn, sys, child_image)?;
 
         // Shrink this node and point its foster at the new child.
         self.apply_logged(
@@ -1253,7 +1356,7 @@ impl FosterBTree {
         let mut copy = (*guard).clone();
         copy.set_page_id(new_pid);
         copy.reset_update_count();
-        self.format_logged(sys, copy)?;
+        format_new(&self.pool, &self.txn, sys, copy)?;
 
         // Rewrite the root as a branch with a single entry covering
         // everything the copied node (and its chain) covers — through the
@@ -1268,7 +1371,10 @@ impl FosterBTree {
             &entries,
             None,
         );
-        self.format_in_place(sys, &mut guard, new_root)?;
+        // Through the held guard: `put_new` would self-deadlock (the page
+        // latch is not reentrant), and root growth keeps the root latched
+        // from re-validation to rewrite.
+        format_latched(&self.pool, &self.txn, sys, &mut guard, new_root)?;
         Ok(true)
     }
 
@@ -1452,7 +1558,7 @@ impl FosterBTree {
         };
         copy.set_page_id(new_pid);
         copy.reset_update_count();
-        self.format_logged(sys, copy)?;
+        format_new(&self.pool, &self.txn, sys, copy)?;
 
         // Redirect the single incoming pointer.
         match incoming {

@@ -856,11 +856,13 @@ impl BufferPool {
                 }
                 Probe::Lead => {
                     // Victim selection and its write-back run with no
-                    // shard lock held.
+                    // shard lock held. The latch the image was installed
+                    // under is never let go: the caller owns the page
+                    // from the moment it becomes visible.
                     let staged = Ok((page, Some(rec_lsn)));
-                    let (idx, arc) = self.publish_frame(id, staged, FetchHint::Normal, false)?;
+                    let (idx, guard) = self.publish_frame(id, staged, FetchHint::Normal, false)?;
                     return Ok(PageWriteGuard {
-                        guard: RwLock::write_arc(&arc),
+                        guard,
                         pool: Arc::clone(&self.inner),
                         frame_idx: idx,
                         _pin: Pin {
@@ -882,12 +884,27 @@ impl BufferPool {
     }
 
     /// The dirty-page table: `(page, recovery LSN)` for every dirty frame.
-    /// This is what a fuzzy checkpoint records. Touches only the per-frame
-    /// locks, never the shard locks.
+    /// Touches only the per-frame locks, never the shard locks.
     #[must_use]
     pub fn dirty_pages(&self) -> Vec<(PageId, Lsn)> {
+        self.collect_dirty(|_| {})
+    }
+
+    /// The dirty-page table a checkpoint records: [`dirty_pages`](BufferPool::dirty_pages)
+    /// after waiting out every page latch held at the call. Page updates
+    /// are logged under the page's write latch and mark the frame dirty
+    /// before the latch goes, so every update appended before this call
+    /// has its frame dirty — or already written back — in the result.
+    /// Must not be called with a page latch held.
+    #[must_use]
+    pub fn settled_dirty_pages(&self) -> Vec<(PageId, Lsn)> {
+        self.collect_dirty(|frame| drop(frame.page.read()))
+    }
+
+    fn collect_dirty(&self, settle: impl Fn(&Frame)) -> Vec<(PageId, Lsn)> {
         let mut out = Vec::new();
         for frame in &self.inner.frames {
+            settle(frame);
             let meta = frame.meta.lock();
             if meta.dirty && meta.id.is_valid() {
                 out.push((meta.id, meta.rec_lsn));
@@ -1067,7 +1084,7 @@ impl BufferPool {
                 .map(dirty_at_page_lsn)
                 .map_err(|reason| FetchError::MediaFailure { id, reason });
             return match self.publish_frame(id, staged, FetchHint::Normal, false) {
-                Ok((frame_idx, _)) => {
+                Ok((frame_idx, _latch)) => {
                     // publish_frame pinned the frame on our behalf; release it.
                     self.inner.frames[frame_idx]
                         .pins
@@ -1177,7 +1194,7 @@ impl BufferPool {
             .span(TraceCtx::NONE, SpanKind::Prefetch, id.0);
         let staged = self.prefetch_read_verified(id).map(|page| (page, None));
         match self.publish_frame(id, staged, FetchHint::Normal, true) {
-            Ok((frame_idx, _)) => {
+            Ok((frame_idx, _latch)) => {
                 // publish_frame pinned the frame on our behalf; release it.
                 self.inner.frames[frame_idx]
                     .pins
@@ -1321,7 +1338,8 @@ impl BufferPool {
         self.inner.obs.emit(EventKind::PageMiss, id.0, 0);
         let span = self.inner.obs.span(ctx, SpanKind::PageMiss, id.0);
         let staged = self.read_verified(id, span.ctx());
-        self.publish_frame(id, staged, hint, false)
+        let (idx, _latch) = self.publish_frame(id, staged, hint, false)?;
+        Ok((idx, Arc::clone(&self.inner.frames[idx].page)))
     }
 
     /// Completes a miss (or `put_new`, a prefetch, a repair): claims a
@@ -1330,21 +1348,24 @@ impl BufferPool {
     /// `hint`'s clock credit — or, on error, removes the in-flight
     /// marker; either way every coalesced waiter wakes.
     ///
-    /// On success the frame is pinned on the caller's behalf.
+    /// On success the frame is pinned on the caller's behalf, and the
+    /// page write latch the image was installed under is returned still
+    /// held (callers that only publish drop it).
     fn publish_frame(
         &self,
         id: PageId,
         staged: Result<(Page, Option<Lsn>), FetchError>,
         hint: FetchHint,
         prefetched: bool,
-    ) -> Result<(usize, Arc<RwLock<Page>>), FetchError> {
+    ) -> Result<(usize, ArcRwLockWriteGuard<RawRwLock, Page>), FetchError> {
         // Install the image in the still-unpublished frame first: the
         // moment the shard entry flips to Resident, hits pin and read the
         // frame with no further synchronization.
         let staged = staged.and_then(|(page, rec_lsn)| {
             let idx = self.claim_victim(hint)?;
-            *self.inner.frames[idx].page.write() = page;
-            Ok((idx, rec_lsn))
+            let mut latch = RwLock::write_arc(&self.inner.frames[idx].page);
+            *latch = page;
+            Ok((idx, rec_lsn, latch))
         });
         let mut shard = self.inner.shard(id).lock();
         let fl = match shard.table.get(&id) {
@@ -1352,7 +1373,7 @@ impl BufferPool {
             _ => unreachable!("in-flight marker owned by this thread"),
         };
         let result = match staged {
-            Ok((idx, rec_lsn)) => {
+            Ok((idx, rec_lsn, latch)) => {
                 let frame = &self.inner.frames[idx];
                 {
                     let mut meta = frame.meta.lock();
@@ -1367,7 +1388,7 @@ impl BufferPool {
                 frame.prefetched.store(prefetched, Ordering::Relaxed);
                 shard.table.insert(id, Slot::Resident(idx));
                 frame.claimed.store(false, Ordering::Release);
-                Ok((idx, Arc::clone(&frame.page)))
+                Ok((idx, latch))
             }
             Err(e) => {
                 shard.table.remove(&id);
@@ -1838,6 +1859,42 @@ mod tests {
         assert_eq!(Page::from_bytes(dev.raw_image(PageId(2))).page_lsn(), 50);
         pool.flush_all().unwrap();
         assert!(pool.dirty_pages().is_empty());
+    }
+
+    /// A writer that logged its update but has not yet marked the frame
+    /// dirty holds the page latch: the checkpoint's table waits it out
+    /// and reports the page, where a plain snapshot would miss it.
+    #[test]
+    fn settled_dirty_pages_waits_out_a_latched_update() {
+        use std::sync::mpsc::channel;
+        let (pool, _dev, log) = setup(8, 8);
+        let (logged, logged_rx) = channel();
+        let (go, go_rx) = channel::<()>();
+        let (table, table_rx) = channel();
+        let (pool, log) = (&pool, &log);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut guard = pool.fetch_mut(PageId(4)).unwrap();
+                let lsn = log.append(&LogRecord {
+                    tx_id: TxId(1),
+                    prev_tx_lsn: Lsn::NULL,
+                    page_id: PageId(4),
+                    prev_page_lsn: Lsn::NULL,
+                    payload: LogPayload::TxAbort,
+                });
+                logged.send(lsn).unwrap();
+                go_rx.recv().unwrap();
+                guard.mark_dirty(lsn);
+            });
+            let lsn = logged_rx.recv().unwrap();
+            assert!(lsn < log.end_lsn(), "logged below the scan point");
+            s.spawn(move || table.send(pool.settled_dirty_pages()).unwrap());
+            // While the writer holds the latch the table cannot be read.
+            let early = table_rx.recv_timeout(std::time::Duration::from_millis(50));
+            assert!(early.is_err(), "returned under a held latch: {early:?}");
+            go.send(()).unwrap();
+            assert_eq!(table_rx.recv().unwrap(), vec![(PageId(4), lsn)]);
+        });
     }
 
     #[test]

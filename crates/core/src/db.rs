@@ -3,6 +3,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Weak};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -12,8 +13,8 @@ use spf_buffer::{BufferPool, BufferPoolConfig, FetchError, PoolHooks, RepairOutc
 use spf_obs::{MetricsSnapshot, Obs, SpanKind, Stitched, TraceCtx};
 use spf_prefetch::{AccessObserver, GovernorConfig, IoGovernor, Prefetcher};
 use spf_recovery::{
-    BackupStore, MediaRecovery, MediaReport, PageRecoveryIndex, PriMaintainer, RestartReport,
-    SinglePageRecovery, SystemRecovery,
+    BackupStore, CheckpointImage, MediaRecovery, MediaReport, PageRecoveryIndex, PriMaintainer,
+    RestartReport, SinglePageRecovery, SystemRecovery,
 };
 use spf_scrub::{ScanExtent, ScrubCycleReport, Scrubber};
 use spf_storage::{
@@ -68,6 +69,8 @@ pub struct Database {
     governor: Arc<IoGovernor>,
     prefetcher: Option<Arc<Prefetcher>>,
     prefetch_thread: Mutex<Option<PrefetchThread>>,
+    /// The last restart's report (the `restart` metrics group).
+    last_restart: Arc<Mutex<RestartReport>>,
 }
 
 /// Handle of the running prefetch-poll thread plus its private stop
@@ -118,6 +121,7 @@ struct MetricsSources {
     scrubber: Option<Arc<Scrubber>>,
     prefetcher: Option<Arc<Prefetcher>>,
     governor: Arc<IoGovernor>,
+    last_restart: Arc<Mutex<RestartReport>>,
 }
 
 impl MetricsSources {
@@ -162,6 +166,7 @@ impl MetricsSources {
                 .unwrap_or_default(),
         );
         snap.add("governor", &self.governor.stats());
+        snap.add("restart", &*self.last_restart.lock());
         let obs = self.log.obs();
         snap.add("latency", obs.spans());
         snap.add("trace", &obs.tracer().stats());
@@ -280,11 +285,12 @@ impl Database {
 
     /// Opens an existing file-backed database directory and runs restart
     /// (system) recovery: the manifest supplies the geometry, the WAL
-    /// segments are walked forward to find the durable prefix (a torn
-    /// tail from a mid-write kill is detected by checksum and
-    /// discarded), and ARIES-style analysis/redo/undo rebuilds the
-    /// caches. Committed transactions survive; incomplete ones are
-    /// rolled back.
+    /// segments are streamed in to find the durable prefix (a torn tail
+    /// from a mid-write kill is detected by checksum and discarded), and
+    /// ARIES-style analysis from the last checkpoint image, redo and undo
+    /// rebuild the caches. Committed transactions survive; incomplete
+    /// ones are rolled back. If recovery itself fails, a black box is
+    /// left in the directory before the error is returned.
     ///
     /// `config` supplies the *policy* knobs (pool size, verification,
     /// scrubbing, archive fanout…); the manifest overrides the
@@ -319,14 +325,25 @@ impl Database {
         // The restored log comes back with its torn tail trimmed and its
         // sink armed: restart itself appends (undo compensation, PRI
         // maintenance) and forces, as durably as any foreground update.
-        let files = WalFiles::open(&path.join(WAL_DIR)).map_err(|e| Self::dir_err(path, &e))?;
-        let log = LogManager::restore(
-            Arc::clone(&clock),
-            config.io_cost,
-            Self::new_obs(&config, &clock),
-            files,
-        )
-        .map_err(|e| Self::dir_err(path, &e))?;
+        let obs = Self::new_obs(&config, &clock);
+        let restore = Instant::now();
+        let log = WalFiles::open(&path.join(WAL_DIR)).and_then(|files| {
+            LogManager::restore(Arc::clone(&clock), config.io_cost, Arc::clone(&obs), files)
+        });
+        let log = match log {
+            Ok(log) => log,
+            Err(e) => {
+                let err = Self::dir_err(path, &e);
+                // Nothing is assembled yet to snapshot: the black box
+                // carries the flight recorder and the reason alone.
+                obs.arm_blackbox(path.to_path_buf(), Box::new(|| "{}".to_string()));
+                obs.write_blackbox(&format!("open failed restoring the WAL: {err}"));
+                obs.disarm_blackbox();
+                return Err(err);
+            }
+        };
+        let restore_ns = u64::try_from(restore.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let restored_bytes = log.total_bytes();
         log.set_archive_watermark(manifest.archived_through);
 
         let archive = match config.archive.enabled {
@@ -347,10 +364,9 @@ impl Database {
             store.note_archived_through(manifest.archived_through);
         }
 
-        // The backup free list is volatile; resume slot allocation past
-        // everything the previous incarnation could have handed out.
-        let backup_start = backup_device.capacity();
-        let backups = Arc::new(BackupStore::with_start_slot(backup_device, backup_start));
+        // The backup free list is volatile: allocation resumes past the
+        // device until restart has recovered which slots are still named.
+        let backups = Arc::new(BackupStore::reopened(backup_device));
 
         let db = Self::assemble(
             Parts {
@@ -376,8 +392,42 @@ impl Database {
         *db.last_full_backup.lock() = manifest
             .last_full_backup
             .map(|(slot, lsn)| (PageId(slot), lsn));
-        db.restart()?;
+        if let Err(e) = db.restart() {
+            db.obs()
+                .write_blackbox(&format!("open failed in restart recovery: {e}"));
+            return Err(e);
+        }
+        {
+            let mut report = db.last_restart.lock();
+            report.restore_ns = restore_ns;
+            report.restored_bytes = restored_bytes;
+        }
+        db.reclaim_backup_slots();
         Ok(db)
+    }
+
+    /// Rebuilds the backup store's free list after a reopen: a slot is
+    /// free unless the recovered page recovery index names it, or it
+    /// belongs to the last full backup media recovery would restore.
+    fn reclaim_backup_slots(&self) {
+        let mut slots = std::collections::HashSet::new();
+        let mut ranges = Vec::new();
+        for (_, _, entry) in self.pri.dump() {
+            match entry.backup {
+                BackupRef::BackupPage(slot) => {
+                    slots.insert(slot.0);
+                }
+                BackupRef::FullBackup { first_slot, pages } => {
+                    ranges.push(first_slot..first_slot.saturating_add(pages));
+                }
+                _ => {}
+            }
+        }
+        if let Some((first, _)) = *self.last_full_backup.lock() {
+            ranges.push(first.0..first.0.saturating_add(self.config.data_pages));
+        }
+        self.backups
+            .reclaim_after_restart(|s| slots.contains(&s) || ranges.iter().any(|r| r.contains(&s)));
     }
 
     /// Cleanly shuts a file-backed database down: checkpoint, flush,
@@ -623,6 +673,7 @@ impl Database {
             governor,
             prefetcher,
             prefetch_thread: Mutex::new(None),
+            last_restart: Arc::new(Mutex::new(RestartReport::default())),
         };
         // File-backed engines arm black-box capture: a panic (with the
         // hook installed) or a clean close persists the flight recorder,
@@ -685,9 +736,7 @@ impl Database {
     /// rollback failed): a writer let in earlier would have its update
     /// overwritten by the undo.
     pub fn abort(&self, tx: TxId) -> Result<Lsn, DbError> {
-        let aborted = self
-            .txn
-            .abort(tx, &spf_btree::tree::PoolUndo::new(&self.pool));
+        let aborted = self.txn.abort(tx, &*self.tree);
         self.locks.release_all(tx);
         Ok(aborted?)
     }
@@ -843,22 +892,31 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Fuzzy checkpoint (Section 5.2.6): records the active-transaction
-    /// and dirty-page tables, then writes back only the pages that were
-    /// dirty when the checkpoint started.
+    /// and dirty-page tables, writes back only the pages that were dirty
+    /// when the checkpoint started, and saves the image restart analysis
+    /// starts from (`spf_recovery::system_recovery` explains the order
+    /// and why it is sound).
     pub fn checkpoint(&self) -> Result<Lsn, DbError> {
-        let active_txns = self.txn.active_txns();
-        let dirty_pages = self.pool.dirty_pages();
+        // (1) The scan point, read with the transaction table.
+        let (scan_from, active_txns) = self.txn.active_txns();
+        // (2) The rest of the state every record below it touched.
+        let dirty_pages = self.pool.settled_dirty_pages();
+        let pri = self.pri.dump();
+        let next_tx = self.txn.next_id();
+        let alloc_high_water = self.alloc.high_water();
+        // (3)
+        let ids: Vec<PageId> = dirty_pages.iter().map(|(id, _)| *id).collect();
         let begin = self.log.append(&LogRecord {
             tx_id: TxId::NONE,
             prev_tx_lsn: Lsn::NULL,
             page_id: PageId::INVALID,
             prev_page_lsn: Lsn::NULL,
             payload: LogPayload::CheckpointBegin {
-                active_txns: active_txns.clone(),
-                dirty_pages: dirty_pages.clone(),
+                active_txns,
+                dirty_pages,
             },
         });
-        let ids: Vec<PageId> = dirty_pages.iter().map(|(id, _)| *id).collect();
+        // (4)
         self.pool
             .flush_pages(&ids)
             .map_err(|e| self.escalate(None, e.to_string()))?;
@@ -870,6 +928,17 @@ impl Database {
             payload: LogPayload::CheckpointEnd,
         });
         self.log.force();
+        // (5)
+        let image = CheckpointImage {
+            scan_from,
+            begin,
+            next_tx,
+            alloc_high_water,
+            pri,
+        };
+        self.log
+            .save_checkpoint_image(image.encode())
+            .map_err(|e| DbError::RecoveryFailed(format!("checkpoint image save failed: {e}")))?;
         Ok(begin)
     }
 
@@ -893,22 +962,20 @@ impl Database {
         self.log.crash()
     }
 
-    /// Restart (system) recovery: analysis, redo, undo — rebuilding the
-    /// page recovery index and transaction table from the log.
+    /// Restart (system) recovery: analysis from the last checkpoint
+    /// image, redo, undo — rebuilding the page recovery index and
+    /// transaction table. The report is also kept as the `restart`
+    /// metrics group.
     pub fn restart(&self) -> Result<RestartReport, DbError> {
-        let mut recovery = SystemRecovery::new(self.log.clone(), self.pool.clone());
-        if let Some(store) = &self.archive {
-            recovery = recovery.with_archive(Arc::clone(store));
-        }
         let alloc = Arc::clone(&self.alloc);
-        let report = recovery
-            .run(&self.pri, &move |p| alloc.note_allocated(p))
+        let report = SystemRecovery::new(self.txn.clone(), self.pool.clone())
+            .run(&self.pri, &move |p| alloc.note_allocated(p), &*self.tree)
             .map_err(DbError::RecoveryFailed)?;
-        self.txn.reset_after_crash(report.max_tx_seen);
         if !self.config.single_page_recovery {
             // A traditional engine has no PRI at all.
             self.pri.clear();
         }
+        *self.last_restart.lock() = report.clone();
         Ok(report)
     }
 
@@ -933,6 +1000,12 @@ impl Database {
             first_slot: first.0,
             pages: self.config.data_pages,
         };
+        // The index before its record, as everywhere (see the restart
+        // invariant in `spf_recovery::system_recovery`).
+        if self.config.single_page_recovery {
+            self.pri
+                .set_backup_range(PageId(0), PageId(self.config.data_pages), backup, horizon);
+        }
         self.log.append(&LogRecord {
             tx_id: TxId::NONE,
             prev_tx_lsn: Lsn::NULL,
@@ -944,10 +1017,6 @@ impl Database {
             },
         });
         self.log.force();
-        if self.config.single_page_recovery {
-            self.pri
-                .set_backup_range(PageId(0), PageId(self.config.data_pages), backup, horizon);
-        }
         *self.last_full_backup.lock() = Some((first, horizon));
         // A file-backed database records the backup in its manifest so a
         // reopened process can still media-recover from it.
@@ -1044,9 +1113,9 @@ impl Database {
     ///
     /// * the **archive watermark** — everything dropped must be in the
     ///   archive for page-history replay;
-    /// * the **last durable checkpoint** — restart analysis starts from
-    ///   the truncation point, so the checkpoint must survive (null, and
-    ///   therefore "nothing", until a checkpoint has been taken);
+    /// * the **last checkpoint image's scan point** — restart analysis
+    ///   starts there, so every truncated log has a usable image (null,
+    ///   and therefore "nothing", until a checkpoint has finished);
     /// * the pool's **oldest dirty-page recovery LSN** — any update not
     ///   yet on the data device may still need redo from the WAL;
     /// * the **oldest active transaction's begin LSN** — its undo chain
@@ -1057,11 +1126,15 @@ impl Database {
         if !watermark.is_valid() {
             return Lsn::NULL;
         }
-        let checkpoint = self.log.last_checkpoint();
-        if !checkpoint.is_valid() {
+        let Some(scan_from) = self
+            .log
+            .checkpoint_image()
+            .and_then(|bytes| CheckpointImage::decode(&bytes).ok())
+            .map(|image| image.scan_from)
+        else {
             return Lsn::NULL;
-        }
-        let mut safe = watermark.min(checkpoint);
+        };
+        let mut safe = watermark.min(scan_from);
         if let Some(min_rec) = self
             .pool
             .dirty_pages()
@@ -1414,6 +1487,7 @@ impl Database {
                 .unwrap_or_default(),
             governor: self.governor.stats(),
             trace: self.obs().tracer().stats(),
+            restart: self.last_restart.lock().clone(),
             now: self.clock.now(),
         }
     }
@@ -1448,6 +1522,7 @@ impl Database {
             scrubber: self.scrubber.clone(),
             prefetcher: self.prefetcher.clone(),
             governor: Arc::clone(&self.governor),
+            last_restart: Arc::clone(&self.last_restart),
         }
     }
 

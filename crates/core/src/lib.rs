@@ -65,7 +65,7 @@ pub use spf_prefetch::{
     AccessContext, BackgroundIo, GovernorConfig, GovernorStats, IoGovernor, PrefetchConfig,
     PrefetchStats, Prefetcher,
 };
-pub use spf_recovery::{BackupPolicy, FailureClass};
+pub use spf_recovery::{BackupPolicy, FailureClass, RestartReport};
 pub use spf_scrub::{
     DetectorClass, ScrubConfig, ScrubCycleReport, ScrubEscalation, ScrubFinding, ScrubStats,
 };

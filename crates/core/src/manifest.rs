@@ -5,24 +5,21 @@
 //! the WAL — it tells restart how to *find* the WAL: the page geometry,
 //! the fault-injector seed, whether a mirror device exists, how much of
 //! the log has been archived, and where backup-slot allocation must
-//! resume. It is updated with the classic create–rename–fsync protocol:
-//! write `manifest.spfm.tmp`, fsync it, rename over `manifest.spfm`,
-//! fsync the directory. A crash at any point leaves either the old or
-//! the new manifest intact — never a torn one — and [`Manifest::load`]
-//! proves which one it got via a CRC-32C over the whole record.
+//! resume. It is updated with the create–rename–fsync protocol of
+//! [`spf_util::atomic_file`] (shared with the checkpoint image): a crash at any
+//! point leaves either the old or the new manifest intact — never a
+//! torn one — and [`Manifest::load`] proves which one it got via a
+//! CRC-32C over the whole record.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 use spf_storage::PAGE_HEADER_SIZE;
-use spf_util::{crc32c, Decoder, Encoder};
+use spf_util::{atomic_file, crc32c, Decoder, Encoder};
 use spf_wal::Lsn;
 
 /// File name of the manifest inside a database directory.
 pub const MANIFEST_FILE: &str = "manifest.spfm";
-/// Temporary name used during the create–rename–fsync update.
-pub const MANIFEST_TMP: &str = "manifest.spfm.tmp";
 
 const MAGIC: u32 = 0x5350_464D; // "SPFM"
 const VERSION: u16 = 1;
@@ -145,59 +142,19 @@ impl Manifest {
 
     /// Durably writes the manifest into `dir` with create–rename–fsync.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        self.save_until_step(dir, usize::MAX)
-    }
-
-    /// The crash-point-enumerable core of [`Manifest::save`]. `steps`
-    /// counts how many protocol steps complete before a simulated crash:
-    /// 0 = a partial tmp file was written, 1 = the tmp file is complete
-    /// and fsynced but not renamed, 2 = renamed but the directory entry
-    /// is not yet fsynced, 3+ = the full protocol ran. Production code
-    /// passes `usize::MAX`.
-    pub(crate) fn save_until_step(&self, dir: &Path, steps: usize) -> io::Result<()> {
-        let bytes = self.encode();
-        let tmp: PathBuf = dir.join(MANIFEST_TMP);
-        let mut file = File::create(&tmp)?;
-        if steps == 0 {
-            // Crash mid-write: only a prefix of the record reaches disk.
-            file.write_all(&bytes[..bytes.len() / 2])?;
-            file.sync_all()?;
-            return Ok(());
-        }
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        drop(file);
-        if steps == 1 {
-            return Ok(());
-        }
-        fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-        if steps == 2 {
-            return Ok(());
-        }
-        sync_dir(dir)
+        atomic_file::replace(dir, MANIFEST_FILE, &self.encode())
     }
 
     /// Loads the manifest from `dir`, validating magic, version, and
-    /// CRC. Cleans up any leftover `manifest.spfm.tmp` from an
-    /// interrupted save (the rename never happened, so the tmp file is
-    /// dead weight either way).
+    /// CRC (a leftover tmp file of an interrupted save is discarded).
     pub fn load(dir: &Path) -> Result<Self, String> {
-        let tmp = dir.join(MANIFEST_TMP);
-        if tmp.exists() {
-            let _ = fs::remove_file(&tmp);
-        }
         let path = dir.join(MANIFEST_FILE);
-        let mut bytes = Vec::new();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::decode(&bytes)
+        match atomic_file::read(dir, MANIFEST_FILE) {
+            Ok(Some(bytes)) => Self::decode(&bytes),
+            Ok(None) => Err(format!("cannot read {}: no such file", path.display())),
+            Err(e) => Err(format!("cannot read {}: {e}", path.display())),
+        }
     }
-}
-
-/// Fsyncs a directory so a just-renamed entry survives power loss.
-pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
-    OpenOptions::new().read(true).open(dir)?.sync_all()
 }
 
 #[cfg(test)]
@@ -312,7 +269,7 @@ mod tests {
             let old = sample(seed);
             old.save(dir.path()).unwrap();
             let new = sample(seed + 1);
-            new.save_until_step(dir.path(), step).unwrap();
+            atomic_file::replace_until_step(dir.path(), MANIFEST_FILE, &new.encode(), step).unwrap();
             let got = Manifest::load(dir.path()).unwrap();
             prop_assert!(got == old || got == new, "torn manifest: {got:?}");
             // After the rename step the new version must win.

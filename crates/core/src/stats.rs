@@ -5,7 +5,7 @@ use spf_btree::TreeStats;
 use spf_buffer::PoolStats;
 use spf_obs::TracerStats;
 use spf_prefetch::{GovernorStats, PrefetchStats};
-use spf_recovery::{BackupStats, MaintainerStats, PriStats, SpfStats};
+use spf_recovery::{BackupStats, MaintainerStats, PriStats, RestartReport, SpfStats};
 use spf_scrub::ScrubStats;
 use spf_storage::DeviceStats;
 use spf_txn::TxnStats;
@@ -52,6 +52,9 @@ pub struct DbStats {
     /// Causal-tracing counters: sampled traces, spans recorded, live
     /// per-thread rings.
     pub trace: TracerStats,
+    /// The last restart recovery's report, phase timings included
+    /// (all zero until the engine has restarted).
+    pub restart: RestartReport,
     /// Current simulated time.
     pub now: SimDuration,
 }

@@ -162,8 +162,8 @@ fn restart_works_from_checkpoint_plus_archive_after_truncation() {
     db.crash();
     let report = db.restart().unwrap();
     assert!(
-        report.archive_records_scanned > 0,
-        "analysis consulted the archive for pre-truncation history"
+        report.analysis_start >= db.log().truncate_point(),
+        "analysis starts from the checkpoint image, never below the cut"
     );
     assert!(report.losers >= 1, "the in-flight transaction lost");
 

@@ -1,13 +1,17 @@
 //! Durability and mirrored-media integration tests: file-backed
 //! databases surviving clean closes, abrupt in-process drops, and real
-//! process kills; mirror-sourced single-page repair and media recovery;
-//! and sync-fault (lost-write) detection through the scrubber.
+//! process kills (four writers racing checkpoints included); damaged
+//! WAL segments and checkpoint images refused with a black box left
+//! behind; backup slots reused across reopens; mirror-sourced
+//! single-page repair and media recovery; and sync-fault (lost-write)
+//! detection through the scrubber.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use spf::{
-    ArchiveConfig, CorruptionMode, Database, DatabaseConfig, DetectorClass, FaultSpec, ScrubConfig,
+    ArchiveConfig, BackupPolicy, CorruptionMode, Database, DatabaseConfig, DbError, DetectorClass,
+    FaultSpec, ScrubConfig,
 };
 use tempdir::TempDir;
 
@@ -82,6 +86,12 @@ fn drop_without_close_is_crash_equivalent() {
     let db = Database::open(&dir, file_config()).unwrap();
     assert_all(&db, 200, 1);
     assert!(db.verify_tree().unwrap().is_empty());
+    // The reopen explains itself: what it streamed in and where analysis
+    // started (the checkpoint's image, not the log's first record).
+    let restart = db.stats().restart;
+    assert!(restart.restored_bytes > 0 && restart.restored_bytes <= db.log().total_bytes());
+    assert!(restart.restore_ns > 0);
+    assert!(restart.analysis_start > spf::Lsn::FIRST);
 }
 
 #[test]
@@ -233,6 +243,228 @@ fn killed_process_loses_no_committed_transaction() {
         assert_all(&db, kill_at + 1, 7);
         assert!(db.verify_tree().unwrap().is_empty());
     }
+}
+
+/// The sacrificial child of the concurrent crash oracle: four writers,
+/// each committing its own keys with `put_auto` and rolling back a write
+/// of its own after each, race a thread that checkpoints continuously —
+/// and the process aborts after a seeded number of operations. Each
+/// writer records how many of its commits returned in an ack file (one
+/// word per writer, written after the commit returned; the kernel keeps
+/// it through the abort). When the env var is absent it does nothing.
+#[test]
+fn concurrent_kill_child_entry() {
+    use std::os::unix::fs::FileExt;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let Ok(dir) = std::env::var("SPF_CONCURRENT_KILL_DIR") else {
+        return;
+    };
+    let kill_at: u64 = std::env::var("SPF_KILL_AT").unwrap().parse().unwrap();
+    let acks = std::fs::File::create(std::env::var("SPF_ACKS_FILE").unwrap()).unwrap();
+    acks.write_all_at(&[0u8; 8 * WRITERS], 0).unwrap();
+    let db = Database::create_at(file_config(), Path::new(&dir)).unwrap();
+    let ops = AtomicU64::new(0);
+    let (db, acks, ops) = (&db, &acks, &ops);
+    std::thread::scope(|s| {
+        s.spawn(move || loop {
+            db.checkpoint().unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        });
+        for t in 0..WRITERS as u64 {
+            s.spawn(move || {
+                for i in 0.. {
+                    loop {
+                        match db.put_auto(&writer_key(t, i), &val(i, 7)) {
+                            Ok(_) => break,
+                            Err(DbError::Locked(_)) => std::thread::yield_now(),
+                            Err(e) => panic!("put_auto: {e}"),
+                        }
+                    }
+                    acks.write_all_at(&(i + 1).to_le_bytes(), t * 8).unwrap();
+                    let tx = db.begin();
+                    let _ = db.put(tx, &loser_key(t, i), b"never committed");
+                    db.abort(tx).unwrap();
+                    if ops.fetch_add(1, Ordering::Relaxed) == kill_at {
+                        std::process::abort();
+                    }
+                }
+            });
+        }
+    });
+}
+
+const WRITERS: usize = 4;
+
+fn writer_key(t: u64, i: u64) -> Vec<u8> {
+    format!("w{t}-{i:06}").into_bytes()
+}
+
+fn loser_key(t: u64, i: u64) -> Vec<u8> {
+    format!("w{t}-x{i:06}").into_bytes()
+}
+
+/// Checkpoints race four writers and their rollbacks; a kill lands at a
+/// seeded point. Reopened, the database holds every acknowledged commit
+/// (and at most the one commit per writer that returned without its ack
+/// recorded), and none of the rolled-back or in-flight writes.
+#[test]
+fn checkpoints_racing_writers_lose_no_commit_and_keep_no_loser() {
+    use std::os::unix::process::ExitStatusExt;
+    if std::env::var("SPF_CONCURRENT_KILL_DIR").is_ok() {
+        return; // we *are* the child; only concurrent_kill_child_entry runs
+    }
+    for kill_at in [40u64, 250, 1200] {
+        let tmp = TempDir::new("spf-concurrent-kill").unwrap();
+        let dir = tmp.path().join("db");
+        let acks_file = tmp.path().join("acks");
+        let status = Command::new(std::env::current_exe().unwrap())
+            .args(["concurrent_kill_child_entry", "--exact", "--nocapture"])
+            .env("SPF_CONCURRENT_KILL_DIR", &dir)
+            .env("SPF_KILL_AT", kill_at.to_string())
+            .env("SPF_ACKS_FILE", &acks_file)
+            .status()
+            .expect("spawn victim");
+        assert_eq!(status.signal(), Some(6), "the victim must abort: {status}");
+
+        let acks = std::fs::read(&acks_file).unwrap();
+        let db = Database::open(&dir, file_config()).expect("restart recovery");
+        for t in 0..WRITERS as u64 {
+            let at = 8 * t as usize;
+            let acked = u64::from_le_bytes(acks[at..at + 8].try_into().unwrap());
+            for i in 0..acked {
+                assert_eq!(
+                    db.get(&writer_key(t, i)).unwrap().as_deref(),
+                    Some(val(i, 7).as_slice()),
+                    "kill at {kill_at}: acknowledged commit {t}/{i} lost"
+                );
+            }
+            for i in acked + 1..acked + 20 {
+                assert_eq!(db.get(&writer_key(t, i)).unwrap(), None, "{t}/{i}");
+            }
+            for i in 0..acked + 2 {
+                assert_eq!(
+                    db.get(&loser_key(t, i)).unwrap(),
+                    None,
+                    "kill at {kill_at}: uncommitted write {t}/x{i} survived"
+                );
+            }
+        }
+        assert!(db.verify_tree().unwrap().is_empty());
+    }
+}
+
+// ----------------------------------------------------------------------
+// Damaged recovery inputs, reused backup slots
+// ----------------------------------------------------------------------
+
+fn wal_segments(dir: &Path) -> Vec<PathBuf> {
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
+        .collect();
+    segments.sort();
+    segments
+}
+
+fn failure_box(dir: &Path) -> spf_obs::BlackBox {
+    spf_obs::BlackBox::load(&dir.join(spf_obs::BLACKBOX_FILE))
+        .expect("a failed open must leave a black box")
+}
+
+/// Closed WAL segments were synced when they closed, so a bad byte in
+/// one is damage, not a torn tail: `open` fails naming the file, leaves
+/// the newest segment — the most recent commits — byte for byte as it
+/// was, and leaves a black box for the post-mortem.
+#[test]
+fn a_bad_byte_in_an_old_wal_segment_fails_open_and_spares_the_newest() {
+    let tmp = TempDir::new("spf-bad-segment").unwrap();
+    let dir = tmp.path().join("db");
+    let db = Database::create_at(file_config(), &dir).unwrap();
+    // One commit is one force, and a force's bytes go to one segment.
+    for generation in 0..10u8 {
+        let tx = db.begin();
+        for i in 0..150 {
+            db.put(tx, &key(i), &[b'a' + generation; 1000]).unwrap();
+        }
+        db.commit(tx).unwrap();
+    }
+    drop(db);
+    let segments = wal_segments(&dir);
+    assert!(segments.len() >= 6, "{} segments", segments.len());
+    let newest = segments.last().unwrap();
+    let newest_bytes = std::fs::read(newest).unwrap();
+    let victim = &segments[4];
+    let mut bytes = std::fs::read(victim).unwrap();
+    bytes[1000] ^= 0x5A;
+    std::fs::write(victim, &bytes).unwrap();
+
+    let err = Database::open(&dir, file_config()).unwrap_err().to_string();
+    let name = victim.file_name().unwrap().to_string_lossy().into_owned();
+    assert!(err.contains(&name), "{err}");
+    assert_eq!(std::fs::read(newest).unwrap(), newest_bytes);
+    assert!(failure_box(&dir).reason.contains(&name));
+}
+
+/// An image whose bytes fail their CRC cannot seed analysis: restart
+/// refuses to guess and `open` fails with a black box.
+#[test]
+fn a_damaged_checkpoint_image_fails_open_with_a_black_box() {
+    let tmp = TempDir::new("spf-bad-image").unwrap();
+    let dir = tmp.path().join("db");
+    let db = Database::create_at(file_config(), &dir).unwrap();
+    load(&db, 50, 0);
+    db.checkpoint().unwrap();
+    drop(db);
+    let image = dir.join("wal").join("checkpoint.spfc");
+    let mut bytes = std::fs::read(&image).unwrap();
+    bytes[5] ^= 1;
+    std::fs::write(&image, &bytes).unwrap();
+
+    let err = Database::open(&dir, file_config()).unwrap_err().to_string();
+    assert!(err.contains("checkpoint image"), "{err}");
+    assert!(failure_box(&dir).reason.contains("restart"));
+}
+
+/// The backup free list is volatile, but a reopen rebuilds it from the
+/// slots the recovered page recovery index still names: backups taken
+/// after the reopen reuse freed slots instead of growing `backup.dat`.
+#[test]
+fn reopen_reuses_freed_backup_slots_instead_of_growing_the_backup_file() {
+    let tmp = TempDir::new("spf-backup-slots").unwrap();
+    let dir = tmp.path().join("db");
+    let config = DatabaseConfig {
+        backup_policy: BackupPolicy {
+            every_n_updates: Some(5),
+        },
+        ..file_config()
+    };
+    let rounds = |db: &Database, first: u64| {
+        for generation in first..first + 4 {
+            for i in 0..100 {
+                for _ in 0..2 {
+                    db.put_auto(&key(i), &val(i, generation)).unwrap();
+                }
+            }
+            db.checkpoint().unwrap();
+        }
+    };
+    let db = Database::create_at(config, &dir).unwrap();
+    rounds(&db, 0);
+    assert!(db.stats().backups.backups_freed > 0, "slots were freed");
+    db.close().unwrap();
+    let backup_file = dir.join("backup.dat");
+    let size = std::fs::metadata(&backup_file).unwrap().len();
+
+    let db = Database::open(&dir, config).unwrap();
+    rounds(&db, 4);
+    assert!(
+        db.stats().backups.page_backups_taken > 0,
+        "backups after reopen"
+    );
+    assert_all(&db, 100, 7);
+    db.close().unwrap();
+    assert_eq!(std::fs::metadata(&backup_file).unwrap().len(), size);
 }
 
 // ----------------------------------------------------------------------

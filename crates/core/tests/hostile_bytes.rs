@@ -1,12 +1,15 @@
-//! A black box, or a log record, is read back by a later process from a
-//! directory a crash left behind: its bytes are hostile.
-//! `BlackBox::decode`, `SpanRecord::decode` and `LogRecord::decode` must
-//! answer `Ok` or `Err` — never panic, never reserve more than the input
-//! could hold.
+//! A black box, a log record, an archive run or a checkpoint image is
+//! read back by a later process from a directory a crash left behind:
+//! its bytes are hostile. `BlackBox::decode`, `SpanRecord::decode`,
+//! `LogRecord::decode`, `ArchiveRun::from_bytes` (and the slice decoders
+//! behind its lookups) and `CheckpointImage::decode` must answer `Ok` or
+//! `Err` — never panic, never reserve more than the input could hold.
 
 use proptest::prelude::*;
 
+use spf_archive::{ArchiveRun, RunBuilder};
 use spf_obs::{BlackBox, Event, EventKind, SpanKind, SpanRecord};
+use spf_recovery::{CheckpointImage, PriEntry};
 use spf_storage::{Page, PageId, PageType, DEFAULT_PAGE_SIZE};
 use spf_util::codec::DecodeError;
 use spf_util::{crc32c, Decoder, SimDuration};
@@ -219,4 +222,165 @@ fn an_implausible_checkpoint_count_is_refused_up_front() {
             max: 0
         }
     );
+}
+
+/// A valid run over `records` updates spread across three pages, plus a
+/// page-less full-backup notice.
+fn sample_run(records: u64) -> ArchiveRun {
+    let mut b = RunBuilder::new();
+    for i in 0..records {
+        b.push(
+            Lsn(8 + i * 64),
+            record(LogPayload::Update {
+                op: PageOp::InsertRecord {
+                    pos: i as u16,
+                    bytes: vec![i as u8; 6],
+                    ghost: false,
+                },
+            }),
+        );
+    }
+    b.push(
+        Lsn(8 + records * 64),
+        LogRecord {
+            page_id: PageId(u64::MAX),
+            ..record(LogPayload::BackupTaken {
+                backup: BackupRef::FullBackup {
+                    first_slot: 0,
+                    pages: 4,
+                },
+                page_lsn: Lsn(8),
+            })
+        },
+    );
+    b.finish(3, Lsn(8), Lsn(8 + (records + 1) * 64))
+}
+
+/// Whatever `from_bytes` makes of `bytes`, an accepted run holds no more
+/// records than its bytes could encode (16 bytes each, LSN and frame),
+/// and every lookup answers `Ok` or `Err`.
+fn check_run(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let Ok(run) = ArchiveRun::from_bytes(bytes) else {
+        return Ok(());
+    };
+    prop_assert!(run.page_count() * 20 <= bytes.len() as u64);
+    if let Ok(all) = run.decode_all() {
+        prop_assert!(all.capacity() * 16 <= bytes.len());
+    }
+    for page in [0u64, 1, 2, u64::MAX] {
+        if let Ok(records) = run.records_for_page(PageId(page)) {
+            prop_assert!(records.capacity() * 16 <= bytes.len());
+        }
+    }
+    Ok(())
+}
+
+/// `bytes` with its trailing CRC-32C recomputed over the (mutated) body.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 4;
+    let crc = crc32c(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+fn sample_image(ranges: u64) -> CheckpointImage {
+    CheckpointImage {
+        scan_from: Lsn(1 << 20),
+        begin: Lsn((1 << 20) + 40),
+        next_tx: 900,
+        alloc_high_water: 4 * ranges,
+        pri: (0..ranges)
+            .map(|i| {
+                (
+                    4 * i,
+                    4 * i + 1 + i % 3,
+                    PriEntry {
+                        backup: match i % 3 {
+                            0 => BackupRef::BackupPage(PageId(i)),
+                            1 => BackupRef::FormatRecord(Lsn(1000 + i)),
+                            _ => BackupRef::FullBackup {
+                                first_slot: 7,
+                                pages: 40,
+                            },
+                        },
+                        backup_lsn: Lsn(900 + i),
+                        latest_lsn: (i % 2 == 0).then_some(Lsn(5000 + i)),
+                    },
+                )
+            })
+            .collect(),
+    }
+}
+
+/// An accepted image holds no more index ranges than its bytes could
+/// encode (5 bytes each, at the least).
+fn check_image(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(image) = CheckpointImage::decode(bytes) {
+        prop_assert!(image.pri.capacity() * 5 <= bytes.len());
+        prop_assert!(image.begin >= image.scan_from);
+        for w in image.pri.windows(2) {
+            prop_assert!(w[0].1 <= w[1].0, "ranges overlap");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_run_and_image_decoders(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+    ) {
+        check_run(&bytes)?;
+        check_run(&reseal_if_long(bytes.clone()))?;
+        check_image(&bytes)?;
+        check_image(&reseal_if_long(bytes))?;
+    }
+
+    /// A valid run or image with one byte changed, or its body cut short,
+    /// under a recomputed CRC: counts outrun the bytes and every tag,
+    /// bound and tiling check is reached.
+    #[test]
+    fn mutated_runs_and_images_with_a_valid_crc_never_panic(
+        size in 0u64..12,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        cut in any::<bool>(),
+    ) {
+        for mut bytes in [sample_run(size).encode(), sample_image(size).encode()] {
+            let body = bytes.len() - 4;
+            if cut {
+                bytes.drain(at % body..body);
+            } else {
+                bytes[at % body] = byte;
+            }
+            let bytes = reseal(bytes);
+            check_run(&bytes)?;
+            check_image(&bytes)?;
+        }
+    }
+}
+
+fn reseal_if_long(bytes: Vec<u8>) -> Vec<u8> {
+    if bytes.len() >= 8 {
+        reseal(bytes)
+    } else {
+        bytes
+    }
+}
+
+/// A run of a few dozen bytes whose index claims 2^28 entries is refused
+/// before anything is reserved; it used to reserve 5 GiB first.
+#[test]
+fn an_implausible_archive_index_count_is_refused_up_front() {
+    let mut bytes = sample_run(0).encode();
+    // Layout: 36-byte header + body + u32 index count + entries + CRC.
+    let body_len = u32::from_le_bytes(bytes[32..36].try_into().unwrap()) as usize;
+    let at = 36 + body_len;
+    bytes[at..at + 4].copy_from_slice(&(1u32 << 28).to_le_bytes());
+    let err = ArchiveRun::from_bytes(&reseal(bytes)).unwrap_err();
+    assert!(err.to_string().contains("claims"), "{err}");
+    let image = sample_image(3).encode();
+    assert_eq!(CheckpointImage::decode(&image).unwrap(), sample_image(3));
 }

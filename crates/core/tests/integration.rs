@@ -181,11 +181,12 @@ fn key_locks_are_held_until_the_rollback_is_applied() {
     db.put(tx, &key(3), &val(3, 1)).unwrap();
     let latch = db.pool().fetch_mut(db.any_leaf_page().unwrap()).unwrap();
     let db = &db;
+    let chain_reads = db.log().stats().random_record_reads;
     let refused = std::thread::scope(|s| {
         let aborter = s.spawn(move || db.abort(tx));
-        // An abort leaves the active table first, then walks its log
-        // chain and blocks on the latch.
-        while db.txn_manager().active_txns().iter().any(|(t, _)| *t == tx) {
+        // An abort reads its log chain, then blocks on the latch to
+        // apply the inverse.
+        while db.log().stats().random_record_reads == chain_reads {
             std::thread::yield_now();
         }
         let (send, recv) = std::sync::mpsc::channel();
@@ -208,6 +209,55 @@ fn key_locks_are_held_until_the_rollback_is_applied() {
         "second writer must fail fast on the key lock"
     );
     assert_eq!(db.get(&key(3)).unwrap(), Some(val(3, 0)));
+}
+
+/// Rollback finds a record where it is now. A loser's insert, replace
+/// and delete are followed by committed inserts that shift its slots and
+/// split its leaf; undo — at abort and at restart alike — restores
+/// exactly the loser's keys and nothing else.
+#[test]
+fn rollback_finds_records_that_moved_since_they_were_logged() {
+    // Keys 1000 + 3j exist; the loser inserts a 1000 + 3j + 2 key and
+    // rewrites two existing ones; others commit the 1000 + 3j + 1 keys.
+    let (fresh, replaced, deleted) = (1152, 1180, 1015);
+    let big = |i: u64, generation: u64| [val(i, generation), vec![b'.'; 160]].concat();
+    for crash in [false, true] {
+        let db = Database::create(small_config()).unwrap();
+        for j in 0..100 {
+            db.put_auto(&key(1000 + 3 * j), &big(1000 + 3 * j, 0))
+                .unwrap();
+        }
+        let loser = db.begin();
+        db.put(loser, &key(fresh), &big(fresh, 9)).unwrap();
+        db.put(loser, &key(replaced), b"replaced by the loser")
+            .unwrap();
+        db.delete(loser, &key(deleted)).unwrap();
+        let splits = db.stats().tree.leaf_splits;
+        for j in 0..100 {
+            db.put_auto(&key(1001 + 3 * j), &big(1001 + 3 * j, 1))
+                .unwrap();
+        }
+        assert!(
+            db.stats().tree.leaf_splits > splits,
+            "the loser's leaves split"
+        );
+        if crash {
+            db.log().force();
+            db.crash();
+            assert_eq!(db.restart().unwrap().losers, 1);
+        } else {
+            db.abort(loser).unwrap();
+        }
+        for i in 1000..1300 {
+            let want = match (i - 1000) % 3 {
+                0 => Some(big(i, 0)),
+                1 => Some(big(i, 1)),
+                _ => None,
+            };
+            assert_eq!(db.get(&key(i)).unwrap(), want, "crash={crash} key {i}");
+        }
+        assert!(db.verify_tree().unwrap().is_empty());
+    }
 }
 
 // ----------------------------------------------------------------------

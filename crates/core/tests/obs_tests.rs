@@ -193,6 +193,7 @@ fn stats_fields_cannot_drift_from_metrics() {
         ("prefetch", format!("{:#?}", stats.prefetch)),
         ("governor", format!("{:#?}", stats.governor)),
         ("trace", format!("{:#?}", stats.trace)),
+        ("restart", format!("{:#?}", stats.restart)),
     ];
     for (group, debug) in cases {
         let fields = spf_obs::debug_field_names(&debug);
@@ -213,6 +214,37 @@ fn stats_fields_cannot_drift_from_metrics() {
             );
         }
     }
+}
+
+/// Restart explains itself: the last report, phase timings included, is
+/// the `restart` metrics group.
+#[test]
+fn the_last_restart_report_is_the_restart_metrics_group() {
+    let db = Database::create(obs_config()).unwrap();
+    assert_eq!(db.stats().restart, spf::RestartReport::default());
+    for i in 0..200 {
+        db.put_auto(&key(i), &val(i)).unwrap();
+    }
+    db.checkpoint().unwrap();
+    for i in 0..20 {
+        db.put_auto(&key(i), &val(i + 1)).unwrap();
+    }
+    db.crash();
+    let report = db.restart().unwrap();
+    assert!(
+        report.analysis_start > spf::Lsn::FIRST,
+        "started at the image"
+    );
+    assert!(report.analysis_ns > 0 && report.redo_ns > 0 && report.undo_ns > 0);
+    assert_eq!(db.stats().restart, report);
+    let snap = db.metrics_snapshot();
+    let metric = |name: &str| {
+        snap.get("restart", name)
+            .unwrap_or_else(|| panic!("{name}"))
+    };
+    assert_eq!(metric("analysis_records"), report.analysis_records);
+    assert_eq!(metric("analysis_start"), report.analysis_start.0);
+    assert_eq!(metric("redo_applied"), report.redo_applied);
 }
 
 /// An injected fault repaired on the foreground read path leaves a

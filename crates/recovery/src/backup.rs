@@ -77,16 +77,31 @@ impl BackupStore {
         }
     }
 
-    /// Creates a store whose slot allocation starts at `start` —
-    /// restart's constructor. The free list does not survive a restart,
-    /// so allocation must resume past every slot the previous
-    /// incarnation may have handed out (its durable PRI entries still
-    /// point there); the device's current capacity is a safe bound.
+    /// Creates a store over a device a previous incarnation used.
+    /// Allocation resumes past the device's capacity — any slot below
+    /// may still be named by the durable page recovery index — until
+    /// [`reclaim_after_restart`](BackupStore::reclaim_after_restart)
+    /// learns which ones are.
     #[must_use]
-    pub fn with_start_slot(device: Device, start: u64) -> Self {
+    pub fn reopened(device: Device) -> Self {
         let store = Self::new(device);
-        store.state.lock().next_slot = start;
+        store.state.lock().next_slot = store.device.capacity();
         store
+    }
+
+    /// Rebuilds the volatile allocation state after a restart: every
+    /// slot below the device's capacity that `in_use` does not claim is
+    /// free, and fresh allocation resumes at the capacity. `in_use` must
+    /// name every slot the recovered state still points at — the page
+    /// recovery index's backups and any full backup media recovery may
+    /// restore — and nothing else need survive: a slot named only by a
+    /// record the crash took back holds no backup anyone can find.
+    pub fn reclaim_after_restart(&self, in_use: impl Fn(u64) -> bool) {
+        let capacity = self.device.capacity();
+        let mut state = self.state.lock();
+        state.next_slot = capacity;
+        // Popped from the back: hand out the lowest slots first.
+        state.free_slots = (0..capacity).rev().filter(|&s| !in_use(s)).collect();
     }
 
     /// The underlying device (for statistics).
@@ -223,6 +238,24 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.page_backups_taken, 2);
         assert_eq!(stats.backups_freed, 1);
+    }
+
+    #[test]
+    fn reclaim_frees_every_unclaimed_slot_below_capacity() {
+        let store = store();
+        for i in 0..5 {
+            store.take_page_backup(&sample_page(i, i)).unwrap();
+        }
+        // A restart finds slots 1 and 3 still named; the rest are free,
+        // lowest first, and no allocation grows the device.
+        store.reclaim_after_restart(|s| s == 1 || s == 3);
+        let capacity = store.device.capacity();
+        let got: Vec<u64> = (0..capacity - 2)
+            .map(|i| store.take_page_backup(&sample_page(i, i)).unwrap().0)
+            .collect();
+        let want: Vec<u64> = (0..capacity).filter(|&s| s != 1 && s != 3).collect();
+        assert_eq!(got, want);
+        assert_eq!(store.device.capacity(), capacity);
     }
 
     #[test]

@@ -165,6 +165,10 @@ impl WriteObserver for PriMaintainer {
         };
         let backup = BackupRef::BackupPage(slot);
         let page_lsn = Lsn(page.page_lsn());
+        // The index first, then its record: a checkpoint that reads the
+        // log end after the record was appended also finds the index
+        // updated (see the restart invariant in `system_recovery`).
+        let old = self.pri.set_backup(id, backup, page_lsn);
         // Single-record system transaction: appended, not forced.
         let record_lsn = self.log.append(&LogRecord {
             tx_id: TxId::NONE,
@@ -173,7 +177,6 @@ impl WriteObserver for PriMaintainer {
             prev_page_lsn: Lsn::NULL, // not part of the content chain
             payload: LogPayload::BackupTaken { backup, page_lsn },
         });
-        let old = self.pri.set_backup(id, backup, page_lsn);
         if let Some(BackupRef::BackupPage(old_slot)) = old {
             // Deferred: freed only once the record above is durable.
             self.pending_frees.lock().push((record_lsn, old_slot));
@@ -190,18 +193,17 @@ impl WriteObserver for PriMaintainer {
     }
 
     fn after_page_write(&self, id: PageId, page_lsn: Lsn) {
-        // "After each completed page write follows a single log record."
+        // "After each completed page write follows a single log record" —
+        // appended after the index is set, as in `before_page_write`.
+        let backup = self.pri.lookup(id).map_or(BackupRef::None, |e| e.backup);
+        self.pri.set_latest_lsn(id, page_lsn);
         self.log.append(&LogRecord {
             tx_id: TxId::NONE,
             prev_tx_lsn: Lsn::NULL,
             page_id: id,
             prev_page_lsn: Lsn::NULL,
-            payload: LogPayload::PriUpdate {
-                page_lsn,
-                backup: self.pri.lookup(id).map_or(BackupRef::None, |e| e.backup),
-            },
+            payload: LogPayload::PriUpdate { page_lsn, backup },
         });
-        self.pri.set_latest_lsn(id, page_lsn);
         self.stats.lock().pri_updates_logged += 1;
     }
 }

@@ -229,6 +229,7 @@ mod tests {
             },
             PageOp::SetGhost {
                 pos: 0,
+                key: b"a".to_vec(),
                 old: false,
                 new: true,
             },

@@ -27,4 +27,4 @@ pub mod lock;
 pub mod manager;
 
 pub use lock::{LockError, LockTable};
-pub use manager::{SysAttempt, TxError, TxKind, TxnManager, TxnStats, UndoTarget};
+pub use manager::{LogClr, SysAttempt, TxError, TxKind, TxnManager, TxnStats, UndoTarget};

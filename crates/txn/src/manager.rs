@@ -28,20 +28,39 @@ impl TxKind {
     }
 }
 
-/// Where rollback compensations land: the caller's buffer pool.
-///
-/// Splitting `page_lsn` from `apply` lets the transaction manager write
-/// the CLR (whose per-page chain pointer is the page's *current* LSN)
-/// before the page is patched, and advance the PageLSN to the CLR's LSN
-/// afterwards — keeping CLRs on the per-page chain that single-page
-/// recovery replays.
-pub trait UndoTarget {
-    /// The current PageLSN of `page`.
-    fn page_lsn(&self, page: PageId) -> Lsn;
+/// How an [`UndoTarget`] logs one compensation: the page it lands on,
+/// that page's PageLSN before it (the CLR's per-page chain pointer), and
+/// the physical operation applied there. Returns the CLR's LSN.
+pub type LogClr<'a> = dyn FnMut(PageId, Lsn, &PageOp) -> Lsn + 'a;
 
-    /// Applies `op` to `page` and marks it dirty with `clr_lsn` (which
-    /// also becomes the page's PageLSN).
-    fn apply(&self, page: PageId, op: &PageOp, clr_lsn: Lsn);
+/// Where rollback compensations land: the caller's buffer pool, or an
+/// access method that can find a record wherever it moved.
+///
+/// One call per undone update. The target latches the page the
+/// compensation lands on, logs it through `log`, applies it and marks the
+/// page dirty at the returned LSN — all under that one latch. Logging
+/// under the latch keeps CLRs first-class members of the per-page chain
+/// that single-page recovery replays, and means a checkpoint that waits
+/// out the page latches held when it read the log end sees every earlier
+/// CLR's page dirty.
+///
+/// `op` is the inverse of an update logged on `page`. A user
+/// transaction's record may since have moved — other transactions'
+/// inserts shift slots, splits move records to other pages — so a target
+/// that knows the records' keys applies the inverse to the record where
+/// it is now (and logs *that*); a system transaction's structural updates
+/// are undone where they were made.
+pub trait UndoTarget {
+    /// Applies the inverse `op` of an update a `kind` transaction logged
+    /// on `page`, logging each change through `log`. `Err` when it could
+    /// not be applied (nothing was logged then).
+    fn compensate(
+        &self,
+        kind: TxKind,
+        page: PageId,
+        op: &PageOp,
+        log: &mut LogClr<'_>,
+    ) -> Result<(), String>;
 }
 
 /// Transaction-manager errors.
@@ -51,6 +70,8 @@ pub enum TxError {
     NotActive(TxId),
     /// Rollback could not read a chained log record.
     LogBroken(String),
+    /// Rollback could not apply a compensation.
+    UndoFailed(String),
 }
 
 impl std::fmt::Display for TxError {
@@ -58,6 +79,7 @@ impl std::fmt::Display for TxError {
         match self {
             TxError::NotActive(tx) => write!(f, "{tx} is not active"),
             TxError::LogBroken(detail) => write!(f, "rollback failed: {detail}"),
+            TxError::UndoFailed(detail) => write!(f, "rollback failed to compensate: {detail}"),
         }
     }
 }
@@ -159,8 +181,16 @@ impl TxnManager {
     }
 
     /// Begins a transaction of `kind`, logging its begin record.
+    ///
+    /// Every change to the active-transaction table — begin here, each
+    /// logged record ([`log_other`](TxnManager::log_other)), commit and
+    /// abort — appends its log record under the table's lock, so the
+    /// table a checkpoint snapshots ([`active_txns`](TxnManager::active_txns))
+    /// holds exactly the effect of every record below the log end read
+    /// with it.
     pub fn begin(&self, kind: TxKind) -> TxId {
         let tx = TxId(self.inner.next_tx.fetch_add(1, Ordering::Relaxed));
+        let mut active = self.inner.active.lock();
         let lsn = self.inner.log.append(&LogRecord {
             tx_id: tx,
             prev_tx_lsn: Lsn::NULL,
@@ -170,7 +200,7 @@ impl TxnManager {
                 system: kind.is_system(),
             },
         });
-        self.inner.active.lock().insert(
+        active.insert(
             tx,
             ActiveTx {
                 kind,
@@ -220,6 +250,26 @@ impl TxnManager {
         Ok(lsn)
     }
 
+    /// Appends `tx`'s closing record (`payload`, built from its kind)
+    /// and removes it from the active table, under one lock.
+    fn close(
+        &self,
+        tx: TxId,
+        payload: impl FnOnce(TxKind) -> LogPayload,
+    ) -> Result<(TxKind, Lsn), TxError> {
+        let mut active = self.inner.active.lock();
+        let entry = active.get(&tx).copied().ok_or(TxError::NotActive(tx))?;
+        let lsn = self.inner.log.append(&LogRecord {
+            tx_id: tx,
+            prev_tx_lsn: entry.last_lsn,
+            page_id: PageId::INVALID,
+            prev_page_lsn: Lsn::NULL,
+            payload: payload(entry.kind),
+        });
+        active.remove(&tx);
+        Ok((entry.kind, lsn))
+    }
+
     /// Commits `tx`. User commits force the log through their commit
     /// record — concurrent committers combine into one group-commit
     /// flush — while system commits do not force at all (Figure 5 /
@@ -229,29 +279,19 @@ impl TxnManager {
     /// wait (group-commit leader/follower attribution included) as a
     /// child, and emits a [`EventKind::TxCommit`] event.
     pub fn commit(&self, tx: TxId, ctx: TraceCtx) -> Result<Lsn, TxError> {
-        let entry = {
-            let mut active = self.inner.active.lock();
-            active.remove(&tx).ok_or(TxError::NotActive(tx))?
-        };
-        let lsn = self.inner.log.append(&LogRecord {
-            tx_id: tx,
-            prev_tx_lsn: entry.last_lsn,
-            page_id: PageId::INVALID,
-            prev_page_lsn: Lsn::NULL,
-            payload: LogPayload::TxCommit {
-                system: entry.kind.is_system(),
-            },
-        });
-        match entry.kind {
+        let (kind, lsn) = self.close(tx, |kind| LogPayload::TxCommit {
+            system: kind.is_system(),
+        })?;
+        match kind {
             TxKind::User => {
                 // Durability: the commit record (and everything before it)
                 // must reach stable storage before commit returns. Forcing
                 // *through* the commit record joins the log's group-commit
                 // batch: concurrent committers share one flush, and records
                 // appended after this commit stay unforced. The force runs
-                // before the stats lock is taken — a committer absorbed as
-                // a group-commit waiter must not block the leader (or any
-                // peer) on it.
+                // with no lock held — a committer absorbed as a
+                // group-commit waiter must not block the leader (or any
+                // peer) on the table or the stats.
                 let obs = self.inner.log.obs();
                 {
                     let span = obs.span(ctx, SpanKind::Commit, lsn.0);
@@ -273,21 +313,29 @@ impl TxnManager {
     /// Rolls back `tx`: walks the per-transaction chain newest-first,
     /// writes a compensation (CLR) record per update, and applies each
     /// compensation through `target` (the caller owns the buffer pool).
-    /// Finishes with a TxAbort record.
+    /// Finishes with a TxAbort record. CLRs already on the chain — a
+    /// rollback a crash interrupted — are skipped over to what they left
+    /// to undo.
     ///
-    /// Per-page chain discipline: the CLR's `prev_page_lsn` is the page's
-    /// current PageLSN (read via [`UndoTarget::page_lsn`]), and after
-    /// application the page's PageLSN advances to the CLR's LSN — so CLRs
-    /// are first-class members of the per-page chain and single-page
-    /// recovery replays them like any other redo.
+    /// The transaction stays in the active table until that record is
+    /// appended, its last LSN advancing with every CLR: a checkpoint
+    /// taken mid-rollback records where the undo stands, so restart
+    /// resumes it instead of undoing an update twice. A rollback that
+    /// fails leaves it there too, for the next restart to finish.
+    ///
+    /// Per-page chain discipline: the CLR's `prev_page_lsn` is the
+    /// PageLSN of the page it lands on (handed over by
+    /// [`UndoTarget::compensate`]), and after application the page's
+    /// PageLSN advances to the CLR's LSN — so CLRs are first-class
+    /// members of the per-page chain and single-page recovery replays
+    /// them like any other redo.
     pub fn abort(&self, tx: TxId, target: &dyn UndoTarget) -> Result<Lsn, TxError> {
-        let entry = {
-            let mut active = self.inner.active.lock();
-            active.remove(&tx).ok_or(TxError::NotActive(tx))?
+        let (kind, mut cursor) = {
+            let active = self.inner.active.lock();
+            let entry = active.get(&tx).ok_or(TxError::NotActive(tx))?;
+            (entry.kind, entry.last_lsn)
         };
         let mut clrs = 0u64;
-        let mut last_lsn = entry.last_lsn;
-        let mut cursor = entry.last_lsn;
         while cursor.is_valid() {
             let record = self
                 .inner
@@ -298,34 +346,37 @@ impl TxnManager {
                 record.tx_id, tx,
                 "per-transaction chain crossed transactions"
             );
-            // CLRs are never undone; begin/format/etc. have no undo.
-            if let LogPayload::Update { ref op } = record.payload {
-                let comp = op.invert();
-                let prev_page_lsn = target.page_lsn(record.page_id);
-                let clr_lsn = self.inner.log.append(&LogRecord {
-                    tx_id: tx,
-                    prev_tx_lsn: last_lsn,
-                    page_id: record.page_id,
-                    prev_page_lsn,
-                    payload: LogPayload::Clr {
-                        op: comp.clone(),
-                        undo_next: record.prev_tx_lsn,
-                    },
-                });
-                target.apply(record.page_id, &comp, clr_lsn);
-                clrs += 1;
-                last_lsn = clr_lsn;
-            }
-            cursor = record.prev_tx_lsn;
+            cursor = match &record.payload {
+                LogPayload::Update { op } => {
+                    let mut logged = Ok(());
+                    target
+                        .compensate(kind, record.page_id, &op.invert(), &mut |page, prev, op| {
+                            let clr = LogPayload::Clr {
+                                op: op.clone(),
+                                undo_next: record.prev_tx_lsn,
+                            };
+                            match self.log_other(tx, page, prev, clr) {
+                                Ok(lsn) => {
+                                    clrs += 1;
+                                    lsn
+                                }
+                                Err(e) => {
+                                    logged = Err(e);
+                                    Lsn::NULL
+                                }
+                            }
+                        })
+                        .map_err(TxError::UndoFailed)?;
+                    logged?;
+                    record.prev_tx_lsn
+                }
+                LogPayload::Clr { undo_next, .. } => *undo_next,
+                // Begin, formats and the like have no undo.
+                _ => record.prev_tx_lsn,
+            };
         }
-        let abort_lsn = self.inner.log.append(&LogRecord {
-            tx_id: tx,
-            prev_tx_lsn: last_lsn,
-            page_id: PageId::INVALID,
-            prev_page_lsn: Lsn::NULL,
-            payload: LogPayload::TxAbort,
-        });
-        if entry.kind == TxKind::User {
+        let (kind, abort_lsn) = self.close(tx, |_| LogPayload::TxAbort)?;
+        if kind == TxKind::User {
             // Like commit: force through the abort record via the
             // group-commit path rather than flushing the whole buffer.
             self.inner.log.force_through(abort_lsn, TraceCtx::NONE);
@@ -334,6 +385,58 @@ impl TxnManager {
         stats.aborts += 1;
         stats.clrs_written += clrs;
         Ok(abort_lsn)
+    }
+
+    /// Restart's undo of a loser the log names: `tx`, whose chain ends at
+    /// `last`, of `kind` when analysis saw its begin record — else its
+    /// begin record, found by walking the chain back, tells. It re-enters
+    /// the active table and is rolled back exactly like
+    /// [`abort`](TxnManager::abort). Returns its kind.
+    pub fn roll_back_loser(
+        &self,
+        tx: TxId,
+        last: Lsn,
+        kind: Option<TxKind>,
+        target: &dyn UndoTarget,
+    ) -> Result<TxKind, TxError> {
+        let kind = match kind {
+            Some(kind) => kind,
+            None => self.kind_from_chain(tx, last)?,
+        };
+        self.inner.active.lock().insert(
+            tx,
+            ActiveTx {
+                kind,
+                // Only the truncation bound reads it, and restart
+                // truncates nothing.
+                first_lsn: last,
+                last_lsn: last,
+            },
+        );
+        self.abort(tx, target)?;
+        Ok(kind)
+    }
+
+    /// The kind `tx`'s begin record names, found by walking its chain
+    /// back from `last` (over the records CLRs already undid).
+    fn kind_from_chain(&self, tx: TxId, last: Lsn) -> Result<TxKind, TxError> {
+        let mut cursor = last;
+        while cursor.is_valid() {
+            let record = self
+                .inner
+                .log
+                .read_record(cursor)
+                .map_err(|e| TxError::LogBroken(e.to_string()))?;
+            cursor = match record.payload {
+                LogPayload::TxBegin { system: true } => return Ok(TxKind::System),
+                LogPayload::TxBegin { system: false } => return Ok(TxKind::User),
+                LogPayload::Clr { undo_next, .. } => undo_next,
+                _ => record.prev_tx_lsn,
+            };
+        }
+        Err(TxError::LogBroken(format!(
+            "{tx}'s chain has no begin record"
+        )))
     }
 
     /// Runs a structural change as a system transaction with bounded
@@ -382,18 +485,27 @@ impl TxnManager {
         Ok(None)
     }
 
-    /// Active transactions and their most recent LSN, for checkpoints.
+    /// The checkpoint's view of the table: the log's reserved end, read
+    /// under the table lock, and every active transaction (rolling-back
+    /// ones included) with its most recent LSN. Because the table
+    /// changes only together with the record that changes it, under
+    /// that lock, the list is exactly the effect of every record below
+    /// the returned LSN.
     #[must_use]
-    pub fn active_txns(&self) -> Vec<(TxId, Lsn)> {
-        let mut out: Vec<(TxId, Lsn)> = self
-            .inner
-            .active
-            .lock()
-            .iter()
-            .map(|(tx, st)| (*tx, st.last_lsn))
-            .collect();
+    pub fn active_txns(&self) -> (Lsn, Vec<(TxId, Lsn)>) {
+        let active = self.inner.active.lock();
+        let end = self.inner.log.end_lsn();
+        let mut out: Vec<(TxId, Lsn)> = active.iter().map(|(tx, st)| (*tx, st.last_lsn)).collect();
+        drop(active);
         out.sort_unstable_by_key(|(tx, _)| *tx);
-        out
+        (end, out)
+    }
+
+    /// The id the next [`begin`](TxnManager::begin) hands out — a floor
+    /// a restart resumes allocation from.
+    #[must_use]
+    pub fn next_id(&self) -> u64 {
+        self.inner.next_tx.load(Ordering::Relaxed)
     }
 
     /// The begin-record LSN of the **oldest** active transaction — the
@@ -460,11 +572,16 @@ mod tests {
     }
 
     impl UndoTarget for RecordingTarget {
-        fn page_lsn(&self, _page: PageId) -> Lsn {
-            Lsn::NULL
-        }
-        fn apply(&self, page: PageId, op: &PageOp, clr_lsn: Lsn) {
+        fn compensate(
+            &self,
+            _kind: TxKind,
+            page: PageId,
+            op: &PageOp,
+            log: &mut LogClr<'_>,
+        ) -> Result<(), String> {
+            let clr_lsn = log(page, Lsn::NULL, op);
             self.applied.lock().push((page, op.clone(), clr_lsn));
+            Ok(())
         }
     }
 
@@ -631,6 +748,113 @@ mod tests {
         }
     }
 
+    /// A checkpoint taken mid-rollback must find the transaction still
+    /// active, at its latest CLR — or restart would undo an update a CLR
+    /// already compensated.
+    #[test]
+    fn a_rolling_back_transaction_stays_in_the_table_at_its_latest_clr() {
+        struct Probe<'a> {
+            mgr: &'a TxnManager,
+            tx: TxId,
+            seen: Mutex<Vec<Lsn>>,
+        }
+        impl UndoTarget for Probe<'_> {
+            fn compensate(
+                &self,
+                _kind: TxKind,
+                page: PageId,
+                op: &PageOp,
+                log: &mut LogClr<'_>,
+            ) -> Result<(), String> {
+                let (_, table) = self.mgr.active_txns();
+                let last = table.iter().find(|(t, _)| *t == self.tx).map(|(_, l)| *l);
+                self.seen.lock().push(last.expect("still active"));
+                log(page, Lsn::NULL, op);
+                Ok(())
+            }
+        }
+        let log = LogManager::for_testing();
+        let mgr = TxnManager::new(log.clone());
+        let tx = mgr.begin(TxKind::User);
+        mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
+        let u2 = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(1, 2)).unwrap();
+        let probe = Probe {
+            mgr: &mgr,
+            tx,
+            seen: Mutex::new(Vec::new()),
+        };
+        let abort_lsn = mgr.abort(tx, &probe).unwrap();
+        let seen = probe.seen.into_inner();
+        assert_eq!(seen[0], u2, "before the first CLR: the last update");
+        let first_clr = log.read_record(seen[1]).unwrap();
+        assert!(matches!(first_clr.payload, LogPayload::Clr { .. }));
+        let last_clr = log
+            .scan_from(seen[1])
+            .unwrap()
+            .into_iter()
+            .rev()
+            .find(|(_, r)| matches!(r.payload, LogPayload::Clr { .. }))
+            .map(|(lsn, _)| lsn);
+        assert_eq!(
+            Some(log.read_record(abort_lsn).unwrap().prev_tx_lsn),
+            last_clr,
+            "the abort record chains to the last CLR"
+        );
+        assert!(!mgr.is_active(tx), "the abort record closes it");
+    }
+
+    /// The checkpoint's view of the table is exactly the effect of every
+    /// record below the log end read with it, however the table races:
+    /// a transaction is listed if and only if its begin record lies below
+    /// that end and its commit or abort record does not.
+    #[test]
+    fn active_table_snapshots_match_the_log_below_their_end() {
+        use std::collections::HashSet;
+        let log = LogManager::for_testing();
+        let mgr = TxnManager::new(log.clone());
+        let snapshots = std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    for i in 0..1500u16 {
+                        let tx = mgr.begin(TxKind::System);
+                        mgr.log_update(tx, PageId(1), Lsn::NULL, ins(i, 1)).unwrap();
+                        if i % 3 == 0 {
+                            mgr.abort(tx, &RecordingTarget::default()).unwrap();
+                        } else {
+                            mgr.commit(tx, TraceCtx::NONE).unwrap();
+                        }
+                    }
+                });
+            }
+            let snap = s.spawn(|| {
+                (0..300)
+                    .map(|_| {
+                        std::thread::yield_now();
+                        mgr.active_txns()
+                    })
+                    .collect::<Vec<_>>()
+            });
+            snap.join().unwrap()
+        });
+        let records = log.scan_from(Lsn::NULL).unwrap();
+        for (end, table) in snapshots {
+            let mut live = HashSet::new();
+            for (_, r) in records.iter().take_while(|(lsn, _)| *lsn < end) {
+                match r.payload {
+                    LogPayload::TxBegin { .. } => {
+                        live.insert(r.tx_id);
+                    }
+                    LogPayload::TxCommit { .. } | LogPayload::TxAbort => {
+                        live.remove(&r.tx_id);
+                    }
+                    _ => {}
+                }
+            }
+            let listed: HashSet<TxId> = table.iter().map(|(tx, _)| *tx).collect();
+            assert_eq!(listed, live, "table at {end} disagrees with the log");
+        }
+    }
+
     #[test]
     fn abort_round_trips_page_contents() {
         // Full loop: apply ops to real pages, roll back, contents restored.
@@ -640,14 +864,19 @@ mod tests {
             pages: Mutex<StdHashMap<PageId, Page>>,
         }
         impl UndoTarget for MapTarget {
-            fn page_lsn(&self, page: PageId) -> Lsn {
-                Lsn(self.pages.lock()[&page].page_lsn())
-            }
-            fn apply(&self, page: PageId, op: &PageOp, clr_lsn: Lsn) {
+            fn compensate(
+                &self,
+                _kind: TxKind,
+                page: PageId,
+                op: &PageOp,
+                log: &mut LogClr<'_>,
+            ) -> Result<(), String> {
                 let mut pages = self.pages.lock();
                 let p = pages.get_mut(&page).unwrap();
+                let clr_lsn = log(page, Lsn(p.page_lsn()), op);
                 op.redo(p);
                 p.set_page_lsn(clr_lsn.0);
+                Ok(())
             }
         }
 
@@ -678,6 +907,7 @@ mod tests {
             },
             PageOp::SetGhost {
                 pos: 0,
+                key: b"keep".to_vec(),
                 old: false,
                 new: true,
             },
@@ -713,7 +943,8 @@ mod tests {
         let a = mgr.begin(TxKind::User);
         let b = mgr.begin(TxKind::System);
         assert_eq!(mgr.active_count(), 2);
-        let actives = mgr.active_txns();
+        let (end, actives) = mgr.active_txns();
+        assert_eq!(end, mgr.log().end_lsn());
         assert_eq!(actives.len(), 2);
         assert_eq!(actives[0].0, a);
         mgr.commit(a, TraceCtx::NONE).unwrap();

@@ -17,7 +17,9 @@
 //!   reproduce the paper's Section 6 performance arithmetic (e.g. "restoring
 //!   a backup with 100 GB of data at 100 MB/s requires 1,000 s") without
 //!   real hardware;
-//! * [`hex`] — tiny hex-dump helpers used by diagnostics and examples.
+//! * [`hex`] — tiny hex-dump helpers used by diagnostics and examples;
+//! * [`atomic_file`] — the create–rename–fsync protocol that saves a
+//!   database directory's root metadata crash-atomically.
 
 // `deny`, not the `forbid` of every other crate: `crc` holds the
 // workspace's one exemption (the call into the SSE4.2 kernel) behind an
@@ -26,6 +28,7 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
+pub mod atomic_file;
 pub mod codec;
 pub mod crc;
 pub mod hex;

@@ -26,8 +26,15 @@
 //!   waits for a leader whose flush covers it — group commit. N
 //!   concurrent committers pay ~1 force instead of N.
 //! * Statistics are plain atomics; only the rare control state
-//!   (checkpoint list, archive watermark, truncation) sits behind a
-//!   mutex, and no I/O or flush ever happens while it is held.
+//!   (archive watermark, truncation, the checkpoint image) sits behind a
+//!   mutex that neither appends nor forces take.
+//!
+//! The log also keeps the engine's **checkpoint image** — opaque bytes
+//! restart analysis starts from ([`LogManager::save_checkpoint_image`]).
+//! It lives wherever the log's durable state lives: in memory next to
+//! the durable prefix (surviving [`LogManager::crash`] as that prefix
+//! does), and with a [`WalFiles`] sink also as one file in the WAL
+//! directory. It is not a log record, so it adds nothing to the log.
 //!
 //! Read paths serve the three consumers in the paper:
 //!
@@ -262,31 +269,14 @@ impl Counters {
     }
 }
 
-/// Rare, cold control state: everything appends and forces do *not*
-/// need on their hot paths.
+/// Rare, cold control state: nothing appends or forces touch.
 struct Control {
-    /// LSNs of every checkpoint-begin record appended, ascending (the
-    /// newest durable one plays the role of the "master record" a real
-    /// system keeps in a known location). Truncation drops leading
-    /// entries; a crash drops unforced trailing ones.
-    checkpoints: Vec<Lsn>,
-    /// How many leading `checkpoints` entries are known durable — the
-    /// cursor that makes [`LogManager::last_checkpoint`] O(1).
-    durable_ckpts: usize,
     /// Exclusive upper bound of the WAL prefix captured by the log
     /// archive. Truncation never passes it.
     archive_watermark: Lsn,
-}
-
-impl Control {
-    /// Advances the durable-checkpoint cursor over newly durable entries.
-    fn advance_ckpt_cursor(&mut self, durable: u64) {
-        while self.durable_ckpts < self.checkpoints.len()
-            && self.checkpoints[self.durable_ckpts].0 < durable
-        {
-            self.durable_ckpts += 1;
-        }
-    }
+    /// The last checkpoint image saved (the role of the "master record"
+    /// a real system keeps in a known location).
+    image: Option<Arc<[u8]>>,
 }
 
 struct Inner {
@@ -334,11 +324,11 @@ impl std::fmt::Debug for LogManager {
             .field("durable_len", &self.inner.durable.load(Ordering::Relaxed));
         match self.inner.control.try_lock() {
             Some(control) => {
-                let n = control.checkpoints.len();
-                s.field("checkpoints", &n);
+                let n = control.image.as_ref().map_or(0, |i| i.len());
+                s.field("checkpoint_image_bytes", &n);
             }
             None => {
-                s.field("checkpoints", &"<locked>");
+                s.field("checkpoint_image_bytes", &"<locked>");
             }
         }
         s.finish()
@@ -358,14 +348,14 @@ impl LogManager {
     ) -> Self {
         // Reserve the header region so LSN 0 is never a record.
         let buf = SegmentedBuffer::new(Lsn::FIRST.0);
-        Self::over(buf, Vec::new(), clock, cost, obs, sink)
+        Self::over(buf, None, clock, cost, obs, sink)
     }
 
-    /// A log whose every byte in `buf` is durable, with the
-    /// checkpoint-begin records at `checkpoints` (ascending).
+    /// A log whose every byte in `buf` is durable, with `image` as its
+    /// last saved checkpoint image.
     fn over(
         buf: SegmentedBuffer,
-        checkpoints: Vec<Lsn>,
+        image: Option<Arc<[u8]>>,
         clock: Arc<SimClock>,
         cost: IoCostModel,
         obs: Arc<Obs>,
@@ -379,9 +369,8 @@ impl LogManager {
                 force: GroupForce::new(end),
                 stats: Counters::default(),
                 control: Mutex::new(Control {
-                    durable_ckpts: checkpoints.len(),
-                    checkpoints,
                     archive_watermark: Lsn::NULL,
+                    image,
                 }),
                 sink,
                 obs,
@@ -392,18 +381,27 @@ impl LogManager {
     }
 
     /// Rebuilds a log from the segment files a previous incarnation's
-    /// [`WalFiles`] sink persisted, and arms `files` as this log's sink.
+    /// [`WalFiles`] sink persisted, together with its checkpoint image,
+    /// and arms `files` as this log's sink.
     ///
-    /// The stored tail may be torn — a kill can land between the sink's
-    /// `append` and its `sync` — so the records are walked forward and
-    /// the longest prefix that parses is accepted (checksummed frames
-    /// make a torn record detectable). Everything behind the tear
-    /// becomes the durable log, its checkpoint-begin records re-indexed;
-    /// the tear itself and anything after are discarded, exactly like
-    /// [`LogManager::crash`] discards the unforced tail, and trimmed
-    /// from the files so that a later crash never finds stale pre-crash
-    /// bytes where fresh records should be. The sink is armed before the
-    /// log is returned: restart itself appends and forces.
+    /// The segments are streamed in order through one reusable chunk of
+    /// [`RESTORE_CHUNK_BYTES`]: every record is decoded (its checksum
+    /// checked) before its bytes are copied into the log buffer, so
+    /// memory beyond the buffer itself stays at one chunk (plus one
+    /// record, should a single record be larger) however long the log.
+    ///
+    /// Only the newest segment can end in a torn record — a kill can land
+    /// between the sink's `append` and its `sync`, while older segments
+    /// were synced when they closed. So the first record that does not
+    /// decode ends the log if it starts in the newest segment: it and
+    /// everything after are discarded, exactly like [`LogManager::crash`]
+    /// discards the unforced tail, and trimmed from the file so that a
+    /// later crash never finds stale pre-crash bytes where fresh records
+    /// should be. A bad record in an older segment is damage, not a
+    /// tear: restore fails with [`std::io::ErrorKind::InvalidData`]
+    /// naming the file and offset, and no file is changed. The sink is
+    /// armed before the log is returned: restart itself appends and
+    /// forces.
     ///
     /// The archive watermark restarts at `NULL`; the caller restores it
     /// from its own metadata ([`LogManager::set_archive_watermark`]).
@@ -413,38 +411,75 @@ impl LogManager {
         obs: Arc<Obs>,
         files: WalFiles,
     ) -> std::io::Result<Self> {
-        let (base, bytes) = files.read_stored()?;
+        let invalid = |detail: String| std::io::Error::new(std::io::ErrorKind::InvalidData, detail);
+        let segments = files.stored_segments();
+        let (Some(&(base, _)), Some(&(newest_base, _))) = (segments.first(), segments.last())
+        else {
+            return Err(invalid("no WAL segments".into()));
+        };
         // A first segment past the header means the log was truncated
         // there (whole segment files below the cut were unlinked); one
         // inside the header is no log's.
         let buf = match base {
             b if b == Lsn::FIRST.0 => SegmentedBuffer::new(b),
             b if b > Lsn::FIRST.0 => SegmentedBuffer::truncated_at(b),
-            b => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("WAL starts at {b}, inside the log header"),
-                ))
-            }
+            b => return Err(invalid(format!("WAL starts at {b}, inside the log header"))),
         };
-        // Forward walk: collect checkpoints, stop at the first byte
-        // range that does not parse as a record.
-        let mut checkpoints = Vec::new();
-        let mut off = 0usize;
-        while let Ok((record, len)) = LogRecord::decode(&bytes[off..]) {
-            if matches!(record.payload, LogPayload::CheckpointBegin { .. }) {
-                checkpoints.push(Lsn(base + off as u64));
+        // `pending` holds the stored bytes from virtual offset `at` on
+        // that are read but not yet validated: at most one chunk, or one
+        // record should a single record be larger.
+        let mut pending: Vec<u8> = Vec::with_capacity(RESTORE_CHUNK_BYTES);
+        let mut at = base;
+        let mut bad = false;
+        'read: for &(seg_base, seg_len) in &segments {
+            let mut file = std::fs::File::open(files.segment_path(seg_base))?;
+            let mut left = seg_len;
+            while left > 0 {
+                let need = pending
+                    .get(..4)
+                    .map_or(0, |p| LogRecord::framed_len(p.try_into().expect("4 bytes")));
+                let n = (RESTORE_CHUNK_BYTES.max(need) - pending.len()).min(left as usize);
+                let filled = pending.len();
+                pending.resize(filled + n, 0);
+                std::io::Read::read_exact(&mut file, &mut pending[filled..])?;
+                left -= n as u64;
+                let (valid, failed) = match whole_records(&pending) {
+                    Ok(valid) => (valid, false),
+                    Err(valid) => (valid, true),
+                };
+                if valid > 0 {
+                    let lsn = buf.reserve(valid as u64);
+                    debug_assert_eq!(lsn, at);
+                    buf.write(lsn, &pending[..valid]);
+                    pending.drain(..valid);
+                    at += valid as u64;
+                }
+                if failed {
+                    bad = true;
+                    break 'read;
+                }
             }
-            off += len;
         }
-        if off > 0 {
-            let at = buf.reserve(off as u64);
-            debug_assert_eq!(at, base);
-            buf.write(at, &bytes[..off]);
+        // A record that does not decode, or that the stored bytes cut
+        // short, ends the log — if it starts in the newest segment.
+        if (bad || !pending.is_empty()) && at < newest_base {
+            let (seg_base, _) = segments
+                .iter()
+                .rev()
+                .find(|(b, _)| *b <= at)
+                .copied()
+                .unwrap_or((base, 0));
+            return Err(invalid(format!(
+                "corrupt WAL record in {} at byte {} (log offset {at}); only the \
+                 newest segment may end in a torn record",
+                files.segment_path(seg_base).display(),
+                at - seg_base
+            )));
         }
-        files.trim_to(base + off as u64)?;
+        files.trim_to(at)?;
+        let image = files.load_image()?.map(Arc::from);
         let sink = Some(Arc::new(files) as Arc<dyn LogSink>);
-        Ok(Self::over(buf, checkpoints, clock, cost, obs, sink))
+        Ok(Self::over(buf, image, clock, cost, obs, sink))
     }
 
     /// Creates a log with free I/O, no sink and a disabled
@@ -495,13 +530,6 @@ impl LogManager {
         self.inner.buf.write(lsn, &encoded);
         self.inner.stats.appends_by_kind[kind_index(&record.payload)]
             .fetch_add(1, Ordering::Relaxed);
-        if matches!(record.payload, LogPayload::CheckpointBegin { .. }) {
-            // Sorted insert: with racing appenders the reservation order
-            // (LSN order) need not match arrival order here.
-            let mut control = self.inner.control.lock();
-            let pos = control.checkpoints.partition_point(|l| *l < Lsn(lsn));
-            control.checkpoints.insert(pos, Lsn(lsn));
-        }
         Lsn(lsn)
     }
 
@@ -546,7 +574,6 @@ impl LogManager {
                     .cost(IoKind::SequentialWrite, (to - from) as usize),
             );
             inner.durable.store(to, Ordering::Release);
-            inner.control.lock().advance_ckpt_cursor(to);
             inner.stats.forces.fetch_add(1, Ordering::Relaxed);
             inner
                 .stats
@@ -620,24 +647,25 @@ impl LogManager {
         Lsn(self.inner.buf.end())
     }
 
-    /// LSN of the most recent **durable** checkpoint-begin record, i.e.
-    /// what the master record would point to after a crash.
-    ///
-    /// O(1): a cursor over the ascending checkpoint list is advanced as
-    /// the durable boundary moves (on force), never scanned backward.
-    #[must_use]
-    pub fn last_checkpoint(&self) -> Lsn {
-        let durable = self.inner.durable.load(Ordering::Acquire);
-        let mut control = self.inner.control.lock();
-        // The cursor is maintained by the force path; catching up here
-        // too keeps the method correct even if a checkpoint append
-        // published its entry after a force passed it (amortized O(1) —
-        // each entry is crossed once, ever).
-        control.advance_ckpt_cursor(durable);
-        match control.durable_ckpts {
-            0 => Lsn::NULL,
-            n => control.checkpoints[n - 1],
+    /// Saves `bytes` as the log's checkpoint image, replacing the last
+    /// one: with a sink, durably first (see [`LogSink::save_image`]) and
+    /// only then in memory, so [`checkpoint_image`](LogManager::checkpoint_image)
+    /// never answers with an image a kill could still take back. The
+    /// bytes are opaque here; restart recovery encodes and reads them.
+    pub fn save_checkpoint_image(&self, bytes: Vec<u8>) -> std::io::Result<()> {
+        if let Some(sink) = &self.inner.sink {
+            sink.save_image(&bytes)?;
         }
+        self.inner.control.lock().image = Some(Arc::from(bytes));
+        Ok(())
+    }
+
+    /// The last checkpoint image saved, if any — in memory it survives
+    /// [`crash`](LogManager::crash), and [`restore`](LogManager::restore)
+    /// reads it back from the WAL directory.
+    #[must_use]
+    pub fn checkpoint_image(&self) -> Option<Arc<[u8]>> {
+        self.inner.control.lock().image.clone()
     }
 
     /// Simulates a system failure: the volatile log buffer is discarded.
@@ -653,11 +681,8 @@ impl LogManager {
             .fetch_add(discarded, Ordering::Relaxed);
         self.inner.buf.crash_to(durable);
         self.inner.force.crash_reset();
-        // Checkpoint records in the lost buffer never happened; every
-        // retained entry is durable, so the O(1) cursor covers them all.
-        control.checkpoints.retain(|l| l.0 < durable);
-        control.durable_ckpts = control.checkpoints.len();
-        // The archive only ever captured the durable prefix, so the
+        // The checkpoint image survives, like the durable prefix. The
+        // archive only ever captured the durable prefix, so the
         // watermark survives a crash unchanged; clamp defensively.
         control.archive_watermark = control.archive_watermark.min(Lsn(durable));
         Lsn(durable)
@@ -697,13 +722,14 @@ impl LogManager {
     /// Returns the bytes reclaimed (0 if nothing to drop).
     ///
     /// Callers are expected to pass a *safe* LSN, i.e. the minimum of the
-    /// archive watermark, the last durable checkpoint, the buffer pool's
+    /// archive watermark, the checkpoint image's scan start, the buffer pool's
     /// oldest dirty-page recovery LSN, and the oldest active
     /// transaction's begin LSN (`Database::safe_truncation_lsn` computes
     /// exactly this); the clamps here only defend the log's own
     /// invariants.
     pub fn truncate_until(&self, lsn: Lsn) -> Result<u64, LogError> {
-        let mut control = self.inner.control.lock();
+        // Held throughout: truncations do not interleave.
+        let control = self.inner.control.lock();
         if !control.archive_watermark.is_valid() {
             return Ok(0); // nothing archived: nothing may be dropped
         }
@@ -735,12 +761,6 @@ impl LogManager {
         if let Some(sink) = &self.inner.sink {
             let _ = sink.truncate_to(cut);
         }
-        // Checkpoints below the cut are unreadable now; all of them were
-        // durable (cut <= durable), so the cursor shifts with them.
-        control.advance_ckpt_cursor(durable);
-        let before = control.checkpoints.len();
-        control.checkpoints.retain(|l| l.0 >= cut);
-        control.durable_ckpts -= before - control.checkpoints.len();
         self.inner.stats.truncations.fetch_add(1, Ordering::Relaxed);
         self.inner
             .stats
@@ -1060,6 +1080,28 @@ impl Iterator for LogScanner {
     }
 }
 
+/// The chunk [`LogManager::restore`] streams stored segments through.
+pub const RESTORE_CHUNK_BYTES: usize = 1 << 20;
+
+/// How many leading bytes of `bytes` (which start at a record boundary)
+/// are whole records that decode: `Ok(n)` when the walk stopped at a
+/// record the bytes do not yet hold completely, `Err(n)` when it stopped
+/// at a complete record that fails to decode.
+fn whole_records(bytes: &[u8]) -> Result<usize, usize> {
+    let mut off = 0;
+    while bytes.len() - off >= LogRecord::FRAME_BYTES {
+        let total = LogRecord::framed_len(bytes[off..off + 4].try_into().expect("4 bytes"));
+        if total > bytes.len() - off {
+            break;
+        }
+        match LogRecord::decode(&bytes[off..off + total]) {
+            Ok((_, len)) => off += len,
+            Err(_) => return Err(off),
+        }
+    }
+    Ok(off)
+}
+
 /// Convenience builder for records, keeping call sites terse.
 #[must_use]
 pub fn make_record(
@@ -1324,41 +1366,17 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_pointer_survives_force_not_crash() {
+    fn checkpoint_image_survives_a_crash() {
         let log = LogManager::for_testing();
+        assert_eq!(log.checkpoint_image(), None);
         log.append(&update_record(1, Lsn::NULL, 1, Lsn::NULL));
-        let ckpt = log.append(&make_record(
-            TxId::NONE,
-            Lsn::NULL,
-            PageId::INVALID,
-            Lsn::NULL,
-            LogPayload::CheckpointBegin {
-                active_txns: vec![],
-                dirty_pages: vec![],
-            },
-        ));
-        assert_eq!(log.last_checkpoint(), Lsn::NULL, "not durable yet");
-        log.force();
-        assert_eq!(log.last_checkpoint(), ckpt);
-        // A later, unforced checkpoint is not yet the master record, and a
-        // crash erases it entirely.
-        let _ckpt2 = log.append(&make_record(
-            TxId::NONE,
-            Lsn::NULL,
-            PageId::INVALID,
-            Lsn::NULL,
-            LogPayload::CheckpointBegin {
-                active_txns: vec![],
-                dirty_pages: vec![],
-            },
-        ));
-        assert_eq!(
-            log.last_checkpoint(),
-            ckpt,
-            "unforced checkpoint is not the master record"
-        );
+        log.save_checkpoint_image(b"first".to_vec()).unwrap();
+        log.save_checkpoint_image(b"second".to_vec()).unwrap();
+        // The image is the log's durable root, not a log record: the
+        // unforced tail goes, the last image saved stays.
         log.crash();
-        assert_eq!(log.last_checkpoint(), ckpt);
+        assert_eq!(log.checkpoint_image().as_deref(), Some(&b"second"[..]));
+        assert_eq!(log.stats().records_appended, 1, "no record was appended");
     }
 
     #[test]
@@ -1474,6 +1492,7 @@ mod tests {
             LogPayload::Update {
                 op: PageOp::SetGhost {
                     pos: 0,
+                    key: Vec::new(),
                     old: false,
                     new: true,
                 },
@@ -1481,6 +1500,7 @@ mod tests {
             LogPayload::Clr {
                 op: PageOp::SetGhost {
                     pos: 0,
+                    key: Vec::new(),
                     old: true,
                     new: false,
                 },
@@ -1531,7 +1551,7 @@ mod tests {
     fn debug_format_never_blocks_on_the_control_lock() {
         let log = LogManager::for_testing();
         log.append(&update_record(1, Lsn::NULL, 1, Lsn::NULL));
-        assert!(format!("{log:?}").contains("checkpoints"));
+        assert!(format!("{log:?}").contains("checkpoint_image_bytes"));
         // Formatting while another holder owns the control mutex must
         // not deadlock: the Debug impl try-locks and reports <locked>.
         let guard = log.inner.control.lock();
@@ -1613,44 +1633,24 @@ mod tests {
     }
 
     #[test]
-    fn truncate_keeps_checkpoint_list_consistent() {
+    fn truncate_and_crash_keep_the_checkpoint_image_and_watermark() {
         let log = LogManager::for_testing();
-        let ckpt_record = || {
-            make_record(
-                TxId::NONE,
-                Lsn::NULL,
-                PageId::INVALID,
-                Lsn::NULL,
-                LogPayload::CheckpointBegin {
-                    active_txns: vec![],
-                    dirty_pages: vec![],
-                },
-            )
-        };
-        let ck1 = log.append(&ckpt_record());
-        let mid = log.append(&update_record(1, Lsn::NULL, 1, Lsn::NULL));
-        let ck2 = log.append(&ckpt_record());
+        let a = log.append(&update_record(1, Lsn::NULL, 1, Lsn::NULL));
+        let b = log.append(&update_record(1, a, 1, a));
         log.force();
-        assert_eq!(log.last_checkpoint(), ck2);
-
-        // Truncate past the first checkpoint: the master record is still
-        // the second one, and the dropped entry no longer confuses it.
-        log.set_archive_watermark(ck2);
-        log.truncate_until(mid).unwrap();
-        assert_eq!(log.last_checkpoint(), ck2);
+        log.save_checkpoint_image(b"image at b".to_vec()).unwrap();
+        log.set_archive_watermark(b);
+        log.truncate_until(b).unwrap();
         assert!(matches!(
-            log.read_record(ck1),
+            log.read_record(a),
             Err(LogError::Truncated { .. })
         ));
-
-        // An unforced later checkpoint still does not become the master
-        // record, and a crash keeps the list and cursor consistent.
-        let _ck3 = log.append(&ckpt_record());
-        assert_eq!(log.last_checkpoint(), ck2);
+        log.append(&update_record(1, b, 1, b)); // unforced
         log.crash();
-        assert_eq!(log.last_checkpoint(), ck2);
+        assert_eq!(log.checkpoint_image().as_deref(), Some(&b"image at b"[..]));
         // Watermark survives the crash (it covered only durable bytes).
-        assert_eq!(log.archive_watermark(), ck2);
+        assert_eq!(log.archive_watermark(), b);
+        assert_eq!(log.truncate_point(), b);
     }
 
     #[test]

@@ -287,6 +287,10 @@ pub enum PageOp {
     SetGhost {
         /// Slot position affected.
         pos: u16,
+        /// Key of the record at `pos`: the one field a rollback needs to
+        /// find the record again after concurrent inserts or a split
+        /// moved it (the other record ops carry the whole record).
+        key: Vec<u8>,
         /// Previous ghost flag.
         old: bool,
         /// New ghost flag.
@@ -392,8 +396,9 @@ impl PageOp {
                 old_bytes: new_bytes.clone(),
                 new_bytes: old_bytes.clone(),
             },
-            PageOp::SetGhost { pos, old, new } => PageOp::SetGhost {
+            PageOp::SetGhost { pos, key, old, new } => PageOp::SetGhost {
                 pos: *pos,
+                key: key.clone(),
                 old: *new,
                 new: *old,
             },
@@ -470,11 +475,12 @@ impl PageOp {
                 enc.put_len_bytes(old_bytes);
                 enc.put_len_bytes(new_bytes);
             }
-            PageOp::SetGhost { pos, old, new } => {
+            PageOp::SetGhost { pos, key, old, new } => {
                 enc.put_u8(Self::TAG_GHOST);
                 enc.put_u16(*pos);
                 enc.put_u8(u8::from(*old));
                 enc.put_u8(u8::from(*new));
+                enc.put_len_bytes(key);
             }
             PageOp::WriteStructure { old, new } => {
                 enc.put_u8(Self::TAG_STRUCTURE);
@@ -525,7 +531,8 @@ impl PageOp {
                 let pos = dec.get_u16()?;
                 let old = dec.get_u8()? != 0;
                 let new = dec.get_u8()? != 0;
-                Ok(PageOp::SetGhost { pos, old, new })
+                let key = dec.get_len_bytes(MAX_REC)?.to_vec();
+                Ok(PageOp::SetGhost { pos, key, old, new })
             }
             Self::TAG_STRUCTURE => {
                 let old = dec.get_len_bytes(64)?.to_vec();
@@ -921,6 +928,7 @@ mod tests {
             LogPayload::Update {
                 op: PageOp::SetGhost {
                     pos: 9,
+                    key: b"k9".to_vec(),
                     old: false,
                     new: true,
                 },
@@ -1017,6 +1025,7 @@ mod tests {
             },
             PageOp::SetGhost {
                 pos: 1,
+                key: b"B".to_vec(),
                 old: false,
                 new: true,
             },

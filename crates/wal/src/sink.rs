@@ -20,12 +20,24 @@
 //! durable. Log truncation unlinks files that lie wholly below the cut
 //! — partial files are never rewritten, matching how real systems
 //! recycle whole log segments.
+//!
+//! Because a file is synced when it is closed, a tear can only sit in
+//! the newest file: restart ([`LogManager::restore`](crate::LogManager::restore))
+//! treats a bad record in an older file as damage, not as the end of
+//! the log, and trimming a torn tail never cuts below the newest
+//! file's first byte.
+//!
+//! The directory also holds the log's checkpoint image
+//! ([`CHECKPOINT_IMAGE_FILE`], see [`LogSink::save_image`]), replaced
+//! crash-atomically by the create–rename–fsync protocol of
+//! [`spf_util::atomic_file`].
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
+use spf_util::atomic_file::{self, sync_dir};
 
 /// Destination for forced log bytes. Implementations must be safe to
 /// call from whichever thread wins the group-commit leadership.
@@ -48,7 +60,15 @@ pub trait LogSink: Send + Sync {
     /// Releases storage below virtual offset `cut` (best effort; the
     /// sink may retain more).
     fn truncate_to(&self, cut: u64) -> io::Result<()>;
+
+    /// Durably replaces the stored checkpoint image with `bytes`: when
+    /// this returns, a restarted log finds exactly these bytes (see
+    /// [`LogManager::save_checkpoint_image`](crate::LogManager::save_checkpoint_image)).
+    fn save_image(&self, bytes: &[u8]) -> io::Result<()>;
 }
+
+/// File name of the checkpoint image inside a WAL directory.
+pub const CHECKPOINT_IMAGE_FILE: &str = "checkpoint.spfc";
 
 /// Default segment-file capacity. Segments rotate once they pass this
 /// size; a single oversized append may overshoot it.
@@ -96,10 +116,6 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     stem.parse().ok()
 }
 
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
 impl WalFiles {
     /// Creates an empty WAL directory with one empty segment starting
     /// at virtual offset `start` (the log's header length, so offset 0
@@ -142,7 +158,7 @@ impl WalFiles {
     /// if the segments do not tile one contiguous byte range, or if
     /// that range starts past half the LSN space (no log grows that
     /// far, and one that started there could not grow at all). The
-    /// bytes are read by [`LogManager::restore`](crate::LogManager::restore),
+    /// bytes are streamed by [`LogManager::restore`](crate::LogManager::restore),
     /// which also decides how much of the tail is a valid record stream.
     pub fn open(dir: &Path) -> io::Result<Self> {
         let mut bases: Vec<u64> = fs::read_dir(dir)?
@@ -202,22 +218,26 @@ impl WalFiles {
         })
     }
 
-    /// The virtual offset of the first stored byte, and every stored
-    /// byte in log order.
-    pub(crate) fn read_stored(&self) -> io::Result<(u64, Vec<u8>)> {
+    /// Every stored segment as `(virtual offset of its first byte,
+    /// length)`, in log order; the last one is the newest (the only one
+    /// a kill can have torn).
+    pub(crate) fn stored_segments(&self) -> Vec<(u64, u64)> {
         let st = self.state.lock();
-        let mut bases = st
-            .closed
+        st.closed
             .iter()
-            .map(|c| c.base)
-            .chain(st.current.as_ref().map(|c| c.base))
-            .peekable();
-        let first = bases.peek().copied().unwrap_or(st.next_base);
-        let mut bytes = Vec::new();
-        for base in bases {
-            File::open(self.dir.join(segment_name(base)))?.read_to_end(&mut bytes)?;
-        }
-        Ok((first, bytes))
+            .map(|c| (c.base, c.len))
+            .chain(st.current.as_ref().map(|c| (c.base, c.len)))
+            .collect()
+    }
+
+    /// The file holding the segment that starts at virtual offset `base`.
+    pub(crate) fn segment_path(&self, base: u64) -> PathBuf {
+        self.dir.join(segment_name(base))
+    }
+
+    /// The stored checkpoint image, if one was ever saved.
+    pub(crate) fn load_image(&self) -> io::Result<Option<Vec<u8>>> {
+        atomic_file::read(&self.dir, CHECKPOINT_IMAGE_FILE)
     }
 
     /// Overrides the rotation threshold (tests use small segments to
@@ -238,9 +258,24 @@ impl WalFiles {
     /// `end` — the torn tail a restart's record walk rejected. Without
     /// this, stale bytes from before the crash could sit beyond the new
     /// logical end and be misread as records after a *second* crash.
+    ///
+    /// Only the newest file can be torn (older ones were synced when
+    /// they closed), so a cut below its first byte is refused with
+    /// [`io::ErrorKind::InvalidData`] rather than carried out.
     pub(crate) fn trim_to(&self, end: u64) -> io::Result<()> {
         let mut st = self.state.lock();
         if let Some(cur) = st.current.as_mut() {
+            if end < cur.base {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "refusing to trim {} below its first byte {}: only the newest \
+                         WAL segment can hold a torn tail",
+                        self.dir.join(segment_name(cur.base)).display(),
+                        cur.base
+                    ),
+                ));
+            }
             if end < cur.base + cur.len {
                 let keep = end.saturating_sub(cur.base);
                 cur.file.set_len(keep)?;
@@ -322,6 +357,10 @@ impl LogSink for WalFiles {
         }
         Ok(())
     }
+
+    fn save_image(&self, bytes: &[u8]) -> io::Result<()> {
+        atomic_file::replace(&self.dir, CHECKPOINT_IMAGE_FILE, bytes)
+    }
 }
 
 #[cfg(test)]
@@ -329,8 +368,15 @@ mod tests {
     use super::*;
     use tempdir::TempDir;
 
+    /// The first stored offset and every stored byte, in log order.
     fn read_all(dir: &Path) -> (u64, Vec<u8>) {
-        WalFiles::open(dir).unwrap().read_stored().unwrap()
+        let files = WalFiles::open(dir).unwrap();
+        let segments = files.stored_segments();
+        let mut bytes = Vec::new();
+        for &(base, _) in &segments {
+            bytes.extend(fs::read(files.segment_path(base)).unwrap());
+        }
+        (segments[0].0, bytes)
     }
 
     #[test]
@@ -380,9 +426,9 @@ mod tests {
         files.append(0, b"goodrecordTORNTA").unwrap();
         files.sync().unwrap();
         drop(files);
-        let files = WalFiles::open(&dir).unwrap();
-        let (base, bytes) = files.read_stored().unwrap();
+        let (base, bytes) = read_all(&dir);
         assert_eq!((base, bytes.len()), (0, 16));
+        let files = WalFiles::open(&dir).unwrap();
         // Restart decided only the first 10 bytes parse as records.
         files.trim_to(10).unwrap();
         files.append(10, b"NEW").unwrap();
@@ -412,6 +458,46 @@ mod tests {
         let (base, bytes) = read_all(&dir);
         assert_eq!(base, 8);
         assert_eq!(bytes.len(), 16);
+    }
+
+    #[test]
+    fn trim_never_cuts_below_the_newest_file() {
+        let tmp = TempDir::new("walfiles").unwrap();
+        let dir = tmp.path().join("wal");
+        let files = WalFiles::create(&dir, 0).unwrap().with_segment_bytes(4);
+        for i in 0u64..3 {
+            files.append(i * 4, &[i as u8; 4]).unwrap();
+        }
+        files.append(12, b"ab").unwrap();
+        files.sync().unwrap();
+        drop(files);
+        let files = WalFiles::open(&dir).unwrap();
+        let err = files.trim_to(7).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        drop(files);
+        let (_, bytes) = read_all(&dir);
+        assert_eq!(bytes.len(), 14, "nothing was cut");
+    }
+
+    /// The image save uses the manifest's protocol: a crash at any step
+    /// leaves the old or the new image, and a later open reads it.
+    #[test]
+    fn image_save_crash_at_any_step_leaves_old_or_new() {
+        for step in 0..4 {
+            let tmp = TempDir::new("walfiles").unwrap();
+            let dir = tmp.path().join("wal");
+            let files = WalFiles::create(&dir, 0).unwrap();
+            assert_eq!(files.load_image().unwrap(), None);
+            files.save_image(b"old image").unwrap();
+            atomic_file::replace_until_step(&dir, CHECKPOINT_IMAGE_FILE, b"new image!", step)
+                .unwrap();
+            drop(files);
+            let got = WalFiles::open(&dir).unwrap().load_image().unwrap().unwrap();
+            assert!(got == b"old image" || got == b"new image!", "step {step}");
+            if step >= 2 {
+                assert_eq!(got, b"new image!");
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! [`LogManager::restore`]. Segment files a crash left behind are
 //! hostile input: whatever they hold, `restore` answers `Ok` with a
 //! prefix that re-decodes record by record, or `Err` — it never panics.
+//! Only the newest segment can be torn; damage to an older one is an
+//! `Err`, never a reason to cut the log short.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -102,27 +104,106 @@ fn forced_records_survive_reopen_unforced_do_not() {
 }
 
 #[test]
-fn checkpoints_reindexed_and_appends_continue_after_reopen() {
+fn checkpoint_image_survives_reopen_and_appends_continue() {
     let tmp = TempDir::new("durable-log").unwrap();
     let dir = tmp.path().join("wal");
     let log = fresh_log_with_files(&dir);
 
     let a = log.append(&update_record(1, Lsn::NULL, 10, Lsn::NULL));
-    let ckpt = log.append(&checkpoint_record());
     log.force();
+    log.save_checkpoint_image(b"image one".to_vec()).unwrap();
     drop(log);
 
     let (log, _) = reopen(&dir);
-    assert_eq!(log.last_checkpoint(), ckpt, "checkpoint index rebuilt");
+    assert_eq!(log.checkpoint_image().as_deref(), Some(&b"image one"[..]));
 
-    // The log keeps working: append, force, reopen again.
+    // The log keeps working: append, force, save, reopen again.
     let d = log.append(&update_record(3, Lsn::NULL, 13, a));
     log.force();
+    log.save_checkpoint_image(b"image two".to_vec()).unwrap();
     let rec_d = log.read_record(d).unwrap();
     drop(log);
     let (log, _) = reopen(&dir);
     assert_eq!(log.read_record(d).unwrap(), rec_d);
-    assert_eq!(log.last_checkpoint(), ckpt);
+    assert_eq!(log.checkpoint_image().as_deref(), Some(&b"image two"[..]));
+}
+
+/// One bad byte in an old, closed segment is damage, not a torn tail:
+/// restore refuses the directory and leaves every file as it was —
+/// above all the newest, which holds the most recent commits.
+#[test]
+fn a_bad_record_in_an_old_segment_is_refused_not_trimmed() {
+    let tmp = TempDir::new("durable-log").unwrap();
+    let dir = tmp.path().join("wal");
+    let log = log_over(
+        WalFiles::create(&dir, Lsn::FIRST.0)
+            .unwrap()
+            .with_segment_bytes(128),
+    );
+    let mut prev = Lsn::NULL;
+    for i in 0..20 {
+        prev = log.append(&update_record(1, prev, 10 + i, Lsn::NULL));
+        log.force();
+    }
+    drop(log);
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
+        .collect();
+    names.sort();
+    assert!(names.len() >= 4, "the log must span several segments");
+    let mut old = std::fs::read(&names[1]).unwrap();
+    old[20] ^= 0x5A;
+    std::fs::write(&names[1], &old).unwrap();
+    let before: Vec<Vec<u8>> = names.iter().map(|p| std::fs::read(p).unwrap()).collect();
+
+    let err = restore(&dir).map(drop).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let file_name = names[1].file_name().unwrap().to_string_lossy().into_owned();
+    assert!(err.to_string().contains(&file_name), "{err}");
+    let after: Vec<Vec<u8>> = names.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    assert_eq!(before, after, "no segment may change");
+}
+
+/// A log longer than one restore chunk, with records larger than it,
+/// streams back record for record.
+#[test]
+fn a_log_longer_than_the_restore_chunk_streams_back_whole() {
+    let tmp = TempDir::new("durable-log").unwrap();
+    let dir = tmp.path().join("wal");
+    let log = fresh_log_with_files(&dir);
+    let big = |i: u64| {
+        make_record(
+            TxId(0),
+            Lsn::NULL,
+            PageId(u64::MAX),
+            Lsn::NULL,
+            LogPayload::CheckpointBegin {
+                dirty_pages: (0..70_000).map(|p| (PageId(p + i), Lsn(p))).collect(),
+                active_txns: Vec::new(),
+            },
+        )
+    };
+    assert!(big(0).encode().len() > spf_wal::manager::RESTORE_CHUNK_BYTES);
+    let mut written = Vec::new();
+    let mut prev = Lsn::NULL;
+    for i in 0..3000u64 {
+        let record = if i % 1000 == 500 {
+            big(i)
+        } else {
+            update_record(i, prev, i % 50, Lsn::NULL)
+        };
+        prev = log.append(&record);
+        written.push((prev, record));
+    }
+    log.force();
+    drop(log);
+
+    let (log, end) = reopen(&dir);
+    let served = log.scan_from(Lsn::NULL).unwrap();
+    assert_eq!(served, written);
+    assert_eq!(end, log.end_lsn());
 }
 
 #[test]
