@@ -356,7 +356,7 @@ impl StandardBTree {
         op: PageOp,
     ) -> Result<Lsn, BTreeError> {
         let prev = Lsn(guard.page_lsn());
-        let lsn = self.txn.log_update(tx, guard.page_id(), prev, op.clone())?;
+        let (lsn, op) = self.txn.log_update(tx, guard.page_id(), prev, op)?;
         op.redo(&mut *guard);
         guard.mark_dirty(lsn);
         Ok(lsn)

@@ -13,7 +13,10 @@
 //! * **Local splits / foster relationships**: a split creates a foster
 //!   child; the foster parent "carries the high fence key of the entire
 //!   chain"; parents adopt foster children lazily during later write
-//!   descents; a root foster chain triggers root growth.
+//!   descents; a root foster chain triggers root growth. The write's own
+//!   crabbed descent finds both cases on nodes it has already fetched and
+//!   fence-checked — there is no separate maintenance walk — and readers
+//!   never maintain.
 //! * **Single incoming pointer per node** at all times (enables the simple
 //!   page migration used after single-page recovery, Section 5.1.3).
 //! * **System transactions** for every structural change: splits,
@@ -25,9 +28,11 @@
 //!   is fetched and fence-checked — borrowed bounds against borrowed
 //!   bounds, nothing copied — before the parent latch drops). Readers
 //!   finish on the leaf latch the descent ends with. Writers descend
-//!   shared and take a write latch only at the leaf; foster-chain hops
-//!   after that re-latching retry bounded-many times when a concurrent
-//!   split or adoption moves the separator
+//!   shared once and take a write latch only at the leaf — on a
+//!   three-level tree a resident write is four pool fetches, the path
+//!   shared and the leaf again exclusive. Foster-chain hops after that
+//!   re-latching retry bounded-many times when a concurrent split or
+//!   adoption moves the separator
 //!   ([`BTreeError::TooManyRetries`] carries the count). Structural
 //!   changes run as system transactions that re-validate fence keys
 //!   after re-latching and back off on conflict — safe because every
@@ -318,6 +323,35 @@ enum LeafOp {
     Delete,
 }
 
+/// A structural fix a writer's descent found on its path (the two cases
+/// of the paper's lazy foster-chain maintenance).
+enum Maintenance {
+    /// The root carries a foster chain: grow the tree by one level.
+    GrowRoot,
+    /// `child`, reached through `parent`'s entry, carries a foster child
+    /// for `parent` to adopt.
+    Adopt { parent: PageId, child: PageId },
+}
+
+/// Where a descent ends: latched on the leaf `key` belongs to (`G` is
+/// the guard, then the slot `key` occupies or belongs at and whether that
+/// slot holds exactly `key`), or — for a writer only — at a structural
+/// fix the path needs first, with every latch released.
+enum Landing<G> {
+    Leaf(G, u16, bool),
+    Maintain(Maintenance),
+}
+
+impl<G> Landing<G> {
+    /// The leaf a descent that was not asked to maintain ends at.
+    fn leaf(self) -> (G, u16, bool) {
+        match self {
+            Landing::Leaf(guard, pos, exact) => (guard, pos, exact),
+            Landing::Maintain(_) => unreachable!("only a write descent maintains"),
+        }
+    }
+}
+
 /// What one latched attempt at an adoption found.
 enum AdoptStep {
     /// The foster child was adopted.
@@ -445,7 +479,9 @@ impl FosterBTree {
     /// writers, whose latch mode changes at the leaf, open a
     /// release/re-acquire window (see [`ReacquireHook`]).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
-        let (guard, pos, exact) = self.descend(key, FetchHint::Normal, TraceCtx::NONE)?;
+        let (guard, pos, exact) = self
+            .descend(key, FetchHint::Normal, TraceCtx::NONE, false)?
+            .leaf();
         if !exact {
             return Ok(None);
         }
@@ -490,7 +526,9 @@ impl FosterBTree {
             // streamed once and must not flush the hot set); the inner
             // nodes the descent crosses stay hot — every descent needs
             // them.
-            let (mut guard, _, _) = self.descend(&cursor, FetchHint::Scan, TraceCtx::NONE)?;
+            let (mut guard, _, _) = self
+                .descend(&cursor, FetchHint::Scan, TraceCtx::NONE, false)?
+                .leaf();
             // Walk the leaf and its foster chain, crabbing: the next
             // chain node is latched before the current one drops, so a
             // concurrent split cannot tear the chain under the scan.
@@ -558,6 +596,16 @@ impl FosterBTree {
     /// or belongs at, and whether that slot holds exactly `key` — all
     /// still true when the caller looks, because the latch is still held.
     ///
+    /// With `maintain` (a writer's descent) it also finds the paper's
+    /// lazy foster-chain maintenance on nodes it has already fetched and
+    /// fence-checked, top-down: a root that carries a foster chain
+    /// ([`Maintenance::GrowRoot`]), or a child reached through its
+    /// parent's entry that carries a foster child
+    /// ([`Maintenance::Adopt`]). It then releases both latches and
+    /// returns the fix instead of the leaf; the writer runs it and
+    /// descends again. Foster hops are followed either way. Readers never
+    /// maintain.
+    ///
     /// Crabbing protocol: each child (or foster child) is fetched — and
     /// its fences verified against the pointer's promise — while the
     /// parent's shared latch is still held, so no restructure can slip
@@ -578,7 +626,8 @@ impl FosterBTree {
         key: &[u8],
         leaf_hint: FetchHint,
         ctx: TraceCtx,
-    ) -> Result<(PageReadGuard, u16, bool), BTreeError> {
+        maintain: bool,
+    ) -> Result<Landing<PageReadGuard>, BTreeError> {
         let hint_for = |level: u8| {
             if level == 0 {
                 leaf_hint
@@ -592,8 +641,11 @@ impl FosterBTree {
         TreeStatCounters::bump(&self.stats.node_visits);
         for _ in 0..MAX_RETRIES * 4 {
             let view = NodeView::new(&guard)?;
+            if maintain && view.id() == self.root && view.has_foster() {
+                return Ok(Landing::Maintain(Maintenance::GrowRoot));
+            }
             let level = view.level();
-            let (child, child_level, low, high) = match view.route(key)? {
+            let (child, child_level, low, high, via_entry) = match view.route(key)? {
                 Descent::Leaf { pos, exact } => {
                     let (low, high) = (view.low_fence()?, view.high_fence()?);
                     if !BoundRef::contains(low, high, key) {
@@ -605,17 +657,17 @@ impl FosterBTree {
                             ),
                         });
                     }
-                    return Ok((guard, pos, exact));
+                    return Ok(Landing::Leaf(guard, pos, exact));
                 }
                 Descent::Foster {
                     child,
                     separator,
                     high,
-                } => (child, level, separator, high),
+                } => (child, level, separator, high, false),
                 // `route` refuses a branch at level 0, so `level >= 1`.
                 Descent::Child {
                     child, low, high, ..
-                } => (child, level - 1, low, high),
+                } => (child, level - 1, low, high, true),
             };
             let next = self
                 .pool
@@ -623,6 +675,10 @@ impl FosterBTree {
             TreeStatCounters::bump(&self.stats.node_visits);
             self.check_fences(&next, low, high)?;
             self.check_level(&next, child_level)?;
+            if maintain && via_entry && NodeView::new(&next)?.has_foster() {
+                let parent = guard.page_id();
+                return Ok(Landing::Maintain(Maintenance::Adopt { parent, child }));
+            }
             guard = next;
         }
         Err(BTreeError::TooManyRetries {
@@ -713,12 +769,29 @@ impl FosterBTree {
             if progress > MAX_RETRIES {
                 return Err(BTreeError::TooManyRetries { retries: progress });
             }
-            // Opportunistic maintenance: shorten foster chains on the path.
-            if self.maintain_path(key, ctx)? {
-                progress += 1;
-                continue;
-            }
-            let (mut guard, pos, exact) = self.write_latch_leaf(key, ctx, &mut conflicts)?;
+            // Opportunistic maintenance, found by the write's own descent:
+            // shorten foster chains on the path. A fix that changed the
+            // tree is progress; one that backed off or found nothing left
+            // to do must not stall the write, so the next descent of this
+            // attempt skips maintenance and follows the foster hop.
+            let mut maintain = true;
+            let (mut guard, pos, exact) = loop {
+                match self.write_latch_leaf(key, ctx, &mut conflicts, maintain)? {
+                    Landing::Leaf(guard, pos, exact) => break (guard, pos, exact),
+                    Landing::Maintain(Maintenance::GrowRoot) => {
+                        self.grow_root()?;
+                        progress += 1;
+                        continue 'restart;
+                    }
+                    Landing::Maintain(Maintenance::Adopt { parent, child }) => {
+                        if self.adopt(parent, child)? {
+                            progress += 1;
+                            continue 'restart;
+                        }
+                        maintain = false;
+                    }
+                }
+            };
             let target = guard.page_id();
             if exact {
                 let view = NodeView::new(&guard)?;
@@ -746,7 +819,7 @@ impl FosterBTree {
                                 PageOp::ReplaceRecord {
                                     pos,
                                     old_bytes: old_record,
-                                    new_bytes: record.clone(),
+                                    new_bytes: record,
                                 },
                             )?;
                         }
@@ -796,7 +869,7 @@ impl FosterBTree {
                             &mut guard,
                             PageOp::InsertRecord {
                                 pos,
-                                bytes: record.clone(),
+                                bytes: record,
                                 ghost: false,
                             },
                         )?;
@@ -816,15 +889,21 @@ impl FosterBTree {
     /// the key (an adoption lowered its high fence) or stopped being a
     /// leaf (the root grew) sends the walk back to the root after a
     /// pause. Both count against `conflicts`. Returns the guard, the
-    /// slot `key` occupies or belongs at, and whether it holds `key`.
+    /// slot `key` occupies or belongs at, and whether it holds `key` —
+    /// or, with `maintain`, the structural fix a descent found first
+    /// (see [`descend`](Self::descend)).
     fn write_latch_leaf(
         &self,
         key: &[u8],
         ctx: TraceCtx,
         conflicts: &mut usize,
-    ) -> Result<(PageWriteGuard, u16, bool), BTreeError> {
+        maintain: bool,
+    ) -> Result<Landing<PageWriteGuard>, BTreeError> {
         'descend: loop {
-            let (guard, _, _) = self.descend(key, FetchHint::Normal, ctx)?;
+            let guard = match self.descend(key, FetchHint::Normal, ctx, maintain)? {
+                Landing::Leaf(guard, _, _) => guard,
+                Landing::Maintain(step) => return Ok(Landing::Maintain(step)),
+            };
             let target = guard.page_id();
             drop(guard);
             self.fire_reacquire_hook(target);
@@ -837,7 +916,9 @@ impl FosterBTree {
                     None
                 };
                 match step {
-                    Some(Descent::Leaf { pos, exact }) => return Ok((guard, pos, exact)),
+                    Some(Descent::Leaf { pos, exact }) => {
+                        return Ok(Landing::Leaf(guard, pos, exact))
+                    }
                     Some(Descent::Foster {
                         child,
                         separator,
@@ -871,8 +952,9 @@ impl FosterBTree {
     ) -> Result<(), BTreeError> {
         let mut conflicts = 0usize;
         for _ in 0..=MAX_RETRIES {
-            let (mut guard, pos, exact) =
-                self.write_latch_leaf(key, TraceCtx::NONE, &mut conflicts)?;
+            let (mut guard, pos, exact) = self
+                .write_latch_leaf(key, TraceCtx::NONE, &mut conflicts, false)?
+                .leaf();
             if !exact {
                 return Ok(()); // nothing of this key left to undo
             }
@@ -932,52 +1014,6 @@ impl FosterBTree {
         self.split(leaf)
     }
 
-    /// Walks the path for `key`, performing at most one structural fix
-    /// (adoption or root growth). Returns true if it changed anything.
-    ///
-    /// The walk is uncoupled (each node is fetched after its parent's
-    /// latch dropped) because it is purely opportunistic: a stale
-    /// observation at worst skips or re-attempts maintenance, and the
-    /// structural change itself re-validates under write latches.
-    fn maintain_path(&self, key: &[u8], ctx: TraceCtx) -> Result<bool, BTreeError> {
-        let mut current = self.root;
-        for _ in 0..MAX_RETRIES * 4 {
-            let guard = self.pool.fetch_with_ctx(current, FetchHint::Normal, ctx)?;
-            let view = NodeView::new(&guard)?;
-            if current == self.root && view.has_foster() {
-                drop(guard);
-                self.grow_root()?;
-                return Ok(true);
-            }
-            if !BoundRef::contains(view.low_fence()?, view.high_fence()?, key) {
-                // A concurrent restructure moved the key out of this
-                // subtree; skip maintenance, the write path re-descends.
-                return Ok(false);
-            }
-            match view.route(key)? {
-                Descent::Foster { child, .. } => {
-                    current = child;
-                }
-                Descent::Child { child, .. } => {
-                    let parent = current;
-                    drop(guard);
-                    let child_guard = self.pool.fetch_with_ctx(child, FetchHint::Normal, ctx)?;
-                    let child_view = NodeView::new(&child_guard)?;
-                    let has_foster = child_view.has_foster();
-                    drop(child_guard);
-                    if has_foster {
-                        return self.adopt(parent, child);
-                    }
-                    current = child;
-                }
-                Descent::Leaf { .. } => return Ok(false),
-            }
-        }
-        // The path kept changing underneath the walk; maintenance is
-        // best-effort, so concede to the concurrent restructures.
-        Ok(false)
-    }
-
     // ------------------------------------------------------------------
     // Structural changes (system transactions)
     // ------------------------------------------------------------------
@@ -989,7 +1025,7 @@ impl FosterBTree {
         op: PageOp,
     ) -> Result<Lsn, BTreeError> {
         let prev = Lsn(guard.page_lsn());
-        let lsn = self.txn.log_update(tx, guard.page_id(), prev, op.clone())?;
+        let (lsn, op) = self.txn.log_update(tx, guard.page_id(), prev, op)?;
         op.redo(&mut *guard);
         guard.mark_dirty(lsn);
         Ok(lsn)

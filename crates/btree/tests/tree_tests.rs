@@ -9,7 +9,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use spf_btree::{BTreeError, BumpAllocator, FosterBTree, PageAllocator, StandardBTree, VerifyMode};
+use spf_btree::node::Descent;
+use spf_btree::{
+    BTreeError, BumpAllocator, FosterBTree, NodeView, PageAllocator, StandardBTree, VerifyMode,
+};
 use spf_buffer::{BufferPool, BufferPoolConfig};
 use spf_obs::TraceCtx;
 use spf_storage::{MemDevice, PageId, StorageDevice, DEFAULT_PAGE_SIZE};
@@ -630,4 +633,124 @@ fn migrated_page_remains_recoverable_reference() {
     );
     assert!(new_pid.is_valid());
     assert!(tree.verify_full().unwrap().is_empty());
+}
+
+/// Pool fetches so far, hits and misses alike.
+fn fetches(fx: &Fixture) -> u64 {
+    let stats = fx.pool.stats();
+    stats.hits + stats.misses
+}
+
+/// The leaf `key` routes to, and the node whose branch entry or foster
+/// pointer leads there.
+fn parent_and_leaf(fx: &Fixture, tree: &FosterBTree, key: &[u8]) -> (PageId, PageId) {
+    let (mut parent, mut current) = (PageId::INVALID, tree.root());
+    loop {
+        let guard = fx.pool.fetch(current).unwrap();
+        match NodeView::new(&guard).unwrap().route(key).unwrap() {
+            Descent::Leaf { .. } => return (parent, current),
+            Descent::Child { child, .. } | Descent::Foster { child, .. } => {
+                parent = current;
+                current = child;
+            }
+        }
+    }
+}
+
+/// A write descends once: root, inner node and leaf shared, then the leaf
+/// once more exclusive — four pool fetches, three of them node visits. A
+/// lookup is the three shared fetches alone.
+#[test]
+fn a_resident_write_costs_four_fetches_and_a_lookup_three() {
+    let fx = fixture(4096, 4096);
+    let tree = foster_tree(&fx, VerifyMode::Continuous);
+    let tx = fx.txn.begin(TxKind::User);
+    for i in 0..60_000 {
+        tree.insert(tx, &key(i), &val(i)).unwrap();
+    }
+    // A first write runs whatever adoption or growth the probe's path
+    // still needs; after it the path has no foster hop.
+    let probe = key(31_337);
+    tree.upsert(tx, &probe, b"settle", TraceCtx::NONE).unwrap();
+    assert_eq!(tree.height().unwrap(), 3, "the budget is for three levels");
+
+    let (before, visits) = (fetches(&fx), tree.stats().node_visits);
+    tree.upsert(tx, &probe, b"second", TraceCtx::NONE).unwrap();
+    assert_eq!(fetches(&fx) - before, 4, "one write, one descent");
+    assert_eq!(tree.stats().node_visits - visits, 3);
+
+    let before = fetches(&fx);
+    assert_eq!(tree.get(&probe).unwrap(), Some(b"second".to_vec()));
+    assert_eq!(fetches(&fx) - before, 3);
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
+}
+
+/// Foster-chain maintenance happens on the write that meets it: a split
+/// leaf is adopted by the next write under it. An adoption that backs off
+/// (a reader holds the parent, so its try-latch fails) does not stall the
+/// write, which goes over the foster hop; the next write adopts.
+#[test]
+fn a_write_adopts_the_foster_child_it_meets_and_a_backed_off_adoption_does_not_stall_it() {
+    let fx = fixture(256, 4096);
+    let tree = foster_tree(&fx, VerifyMode::Continuous);
+    let tx = fx.txn.begin(TxKind::User);
+    for i in 0..2_000 {
+        tree.insert(tx, &key(i), &val(i)).unwrap();
+    }
+    let probe = key(1_500);
+    tree.upsert(tx, &probe, b"settle", TraceCtx::NONE).unwrap();
+
+    let (_, leaf) = parent_and_leaf(&fx, &tree, &probe);
+    tree.force_split(leaf).unwrap();
+    let adoptions = tree.stats().adoptions;
+    tree.upsert(tx, &probe, b"adopted", TraceCtx::NONE).unwrap();
+    assert_eq!(tree.stats().adoptions, adoptions + 1);
+    assert!(tree.verify_full().unwrap().is_empty());
+
+    let (parent, leaf) = parent_and_leaf(&fx, &tree, &probe);
+    tree.force_split(leaf).unwrap();
+    let before = tree.stats();
+    let held = fx.pool.fetch(parent).unwrap();
+    assert_eq!(
+        tree.upsert(tx, &probe, b"backed off", TraceCtx::NONE)
+            .unwrap(),
+        Some(b"adopted".to_vec())
+    );
+    drop(held);
+    let after = tree.stats();
+    assert_eq!(
+        after.adoptions, before.adoptions,
+        "the try-latch backed off"
+    );
+    assert_eq!(
+        after.restructure_conflicts,
+        before.restructure_conflicts + 1
+    );
+    assert_eq!(tree.get(&probe).unwrap(), Some(b"backed off".to_vec()));
+
+    tree.upsert(tx, &probe, b"adopted late", TraceCtx::NONE)
+        .unwrap();
+    assert_eq!(tree.stats().adoptions, before.adoptions + 1);
+    assert!(tree.verify_full().unwrap().is_empty());
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
+}
+
+/// A root that carries a foster chain is grown by the next write.
+#[test]
+fn a_write_grows_a_root_that_carries_a_foster_chain() {
+    let fx = fixture(64, 256);
+    let tree = foster_tree(&fx, VerifyMode::Continuous);
+    let tx = fx.txn.begin(TxKind::User);
+    for i in 0..40 {
+        tree.insert(tx, &key(i), &val(i)).unwrap();
+    }
+    assert_eq!(tree.height().unwrap(), 1);
+    tree.force_split(tree.root()).unwrap();
+    let growths = tree.stats().root_growths;
+    tree.upsert(tx, &key(7), b"grown", TraceCtx::NONE).unwrap();
+    assert_eq!(tree.stats().root_growths, growths + 1);
+    assert_eq!(tree.height().unwrap(), 2);
+    assert_eq!(tree.get(&key(7)).unwrap(), Some(b"grown".to_vec()));
+    assert!(tree.verify_full().unwrap().is_empty());
+    fx.txn.commit(tx, TraceCtx::NONE).unwrap();
 }

@@ -48,7 +48,7 @@ fn fixture() -> Fixture {
 fn apply_and_log(fx: &Fixture, tx: spf_wal::TxId, page: PageId, op: PageOp) -> Lsn {
     let mut guard = fx.pool.fetch_mut(page).unwrap();
     let prev = Lsn(guard.page_lsn());
-    let lsn = fx.txn.log_update(tx, page, prev, op.clone()).unwrap();
+    let (lsn, op) = fx.txn.log_update(tx, page, prev, op).unwrap();
     op.redo(&mut guard);
     guard.mark_dirty(lsn);
     lsn

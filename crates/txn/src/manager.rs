@@ -114,6 +114,34 @@ impl spf_obs::Observable for TxnStats {
     }
 }
 
+/// Lock-free statistics cells, bumped with relaxed atomics so no commit
+/// takes a stats lock; snapshotted into [`TxnStats`].
+#[derive(Default)]
+struct Counters {
+    user_commits: AtomicU64,
+    system_commits: AtomicU64,
+    aborts: AtomicU64,
+    clrs_written: AtomicU64,
+    system_conflicts: AtomicU64,
+}
+
+impl Counters {
+    fn add(cell: &AtomicU64, n: u64) {
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> TxnStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        TxnStats {
+            user_commits: load(&self.user_commits),
+            system_commits: load(&self.system_commits),
+            aborts: load(&self.aborts),
+            clrs_written: load(&self.clrs_written),
+            system_conflicts: load(&self.system_conflicts),
+        }
+    }
+}
+
 /// The outcome of one attempt of a [`TxnManager::run_system`] body:
 /// either the structural change re-validated and applied (`Done`), or
 /// re-validation after re-latching found a concurrent conflict
@@ -147,7 +175,7 @@ struct Inner {
     log: LogManager,
     next_tx: AtomicU64,
     active: Mutex<HashMap<TxId, ActiveTx>>,
-    stats: Mutex<TxnStats>,
+    stats: Counters,
 }
 
 impl std::fmt::Debug for TxnManager {
@@ -169,7 +197,7 @@ impl TxnManager {
                 log,
                 next_tx: AtomicU64::new(1),
                 active: Mutex::new(HashMap::new()),
-                stats: Mutex::new(TxnStats::default()),
+                stats: Counters::default(),
             }),
         }
     }
@@ -212,8 +240,9 @@ impl TxnManager {
     }
 
     /// Appends a page-update record for `tx`, linking both chains, and
-    /// returns its LSN. The caller applies the operation to the page and
-    /// marks the frame dirty with this LSN.
+    /// returns its LSN together with `op`: the record is encoded by
+    /// reference, so the caller applies the very same operation to the
+    /// page — no copy — and marks the frame dirty with this LSN.
     ///
     /// `prev_page_lsn` is the page's PageLSN *before* the update — the
     /// per-page chain pointer (Section 5.1.4).
@@ -223,8 +252,13 @@ impl TxnManager {
         page_id: PageId,
         prev_page_lsn: Lsn,
         op: PageOp,
-    ) -> Result<Lsn, TxError> {
-        self.log_other(tx, page_id, prev_page_lsn, LogPayload::Update { op })
+    ) -> Result<(Lsn, PageOp), TxError> {
+        let (lsn, payload) =
+            self.append_linked(tx, page_id, prev_page_lsn, LogPayload::Update { op })?;
+        let LogPayload::Update { op } = payload else {
+            unreachable!("append_linked hands back the payload it was given")
+        };
+        Ok((lsn, op))
     }
 
     /// Appends an arbitrary record on behalf of `tx` (page formats,
@@ -237,17 +271,31 @@ impl TxnManager {
         prev_page_lsn: Lsn,
         payload: LogPayload,
     ) -> Result<Lsn, TxError> {
+        self.append_linked(tx, page_id, prev_page_lsn, payload)
+            .map(|(lsn, _)| lsn)
+    }
+
+    /// Appends `payload` for `tx` under the table lock, links it into
+    /// `tx`'s chain, and hands the payload back with the record's LSN.
+    fn append_linked(
+        &self,
+        tx: TxId,
+        page_id: PageId,
+        prev_page_lsn: Lsn,
+        payload: LogPayload,
+    ) -> Result<(Lsn, LogPayload), TxError> {
         let mut active = self.inner.active.lock();
         let entry = active.get_mut(&tx).ok_or(TxError::NotActive(tx))?;
-        let lsn = self.inner.log.append(&LogRecord {
+        let record = LogRecord {
             tx_id: tx,
             prev_tx_lsn: entry.last_lsn,
             page_id,
             prev_page_lsn,
             payload,
-        });
+        };
+        let lsn = self.inner.log.append(&record);
         entry.last_lsn = lsn;
-        Ok(lsn)
+        Ok((lsn, record.payload))
     }
 
     /// Appends `tx`'s closing record (`payload`, built from its kind)
@@ -291,20 +339,20 @@ impl TxnManager {
                 // appended after this commit stay unforced. The force runs
                 // with no lock held — a committer absorbed as a
                 // group-commit waiter must not block the leader (or any
-                // peer) on the table or the stats.
+                // peer) on the table.
                 let obs = self.inner.log.obs();
                 {
                     let span = obs.span(ctx, SpanKind::Commit, lsn.0);
                     self.inner.log.force_through(lsn, span.ctx());
                 }
                 obs.emit(EventKind::TxCommit, lsn.0, 0);
-                self.inner.stats.lock().user_commits += 1;
+                Counters::add(&self.inner.stats.user_commits, 1);
             }
             TxKind::System => {
                 // "System transactions do not require forcing the log
                 // buffer to stable storage." A later dependent user commit
                 // (or any force) carries this record out with it.
-                self.inner.stats.lock().system_commits += 1;
+                Counters::add(&self.inner.stats.system_commits, 1);
             }
         }
         Ok(lsn)
@@ -381,9 +429,8 @@ impl TxnManager {
             // group-commit path rather than flushing the whole buffer.
             self.inner.log.force_through(abort_lsn, TraceCtx::NONE);
         }
-        let mut stats = self.inner.stats.lock();
-        stats.aborts += 1;
-        stats.clrs_written += clrs;
+        Counters::add(&self.inner.stats.aborts, 1);
+        Counters::add(&self.inner.stats.clrs_written, clrs);
         Ok(abort_lsn)
     }
 
@@ -470,7 +517,7 @@ impl TxnManager {
                     // changes; roll whatever it did back and yield so the
                     // winning restructure can finish.
                     self.abort(sys, undo)?;
-                    self.inner.stats.lock().system_conflicts += 1;
+                    Counters::add(&self.inner.stats.system_conflicts, 1);
                     for _ in 0..(1u32 << attempt.min(6)) {
                         std::hint::spin_loop();
                     }
@@ -548,7 +595,7 @@ impl TxnManager {
     /// Statistics snapshot.
     #[must_use]
     pub fn stats(&self) -> TxnStats {
-        *self.inner.stats.lock()
+        self.inner.stats.snapshot()
     }
 }
 
@@ -676,9 +723,9 @@ mod tests {
         let log = LogManager::for_testing();
         let mgr = TxnManager::new(log.clone());
         let tx = mgr.begin(TxKind::User);
-        let a = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
-        let b = mgr.log_update(tx, PageId(2), Lsn::NULL, ins(0, 2)).unwrap();
-        let c = mgr.log_update(tx, PageId(3), Lsn::NULL, ins(0, 3)).unwrap();
+        let (a, _) = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
+        let (b, _) = mgr.log_update(tx, PageId(2), Lsn::NULL, ins(0, 2)).unwrap();
+        let (c, _) = mgr.log_update(tx, PageId(3), Lsn::NULL, ins(0, 3)).unwrap();
         let rec_c = log.read_record(c).unwrap();
         let rec_b = log.read_record(b).unwrap();
         let rec_a = log.read_record(a).unwrap();
@@ -723,8 +770,8 @@ mod tests {
         let log = LogManager::for_testing();
         let mgr = TxnManager::new(log.clone());
         let tx = mgr.begin(TxKind::User);
-        let u1 = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
-        let _u2 = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(1, 2)).unwrap();
+        let (u1, _) = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
+        mgr.log_update(tx, PageId(1), Lsn::NULL, ins(1, 2)).unwrap();
         mgr.abort(tx, &RecordingTarget::default()).unwrap();
 
         // Find the CLRs in the log and check undo_next skips the undone record.
@@ -777,7 +824,7 @@ mod tests {
         let mgr = TxnManager::new(log.clone());
         let tx = mgr.begin(TxKind::User);
         mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
-        let u2 = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(1, 2)).unwrap();
+        let (u2, _) = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(1, 2)).unwrap();
         let probe = Probe {
             mgr: &mgr,
             tx,

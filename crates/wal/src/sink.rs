@@ -33,7 +33,8 @@
 //! [`spf_util::atomic_file`].
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
@@ -316,8 +317,8 @@ impl LogSink for WalFiles {
             cur.base + cur.len
         );
         let off = at - cur.base;
-        cur.file.seek(SeekFrom::Start(off))?;
-        cur.file.write_all(bytes)?;
+        // One positioned write: no separate seek syscall per force.
+        cur.file.write_all_at(bytes, off)?;
         cur.len = cur.len.max(off + bytes.len() as u64);
         if cur.len >= self.segment_bytes {
             cur.file.sync_all()?;
