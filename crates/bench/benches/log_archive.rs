@@ -20,11 +20,7 @@ fn update_record(page: u64, prev_page: Lsn) -> LogRecord {
         page_id: PageId(page),
         prev_page_lsn: prev_page,
         payload: LogPayload::Update {
-            op: PageOp::ReplaceRecord {
-                pos: 0,
-                old_bytes: vec![3u8; 32],
-                new_bytes: vec![4u8; 32],
-            },
+            op: PageOp::replace(0, Vec::new(), &[3u8; 32], &[4u8; 32]),
         },
     }
 }

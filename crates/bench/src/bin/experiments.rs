@@ -776,14 +776,23 @@ fn e8_pri_maintenance_overhead() {
         let stats = db.stats();
         let writes = stats.pool.write_backs;
         let pri_records = stats.log.appends_of("pri-update") + stats.log.appends_of("backup-taken");
-        // Log bytes attributable: measure average encoded sizes directly.
-        let pri_bytes = pri_records * 55; // header 40 + payload ≈ 15
+        // Log bytes attributable: the encoded lengths of those records.
+        let mut pri_bytes = 0u64;
+        for item in db.log().scan_records(spf_wal::Lsn::NULL).unwrap() {
+            let (_, record) = item.unwrap();
+            if matches!(
+                record.payload,
+                spf_wal::LogPayload::PriUpdate { .. } | spf_wal::LogPayload::BackupTaken { .. }
+            ) {
+                pri_bytes += record.encode().len() as u64;
+            }
+        }
         table.row(&[
             label.into(),
             writes.to_string(),
             pri_records.to_string(),
             format!("{:.2}", pri_records as f64 / writes as f64),
-            format!("≈{pri_bytes}"),
+            pri_bytes.to_string(),
             format!(
                 "{:.2}%",
                 pri_bytes as f64 / stats.log.bytes_appended as f64 * 100.0

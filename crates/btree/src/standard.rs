@@ -252,11 +252,7 @@ impl StandardBTree {
                     self.apply_logged(
                         tx,
                         &mut guard,
-                        PageOp::ReplaceRecord {
-                            pos,
-                            old_bytes: old,
-                            new_bytes: record,
-                        },
+                        PageOp::replace(pos, key.to_vec(), &old, &record),
                     )?;
                 }
                 self.apply_logged(
@@ -453,11 +449,12 @@ impl StandardBTree {
             self.apply_logged(
                 sys,
                 &mut pguard,
-                PageOp::ReplaceRecord {
-                    pos: entry_pos,
-                    old_bytes: encode_branch(split_child.0, &old_upper),
-                    new_bytes: encode_branch(split_child.0, &child_sep),
-                },
+                PageOp::replace(
+                    entry_pos,
+                    Vec::new(),
+                    &encode_branch(split_child.0, &old_upper),
+                    &encode_branch(split_child.0, &child_sep),
+                ),
             )?;
             self.apply_logged(
                 sys,
@@ -474,11 +471,12 @@ impl StandardBTree {
         self.apply_logged(
             sys,
             &mut pguard,
-            PageOp::ReplaceRecord {
-                pos: entry_pos,
-                old_bytes: encode_branch(split_child.0, &old_upper),
-                new_bytes: encode_branch(split_child.0, &child_sep),
-            },
+            PageOp::replace(
+                entry_pos,
+                Vec::new(),
+                &encode_branch(split_child.0, &old_upper),
+                &encode_branch(split_child.0, &child_sep),
+            ),
         )?;
         self.apply_logged(
             sys,

@@ -242,11 +242,12 @@ impl spf_txn::UndoTarget for FosterBTree {
         log: &mut spf_txn::LogClr<'_>,
     ) -> Result<(), String> {
         let key = match op {
-            PageOp::RemoveRecord { old_bytes: r, .. }
-            | PageOp::ReplaceRecord { new_bytes: r, .. } => {
+            PageOp::RemoveRecord { old_bytes: r, .. } => {
                 crate::keys::decode_leaf(r).ok().map(|(k, _)| k)
             }
-            PageOp::SetGhost { key, .. } => Some(key.as_slice()),
+            PageOp::ReplaceRecord { key, .. } | PageOp::SetGhost { key, .. } => {
+                Some(key.as_slice())
+            }
             _ => None,
         };
         match key {
@@ -816,11 +817,7 @@ impl FosterBTree {
                             self.apply_logged(
                                 tx,
                                 &mut guard,
-                                PageOp::ReplaceRecord {
-                                    pos,
-                                    old_bytes: old_record,
-                                    new_bytes: record,
-                                },
+                                PageOp::replace(pos, key.to_vec(), &old_record, &record),
                             )?;
                         }
                         if ghost {
@@ -943,7 +940,9 @@ impl FosterBTree {
     /// A user transaction's compensation applied to `key`'s record where
     /// it is now (see [`UndoTarget`](spf_txn::UndoTarget)): the inverse
     /// `op` is re-aimed at the record's current page and slot, making
-    /// room first if restoring a longer image needs it.
+    /// room first if restoring a longer image needs it. A replace's
+    /// inverse delta is spliced into the record as it is now, and the
+    /// result logged as a fresh delta against that record.
     fn compensate_by_key(
         &self,
         key: &[u8],
@@ -969,20 +968,24 @@ impl FosterBTree {
                     old_bytes: current,
                     old_ghost: ghost,
                 },
-                PageOp::ReplaceRecord { new_bytes, .. } => {
-                    if new_bytes.len() > current.len()
-                        && !self.fits(&mut guard, new_bytes.len() - current.len())
+                PageOp::ReplaceRecord { .. } => {
+                    let target = op
+                        .replaced(&current)
+                        .ok_or_else(|| BTreeError::NodeCorrupt {
+                            page: guard.page_id(),
+                            detail: format!(
+                                "record at slot {pos} is not the one the undone replace wrote"
+                            ),
+                        })?;
+                    if target.len() > current.len()
+                        && !self.fits(&mut guard, target.len() - current.len())
                     {
                         let leaf = guard.page_id();
                         drop(guard);
                         self.make_room(leaf)?;
                         continue;
                     }
-                    PageOp::ReplaceRecord {
-                        pos,
-                        old_bytes: current,
-                        new_bytes: new_bytes.clone(),
-                    }
+                    PageOp::replace(pos, key.to_vec(), &current, &target)
                 }
                 PageOp::SetGhost { new, .. } => PageOp::SetGhost {
                     pos,
@@ -1140,11 +1143,12 @@ impl FosterBTree {
                 self.apply_logged(
                     sys,
                     &mut guard,
-                    PageOp::ReplaceRecord {
-                        pos: sep_slot,
-                        old_bytes: crate::keys::encode_fence(old_sep),
-                        new_bytes: crate::keys::encode_fence(&separator),
-                    },
+                    PageOp::replace(
+                        sep_slot,
+                        Vec::new(),
+                        &crate::keys::encode_fence(old_sep),
+                        &crate::keys::encode_fence(&separator),
+                    ),
                 )?;
                 self.apply_logged(
                     sys,
@@ -1298,11 +1302,12 @@ impl FosterBTree {
         self.apply_logged(
             sys,
             &mut pguard,
-            PageOp::ReplaceRecord {
-                pos: entry_pos,
-                old_bytes: branch_record(child, &high),
-                new_bytes: branch_record(child, &separator),
-            },
+            PageOp::replace(
+                entry_pos,
+                Vec::new(),
+                &branch_record(child, &high),
+                &branch_record(child, &separator),
+            ),
         )?;
         self.apply_logged(
             sys,
@@ -1331,11 +1336,12 @@ impl FosterBTree {
         self.apply_logged(
             sys,
             &mut cguard,
-            PageOp::ReplaceRecord {
-                pos: high_slot,
-                old_bytes: crate::keys::encode_fence(&high),
-                new_bytes: crate::keys::encode_fence(&separator),
-            },
+            PageOp::replace(
+                high_slot,
+                Vec::new(),
+                &crate::keys::encode_fence(&high),
+                &crate::keys::encode_fence(&separator),
+            ),
         )?;
         self.apply_logged(
             sys,
@@ -1603,11 +1609,12 @@ impl FosterBTree {
                 self.apply_logged(
                     sys,
                     &mut pguard,
-                    PageOp::ReplaceRecord {
+                    PageOp::replace(
                         pos,
-                        old_bytes: branch_record(pid, &upper),
-                        new_bytes: branch_record(new_pid, &upper),
-                    },
+                        Vec::new(),
+                        &branch_record(pid, &upper),
+                        &branch_record(new_pid, &upper),
+                    ),
                 )?;
             }
             Incoming::FosterPointer { foster_parent } => {

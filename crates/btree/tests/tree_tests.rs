@@ -735,6 +735,51 @@ fn a_write_adopts_the_foster_child_it_meets_and_a_backed_off_adoption_does_not_s
     fx.txn.commit(tx, TraceCtx::NONE).unwrap();
 }
 
+/// Rollback finds a user transaction's record by its key. The update is
+/// logged as a delta against the record; a split then moves the record
+/// to a new page. Both an abort and restart's undo of the same
+/// transaction as a loser (on a fresh transaction manager, as restart
+/// builds one) splice the old bytes back into the record where it is now.
+#[test]
+fn undo_by_key_restores_a_record_a_split_moved() {
+    for as_loser in [false, true] {
+        let fx = fixture(64, 256);
+        let tree = foster_tree(&fx, VerifyMode::Continuous);
+        let setup = fx.txn.begin(TxKind::User);
+        for i in 0..40 {
+            tree.insert(setup, &key(i), &val(i)).unwrap();
+        }
+        fx.txn.commit(setup, TraceCtx::NONE).unwrap();
+
+        let tx = fx.txn.begin(TxKind::User);
+        let (stays, moves) = (key(0), key(39));
+        tree.upsert(tx, &stays, b"value-00000000-new", TraceCtx::NONE)
+            .unwrap();
+        tree.upsert(tx, &moves, b"value-00000039-new", TraceCtx::NONE)
+            .unwrap();
+        let (_, before) = parent_and_leaf(&fx, &tree, &moves);
+        tree.force_split(before).unwrap();
+        let (_, after) = parent_and_leaf(&fx, &tree, &moves);
+        assert_ne!(before, after, "the split must move the updated record");
+
+        if as_loser {
+            let (_, active) = fx.txn.active_txns();
+            let last = active.iter().find(|(t, _)| *t == tx).unwrap().1;
+            let restarted = TxnManager::new(fx.txn.log().clone());
+            let kind = restarted
+                .roll_back_loser(tx, last, Some(TxKind::User), &tree)
+                .unwrap();
+            assert_eq!(kind, TxKind::User);
+        } else {
+            fx.txn.abort(tx, &tree).unwrap();
+        }
+        for i in 0..40 {
+            assert_eq!(tree.get(&key(i)).unwrap(), Some(val(i)), "key {i}");
+        }
+        assert!(tree.verify_full().unwrap().is_empty());
+    }
+}
+
 /// A root that carries a foster chain is grown by the next write.
 #[test]
 fn a_write_grows_a_root_that_carries_a_foster_chain() {

@@ -22,7 +22,10 @@ use spf_wal::Lsn;
 pub const MANIFEST_FILE: &str = "manifest.spfm";
 
 const MAGIC: u32 = 0x5350_464D; // "SPFM"
-const VERSION: u16 = 1;
+/// Bumped whenever the bytes of the directory's files change meaning, so
+/// an older directory is refused here rather than deep in restart. 2:
+/// varint log-record bodies and delta replaces.
+const VERSION: u16 = 2;
 
 /// Page sizes the engine can format (`Page::new_formatted`): room for
 /// the header and a record heap, and slot offsets that fit a `u16`.

@@ -136,14 +136,14 @@ fn reopen_after_whole_wal_segments_were_truncated_resumes_at_the_cut() {
     // Enough history that truncation unlinks whole segment files, so
     // the first surviving one starts far past the log header.
     let db = Database::create_at(config, &dir).unwrap();
-    for generation in 0..12 {
+    for generation in 0..48 {
         load(&db, 200, generation);
     }
     db.archive_now().unwrap();
     db.checkpoint().unwrap();
     assert!(db.truncate_wal().unwrap() > 0);
     let cut = db.log().truncate_point();
-    load(&db, 50, 12);
+    load(&db, 50, 48);
     drop(db);
     let first_segment = std::fs::read_dir(dir.join("wal"))
         .unwrap()
@@ -165,11 +165,11 @@ fn reopen_after_whole_wal_segments_were_truncated_resumes_at_the_cut() {
     let floor = db.log().truncate_point();
     assert_eq!(floor.0, first_segment);
     assert!(floor <= cut);
-    assert_all(&db, 50, 12);
+    assert_all(&db, 50, 48);
     for i in 50..200 {
         assert_eq!(
             db.get(&key(i)).unwrap().as_deref(),
-            Some(val(i, 11).as_slice())
+            Some(val(i, 47).as_slice())
         );
     }
 }
@@ -192,6 +192,28 @@ fn crc_valid_manifest_with_an_unusable_page_size_is_refused() {
     }
     good.save(&dir).unwrap();
     assert_all(&Database::open(&dir, file_config()).unwrap(), 10, 0);
+}
+
+/// A directory written by the fixed-width log format, whose manifest
+/// says version 1, is refused at the manifest, not deep in analysis as a
+/// corrupt record.
+#[test]
+fn a_directory_of_the_old_log_format_is_refused_by_its_manifest_version() {
+    let tmp = TempDir::new("spf-manifest-v1").unwrap();
+    let dir = tmp.path().join("db");
+    let db = Database::create_at(file_config(), &dir).unwrap();
+    load(&db, 10, 0);
+    db.close().unwrap();
+    // Layout: u32 magic, u16 version, ..., u32 CRC-32C over the rest.
+    let path = dir.join("manifest.spfm");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let body = bytes.len() - 4;
+    let crc = spf_util::crc32c(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = Database::open(&dir, file_config()).unwrap_err();
+    assert!(err.to_string().contains("manifest version"), "{err}");
 }
 
 // ----------------------------------------------------------------------

@@ -104,7 +104,8 @@ fn record(payload: LogPayload) -> LogRecord {
 }
 
 /// Valid records of every payload shape whose counts size a
-/// reservation, plus a fixed-size one and a page image.
+/// reservation, plus a fixed-size one, a page image, a delta replace, and
+/// a header whose LSNs take five varint bytes and whose page id nine.
 fn sample_records() -> Vec<LogRecord> {
     let page = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(3), PageType::BTreeLeaf);
     let range = vec![(b"alpha".to_vec(), false), (b"beta".to_vec(), true)];
@@ -136,6 +137,24 @@ fn sample_records() -> Vec<LogRecord> {
         record(LogPayload::PageFormat {
             image: CompressedPageImage::capture(&page),
         }),
+        record(LogPayload::Update {
+            op: PageOp::replace(7, b"key-7".to_vec(), b"key-7=gen0001", b"key-7=gen0002"),
+        }),
+        LogRecord {
+            tx_id: TxId(600_000),
+            prev_tx_lsn: Lsn(1 << 33),
+            page_id: PageId(1 << 60),
+            prev_page_lsn: Lsn((1 << 33) - 40),
+            payload: LogPayload::Clr {
+                op: PageOp::SetGhost {
+                    pos: 300,
+                    key: b"key-7".to_vec(),
+                    old: true,
+                    new: false,
+                },
+                undo_next: Lsn((1 << 33) - 80),
+            },
+        },
     ]
 }
 
@@ -149,8 +168,8 @@ fn reframe(bytes: &mut [u8]) {
 }
 
 /// Whatever `decode` makes of `bytes`, an accepted record reserved no
-/// more than its bytes could encode: 16 per checkpoint-table entry, 2 per
-/// range record.
+/// more than its bytes could encode: 2 per checkpoint-table entry (two
+/// one-byte varints), 2 per range record.
 fn check_record(bytes: &[u8]) -> Result<(), TestCaseError> {
     let Ok((record, len)) = LogRecord::decode(bytes) else {
         return Ok(());
@@ -161,14 +180,27 @@ fn check_record(bytes: &[u8]) -> Result<(), TestCaseError> {
             active_txns,
             dirty_pages,
         } => {
-            prop_assert!((active_txns.capacity() + dirty_pages.capacity()) * 16 <= len);
+            prop_assert!((active_txns.capacity() + dirty_pages.capacity()) * 2 <= len);
             return Ok(());
         }
         LogPayload::Update { op } | LogPayload::Clr { op, .. } => op,
         _ => return Ok(()),
     };
-    if let PageOp::InsertRange { records, .. } | PageOp::RemoveRange { records, .. } = op {
-        prop_assert!(records.capacity() * 2 <= len);
+    match op {
+        PageOp::InsertRange { records, .. } | PageOp::RemoveRange { records, .. } => {
+            prop_assert!(records.capacity() * 2 <= len);
+        }
+        PageOp::ReplaceRecord {
+            prefix,
+            suffix,
+            old,
+            new,
+            ..
+        } => {
+            let whole = usize::from(*prefix) + usize::from(*suffix) + old.len().max(new.len());
+            prop_assert!(whole <= 1 << 15, "a {whole}-byte record was accepted");
+        }
+        _ => {}
     }
     Ok(())
 }
@@ -188,7 +220,7 @@ proptest! {
     /// tag and length check is reached.
     #[test]
     fn mutated_record_with_a_valid_crc_never_panics(
-        which in 0usize..5,
+        which in 0usize..7,
         at in any::<usize>(),
         byte in any::<u8>(),
         cut in 0usize..32,
@@ -222,6 +254,48 @@ fn an_implausible_checkpoint_count_is_refused_up_front() {
             max: 0
         }
     );
+}
+
+/// A replace delta whose shared prefix and suffix alone exceed the
+/// largest record a slot can hold is refused at decode, before redo
+/// could try to splice it.
+#[test]
+fn a_replace_delta_longer_than_a_record_is_refused() {
+    let bytes = record(LogPayload::Update {
+        op: PageOp::ReplaceRecord {
+            pos: 0,
+            key: b"k".to_vec(),
+            prefix: 20_000,
+            suffix: 20_000,
+            old: b"a".to_vec(),
+            new: b"b".to_vec(),
+        },
+    })
+    .encode();
+    assert_eq!(
+        LogRecord::decode(&bytes).unwrap_err(),
+        DecodeError::LengthOutOfRange {
+            got: 40_001,
+            max: 1 << 15
+        }
+    );
+}
+
+/// A CRC-valid record with bytes after its payload is refused: the
+/// payload must end where the body does.
+#[test]
+fn trailing_bytes_after_a_valid_payload_are_refused() {
+    for sample in sample_records() {
+        let mut bytes = sample.encode();
+        assert_eq!(LogRecord::decode(&bytes).unwrap().0, sample);
+        bytes.push(0);
+        reframe(&mut bytes);
+        assert!(
+            LogRecord::decode(&bytes).is_err(),
+            "{} accepted a trailing byte",
+            sample.payload.kind_name()
+        );
+    }
 }
 
 /// A valid run over `records` updates spread across three pages, plus a

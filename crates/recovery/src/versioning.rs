@@ -222,11 +222,7 @@ mod tests {
                 bytes: b"a".to_vec(),
                 ghost: false,
             },
-            PageOp::ReplaceRecord {
-                pos: 0,
-                old_bytes: b"a".to_vec(),
-                new_bytes: b"A2".to_vec(),
-            },
+            PageOp::replace(0, b"a".to_vec(), b"a", b"A2"),
             PageOp::SetGhost {
                 pos: 0,
                 key: b"a".to_vec(),

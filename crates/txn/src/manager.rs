@@ -947,11 +947,7 @@ mod tests {
         let tx = mgr.begin(TxKind::User);
         for (i, op) in [
             ins(1, 0xAA),
-            PageOp::ReplaceRecord {
-                pos: 0,
-                old_bytes: b"keep".to_vec(),
-                new_bytes: b"kept!".to_vec(),
-            },
+            PageOp::replace(0, b"keep".to_vec(), b"keep", b"kept!"),
             PageOp::SetGhost {
                 pos: 0,
                 key: b"keep".to_vec(),

@@ -1293,7 +1293,8 @@ mod tests {
         // A checkpoint record much larger than one buffer segment
         // (64 KiB): its copy must straddle several segments and the
         // scanner's exact-fetch path must hand it back whole.
-        let dirty_pages: Vec<(PageId, Lsn)> = (0..6000).map(|i| (PageId(i), Lsn(i + 1))).collect();
+        let dirty_pages: Vec<(PageId, Lsn)> =
+            (0..20_000).map(|i| (PageId(i), Lsn(i + 1))).collect();
         let big = make_record(
             TxId::NONE,
             Lsn::NULL,

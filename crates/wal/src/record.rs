@@ -1,17 +1,32 @@
 //! Log sequence numbers, record taxonomy, and the physiological page
 //! operations they describe.
 //!
-//! Records are encoded with a fixed header carrying both chain pointers:
+//! A record is a fixed 8-byte frame around a varint body that carries
+//! both chain pointers:
 //!
 //! ```text
-//! u32  body_len      (bytes after the crc field)
-//! u32  crc32c        (over the remaining header fields + payload)
-//! u64  tx_id
-//! u64  prev_tx_lsn   — per-transaction chain (Section 5.1.1)
-//! u64  page_id       — u64::MAX when the record concerns no single page
-//! u64  prev_page_lsn — per-page chain (Section 5.1.4)
-//! u8   payload tag, then payload body
+//! u32     body_len      (bytes after the crc field)
+//! u32     crc32c        (over the body)
+//! varint  tx_id
+//! varint  prev_tx_lsn   — per-transaction chain (Section 5.1.1); 0 = NULL
+//! varint  page_id + 1   — 0 when the record concerns no single page
+//! varint  prev_page_lsn — per-page chain (Section 5.1.4); 0 = NULL
+//! u8      payload tag, then the payload (its u64 and u16 fields as varints)
 //! ```
+//!
+//! The frame stays fixed-width, so the log's probe, scan and restore paths
+//! size a record from its first four bytes ([`LogRecord::framed_len`]).
+//! Both chain pointers are absolute LSNs, not deltas against the record's
+//! own LSN: [`LogManager::append`](crate::LogManager::append) encodes a
+//! record *before* it reserves the record's byte range, so the encoding
+//! cannot depend on the LSN that reservation is about to assign.
+//!
+//! A [`PageOp::ReplaceRecord`] logs only the middle in which the old and
+//! new record differ: the bytes both share at the front (`prefix`) and at
+//! the back (`suffix`) are logged as two lengths. Redo checks that the
+//! record it replaces is `prefix + old.len() + suffix` long with `old` in
+//! the middle, and splices `new` in; undo swaps `old` and `new`. A full
+//! replacement is simply `prefix = suffix = 0`.
 //!
 //! Redo is **physical** ("applies to the same data pages") and undo is
 //! expressed through [`PageOp::invert`], generating the compensation
@@ -112,20 +127,20 @@ impl BackupRef {
             BackupRef::None => enc.put_u8(Self::TAG_NONE),
             BackupRef::BackupPage(id) => {
                 enc.put_u8(Self::TAG_PAGE);
-                enc.put_u64(id.0);
+                enc.put_varint(id.0);
             }
             BackupRef::LogImage(lsn) => {
                 enc.put_u8(Self::TAG_LOG);
-                enc.put_u64(lsn.0);
+                enc.put_varint(lsn.0);
             }
             BackupRef::FormatRecord(lsn) => {
                 enc.put_u8(Self::TAG_FORMAT);
-                enc.put_u64(lsn.0);
+                enc.put_varint(lsn.0);
             }
             BackupRef::FullBackup { first_slot, pages } => {
                 enc.put_u8(Self::TAG_FULL);
-                enc.put_u64(*first_slot);
-                enc.put_u64(*pages);
+                enc.put_varint(*first_slot);
+                enc.put_varint(*pages);
             }
         }
     }
@@ -133,12 +148,12 @@ impl BackupRef {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match dec.get_u8()? {
             Self::TAG_NONE => Ok(BackupRef::None),
-            Self::TAG_PAGE => Ok(BackupRef::BackupPage(PageId(dec.get_u64()?))),
-            Self::TAG_LOG => Ok(BackupRef::LogImage(Lsn(dec.get_u64()?))),
-            Self::TAG_FORMAT => Ok(BackupRef::FormatRecord(Lsn(dec.get_u64()?))),
+            Self::TAG_PAGE => Ok(BackupRef::BackupPage(PageId(dec.get_varint()?))),
+            Self::TAG_LOG => Ok(BackupRef::LogImage(Lsn(dec.get_varint()?))),
+            Self::TAG_FORMAT => Ok(BackupRef::FormatRecord(Lsn(dec.get_varint()?))),
             Self::TAG_FULL => Ok(BackupRef::FullBackup {
-                first_slot: dec.get_u64()?,
-                pages: dec.get_u64()?,
+                first_slot: dec.get_varint()?,
+                pages: dec.get_varint()?,
             }),
             tag => Err(DecodeError::InvalidTag {
                 tag,
@@ -251,6 +266,16 @@ fn get_count(dec: &mut Decoder<'_>, entry_bytes: usize) -> Result<usize, DecodeE
     Ok(n)
 }
 
+/// Reads a varint that must fit a `u16` (slot positions, replace prefix
+/// and suffix lengths).
+fn get_varint_u16(dec: &mut Decoder<'_>) -> Result<u16, DecodeError> {
+    u16::try_from(dec.get_varint()?).map_err(|_| DecodeError::VarintOverflow)
+}
+
+/// The largest record a slot can describe; bounds every record length a
+/// page op decodes.
+const MAX_REC: usize = 1 << 15;
+
 /// A physiological operation on one slotted page: enough information for
 /// physical redo *and* for generating the inverse (compensation) action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,14 +299,23 @@ pub enum PageOp {
         /// Removed record's ghost flag (for undo).
         old_ghost: bool,
     },
-    /// Replace the record at `pos`.
+    /// Replace the record at `pos`, logged as a delta: only the middles in
+    /// which the old and new record differ (built by [`PageOp::replace`]).
     ReplaceRecord {
         /// Slot position replaced.
         pos: u16,
-        /// Previous bytes (for undo).
-        old_bytes: Vec<u8>,
-        /// New bytes (for redo).
-        new_bytes: Vec<u8>,
+        /// Key of the record at `pos`, for rollback by key (see
+        /// [`PageOp::SetGhost`]); empty for a system transaction's
+        /// replace, which is undone where it was made.
+        key: Vec<u8>,
+        /// Leading bytes the old and new record share.
+        prefix: u16,
+        /// Trailing bytes the old and new record share.
+        suffix: u16,
+        /// The old record's middle (for undo).
+        old: Vec<u8>,
+        /// The new record's middle (for redo).
+        new: Vec<u8>,
     },
     /// Toggle the ghost bit at `pos` (logical delete / re-insert).
     SetGhost {
@@ -289,7 +323,8 @@ pub enum PageOp {
         pos: u16,
         /// Key of the record at `pos`: the one field a rollback needs to
         /// find the record again after concurrent inserts or a split
-        /// moved it (the other record ops carry the whole record).
+        /// moved it (the insert and remove ops carry the whole record, and
+        /// a replace its key as well).
         key: Vec<u8>,
         /// Previous ghost flag.
         old: bool,
@@ -327,6 +362,60 @@ pub enum PageOp {
 type DecodedRange = (u16, Vec<(Vec<u8>, bool)>);
 
 impl PageOp {
+    /// The [`PageOp::ReplaceRecord`] that turns `old_record` at `pos` into
+    /// `new_record`, logging only the middles the two do not share.
+    #[must_use]
+    pub fn replace(pos: u16, key: Vec<u8>, old_record: &[u8], new_record: &[u8]) -> PageOp {
+        let prefix = old_record
+            .iter()
+            .zip(new_record)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let (old_rest, new_rest) = (&old_record[prefix..], &new_record[prefix..]);
+        let suffix = old_rest
+            .iter()
+            .rev()
+            .zip(new_rest.iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let fits = |n: usize| u16::try_from(n).expect("a slotted record's length fits a u16");
+        PageOp::ReplaceRecord {
+            pos,
+            key,
+            prefix: fits(prefix),
+            suffix: fits(suffix),
+            old: old_rest[..old_rest.len() - suffix].to_vec(),
+            new: new_rest[..new_rest.len() - suffix].to_vec(),
+        }
+    }
+
+    /// The record a [`PageOp::ReplaceRecord`] turns `record` into, or
+    /// `None` when `record` is not the one it was logged against — not
+    /// `prefix + old.len() + suffix` bytes long with `old` in the middle
+    /// — or `self` is no replace.
+    #[must_use]
+    pub fn replaced(&self, record: &[u8]) -> Option<Vec<u8>> {
+        let PageOp::ReplaceRecord {
+            prefix,
+            suffix,
+            old,
+            new,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let (head, tail) = (*prefix as usize, *suffix as usize);
+        if record.len() != head + old.len() + tail || record[head..head + old.len()] != old[..] {
+            return None;
+        }
+        let mut out = Vec::with_capacity(head + new.len() + tail);
+        out.extend_from_slice(&record[..head]);
+        out.extend_from_slice(new);
+        out.extend_from_slice(&record[record.len() - tail..]);
+        Some(out)
+    }
+
     /// Applies the redo action to `page`. Redo is physical: it assumes
     /// the page is in the state the operation was originally applied to
     /// (enforced by PageLSN comparison in the recovery drivers).
@@ -341,9 +430,12 @@ impl PageOp {
                 let mut sp = SlottedPage::new(page);
                 sp.remove(SlotId(*pos));
             }
-            PageOp::ReplaceRecord { pos, new_bytes, .. } => {
+            PageOp::ReplaceRecord { pos, .. } => {
                 let mut sp = SlottedPage::new(page);
-                sp.update(SlotId(*pos), new_bytes)
+                let record = self
+                    .replaced(sp.record(SlotId(*pos)).0)
+                    .expect("redo replace must match: page was in pre-op state");
+                sp.update(SlotId(*pos), &record)
                     .expect("redo replace must fit: page was in pre-op state");
             }
             PageOp::SetGhost { pos, new, .. } => {
@@ -389,12 +481,18 @@ impl PageOp {
             },
             PageOp::ReplaceRecord {
                 pos,
-                old_bytes,
-                new_bytes,
+                key,
+                prefix,
+                suffix,
+                old,
+                new,
             } => PageOp::ReplaceRecord {
                 pos: *pos,
-                old_bytes: new_bytes.clone(),
-                new_bytes: old_bytes.clone(),
+                key: key.clone(),
+                prefix: *prefix,
+                suffix: *suffix,
+                old: new.clone(),
+                new: old.clone(),
             },
             PageOp::SetGhost { pos, key, old, new } => PageOp::SetGhost {
                 pos: *pos,
@@ -426,7 +524,7 @@ impl PageOp {
     const TAG_REMOVE_RANGE: u8 = 6;
 
     fn encode_range(enc: &mut Encoder, pos: u16, records: &[(Vec<u8>, bool)]) {
-        enc.put_u16(pos);
+        enc.put_varint(u64::from(pos));
         enc.put_varint(records.len() as u64);
         for (bytes, ghost) in records {
             enc.put_u8(u8::from(*ghost));
@@ -435,13 +533,13 @@ impl PageOp {
     }
 
     fn decode_range(dec: &mut Decoder<'_>) -> Result<DecodedRange, DecodeError> {
-        let pos = dec.get_u16()?;
+        let pos = get_varint_u16(dec)?;
         // A record is at least its ghost byte and a one-byte length.
         let n = get_count(dec, 2)?;
         let mut records = Vec::with_capacity(n);
         for _ in 0..n {
             let ghost = dec.get_u8()? != 0;
-            let bytes = dec.get_len_bytes(1 << 15)?.to_vec();
+            let bytes = dec.get_len_bytes(MAX_REC)?.to_vec();
             records.push((bytes, ghost));
         }
         Ok((pos, records))
@@ -451,7 +549,7 @@ impl PageOp {
         match self {
             PageOp::InsertRecord { pos, bytes, ghost } => {
                 enc.put_u8(Self::TAG_INSERT);
-                enc.put_u16(*pos);
+                enc.put_varint(u64::from(*pos));
                 enc.put_u8(u8::from(*ghost));
                 enc.put_len_bytes(bytes);
             }
@@ -461,23 +559,29 @@ impl PageOp {
                 old_ghost,
             } => {
                 enc.put_u8(Self::TAG_REMOVE);
-                enc.put_u16(*pos);
+                enc.put_varint(u64::from(*pos));
                 enc.put_u8(u8::from(*old_ghost));
                 enc.put_len_bytes(old_bytes);
             }
             PageOp::ReplaceRecord {
                 pos,
-                old_bytes,
-                new_bytes,
+                key,
+                prefix,
+                suffix,
+                old,
+                new,
             } => {
                 enc.put_u8(Self::TAG_REPLACE);
-                enc.put_u16(*pos);
-                enc.put_len_bytes(old_bytes);
-                enc.put_len_bytes(new_bytes);
+                enc.put_varint(u64::from(*pos));
+                enc.put_len_bytes(key);
+                enc.put_varint(u64::from(*prefix));
+                enc.put_varint(u64::from(*suffix));
+                enc.put_len_bytes(old);
+                enc.put_len_bytes(new);
             }
             PageOp::SetGhost { pos, key, old, new } => {
                 enc.put_u8(Self::TAG_GHOST);
-                enc.put_u16(*pos);
+                enc.put_varint(u64::from(*pos));
                 enc.put_u8(u8::from(*old));
                 enc.put_u8(u8::from(*new));
                 enc.put_len_bytes(key);
@@ -499,16 +603,15 @@ impl PageOp {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        const MAX_REC: usize = 1 << 15;
         match dec.get_u8()? {
             Self::TAG_INSERT => {
-                let pos = dec.get_u16()?;
+                let pos = get_varint_u16(dec)?;
                 let ghost = dec.get_u8()? != 0;
                 let bytes = dec.get_len_bytes(MAX_REC)?.to_vec();
                 Ok(PageOp::InsertRecord { pos, bytes, ghost })
             }
             Self::TAG_REMOVE => {
-                let pos = dec.get_u16()?;
+                let pos = get_varint_u16(dec)?;
                 let old_ghost = dec.get_u8()? != 0;
                 let old_bytes = dec.get_len_bytes(MAX_REC)?.to_vec();
                 Ok(PageOp::RemoveRecord {
@@ -518,17 +621,30 @@ impl PageOp {
                 })
             }
             Self::TAG_REPLACE => {
-                let pos = dec.get_u16()?;
-                let old_bytes = dec.get_len_bytes(MAX_REC)?.to_vec();
-                let new_bytes = dec.get_len_bytes(MAX_REC)?.to_vec();
+                let pos = get_varint_u16(dec)?;
+                let key = dec.get_len_bytes(MAX_REC)?.to_vec();
+                let (prefix, suffix) = (get_varint_u16(dec)?, get_varint_u16(dec)?);
+                let old = dec.get_len_bytes(MAX_REC)?.to_vec();
+                let new = dec.get_len_bytes(MAX_REC)?.to_vec();
+                // Both whole records must fit a slot.
+                let whole = usize::from(prefix) + usize::from(suffix) + old.len().max(new.len());
+                if whole > MAX_REC {
+                    return Err(DecodeError::LengthOutOfRange {
+                        got: whole,
+                        max: MAX_REC,
+                    });
+                }
                 Ok(PageOp::ReplaceRecord {
                     pos,
-                    old_bytes,
-                    new_bytes,
+                    key,
+                    prefix,
+                    suffix,
+                    old,
+                    new,
                 })
             }
             Self::TAG_GHOST => {
-                let pos = dec.get_u16()?;
+                let pos = get_varint_u16(dec)?;
                 let old = dec.get_u8()? != 0;
                 let new = dec.get_u8()? != 0;
                 let key = dec.get_len_bytes(MAX_REC)?.to_vec();
@@ -704,7 +820,7 @@ impl LogPayload {
             }
             LogPayload::Clr { op, undo_next } => {
                 enc.put_u8(Self::TAG_CLR);
-                enc.put_u64(undo_next.0);
+                enc.put_varint(undo_next.0);
                 op.encode(enc);
             }
             LogPayload::PageFormat { image } => {
@@ -717,12 +833,12 @@ impl LogPayload {
             }
             LogPayload::PriUpdate { page_lsn, backup } => {
                 enc.put_u8(Self::TAG_PRI_UPDATE);
-                enc.put_u64(page_lsn.0);
+                enc.put_varint(page_lsn.0);
                 backup.encode(enc);
             }
             LogPayload::BackupTaken { backup, page_lsn } => {
                 enc.put_u8(Self::TAG_BACKUP_TAKEN);
-                enc.put_u64(page_lsn.0);
+                enc.put_varint(page_lsn.0);
                 backup.encode(enc);
             }
             LogPayload::CheckpointBegin {
@@ -732,13 +848,13 @@ impl LogPayload {
                 enc.put_u8(Self::TAG_CKPT_BEGIN);
                 enc.put_varint(active_txns.len() as u64);
                 for (tx, lsn) in active_txns {
-                    enc.put_u64(tx.0);
-                    enc.put_u64(lsn.0);
+                    enc.put_varint(tx.0);
+                    enc.put_varint(lsn.0);
                 }
                 enc.put_varint(dirty_pages.len() as u64);
                 for (page, lsn) in dirty_pages {
-                    enc.put_u64(page.0);
-                    enc.put_u64(lsn.0);
+                    enc.put_varint(page.0);
+                    enc.put_varint(lsn.0);
                 }
             }
             LogPayload::CheckpointEnd => enc.put_u8(Self::TAG_CKPT_END),
@@ -758,7 +874,7 @@ impl LogPayload {
                 op: PageOp::decode(dec)?,
             }),
             Self::TAG_CLR => {
-                let undo_next = Lsn(dec.get_u64()?);
+                let undo_next = Lsn(dec.get_varint()?);
                 let op = PageOp::decode(dec)?;
                 Ok(LogPayload::Clr { op, undo_next })
             }
@@ -769,26 +885,27 @@ impl LogPayload {
                 image: CompressedPageImage::decode(dec)?,
             }),
             Self::TAG_PRI_UPDATE => {
-                let page_lsn = Lsn(dec.get_u64()?);
+                let page_lsn = Lsn(dec.get_varint()?);
                 let backup = BackupRef::decode(dec)?;
                 Ok(LogPayload::PriUpdate { page_lsn, backup })
             }
             Self::TAG_BACKUP_TAKEN => {
-                let page_lsn = Lsn(dec.get_u64()?);
+                let page_lsn = Lsn(dec.get_varint()?);
                 let backup = BackupRef::decode(dec)?;
                 Ok(LogPayload::BackupTaken { backup, page_lsn })
             }
             Self::TAG_CKPT_BEGIN => {
-                // Both tables hold two `u64`s per entry.
-                let n_tx = get_count(dec, 16)?;
+                // Both tables hold two varints (one byte at the least)
+                // per entry.
+                let n_tx = get_count(dec, 2)?;
                 let mut active_txns = Vec::with_capacity(n_tx);
                 for _ in 0..n_tx {
-                    active_txns.push((TxId(dec.get_u64()?), Lsn(dec.get_u64()?)));
+                    active_txns.push((TxId(dec.get_varint()?), Lsn(dec.get_varint()?)));
                 }
-                let n_dp = get_count(dec, 16)?;
+                let n_dp = get_count(dec, 2)?;
                 let mut dirty_pages = Vec::with_capacity(n_dp);
                 for _ in 0..n_dp {
-                    dirty_pages.push((PageId(dec.get_u64()?), Lsn(dec.get_u64()?)));
+                    dirty_pages.push((PageId(dec.get_varint()?), Lsn(dec.get_varint()?)));
                 }
                 Ok(LogPayload::CheckpointBegin {
                     active_txns,
@@ -845,10 +962,11 @@ impl LogRecord {
         let mut enc = Encoder::with_capacity(128);
         enc.put_u32(0); // body length, patched below
         enc.put_u32(0); // crc32c, patched below
-        enc.put_u64(self.tx_id.0);
-        enc.put_u64(self.prev_tx_lsn.0);
-        enc.put_u64(self.page_id.0);
-        enc.put_u64(self.prev_page_lsn.0);
+        enc.put_varint(self.tx_id.0);
+        enc.put_varint(self.prev_tx_lsn.0);
+        // `PageId::INVALID` (u64::MAX) wraps to the one-byte 0.
+        enc.put_varint(self.page_id.0.wrapping_add(1));
+        enc.put_varint(self.prev_page_lsn.0);
         self.payload.encode(&mut enc);
         let mut out = enc.finish();
         let body_len = (out.len() - 8) as u32;
@@ -858,8 +976,9 @@ impl LogRecord {
         out
     }
 
-    /// Decodes one record from the start of `buf`, verifying its checksum.
-    /// Returns the record and its total encoded length.
+    /// Decodes one record from the start of `buf`, verifying its checksum
+    /// and that the payload ends where the body does. Returns the record
+    /// and its total encoded length.
     pub fn decode(buf: &[u8]) -> Result<(LogRecord, usize), DecodeError> {
         let mut dec = Decoder::new(buf);
         let body_len = dec.get_u32()? as usize;
@@ -872,11 +991,17 @@ impl LogRecord {
             });
         }
         let mut body_dec = Decoder::new(body);
-        let tx_id = TxId(body_dec.get_u64()?);
-        let prev_tx_lsn = Lsn(body_dec.get_u64()?);
-        let page_id = PageId(body_dec.get_u64()?);
-        let prev_page_lsn = Lsn(body_dec.get_u64()?);
+        let tx_id = TxId(body_dec.get_varint()?);
+        let prev_tx_lsn = Lsn(body_dec.get_varint()?);
+        let page_id = PageId(body_dec.get_varint()?.wrapping_sub(1));
+        let prev_page_lsn = Lsn(body_dec.get_varint()?);
         let payload = LogPayload::decode(&mut body_dec)?;
+        if !body_dec.is_exhausted() {
+            return Err(DecodeError::LengthOutOfRange {
+                got: body_len,
+                max: body_dec.position(),
+            });
+        }
         Ok((
             LogRecord {
                 tx_id,
@@ -919,11 +1044,7 @@ mod tests {
                 },
             },
             LogPayload::Update {
-                op: PageOp::ReplaceRecord {
-                    pos: 2,
-                    old_bytes: b"old".to_vec(),
-                    new_bytes: b"new".to_vec(),
-                },
+                op: PageOp::replace(2, b"k2".to_vec(), b"k2=old", b"k2=new"),
             },
             LogPayload::Update {
                 op: PageOp::SetGhost {
@@ -985,6 +1106,62 @@ mod tests {
                 payload,
             });
         }
+        // The header's extremes: no page, and every field at full width.
+        for (page_id, wide) in [(PageId::INVALID, 0), (PageId(u64::MAX - 1), u64::MAX)] {
+            round_trip(&LogRecord {
+                tx_id: TxId(wide),
+                prev_tx_lsn: Lsn(wide),
+                page_id,
+                prev_page_lsn: Lsn(wide),
+                payload: LogPayload::CheckpointEnd,
+            });
+        }
+    }
+
+    /// The records a `put_auto` writes — begin, one replace of a 115-byte
+    /// leaf record whose generation digit changes, commit — at a tx id
+    /// and LSNs a long run reaches: the format must not grow back.
+    #[test]
+    fn put_auto_records_stay_within_their_byte_budget() {
+        let (tx, lsn) = (TxId(600_000), (1u64 << 27) - 4096);
+        let key = b"key-00000012345".to_vec();
+        let old = [&key[..], &[b'v'; 99], b"7"].concat();
+        let new = [&key[..], &[b'v'; 99], b"8"].concat();
+        assert_eq!(old.len(), 115);
+        let at = |payload, prev_tx_lsn, page_id, prev_page_lsn| {
+            LogRecord {
+                tx_id: tx,
+                prev_tx_lsn,
+                page_id,
+                prev_page_lsn,
+                payload,
+            }
+            .encode()
+            .len()
+        };
+        let begin = at(
+            LogPayload::TxBegin { system: false },
+            Lsn::NULL,
+            PageId::INVALID,
+            Lsn::NULL,
+        );
+        let update = at(
+            LogPayload::Update {
+                op: PageOp::replace(60, key, &old, &new),
+            },
+            Lsn(lsn),
+            PageId(5_000),
+            Lsn(lsn - 100_000),
+        );
+        let commit = at(
+            LogPayload::TxCommit { system: false },
+            Lsn(lsn + 50),
+            PageId::INVALID,
+            Lsn::NULL,
+        );
+        assert!(begin <= 16, "begin: {begin} bytes");
+        assert!(update <= 48, "update: {update} bytes");
+        assert!(commit <= 20, "commit: {commit} bytes");
     }
 
     #[test]
@@ -1018,11 +1195,7 @@ mod tests {
                 bytes: b"b".to_vec(),
                 ghost: false,
             },
-            PageOp::ReplaceRecord {
-                pos: 0,
-                old_bytes: b"a".to_vec(),
-                new_bytes: b"A!".to_vec(),
-            },
+            PageOp::replace(0, b"a".to_vec(), b"a", b"A!"),
             PageOp::SetGhost {
                 pos: 1,
                 key: b"B".to_vec(),
@@ -1090,6 +1263,71 @@ mod tests {
         page.finalize_checksum();
         let image = CompressedPageImage::capture(&page);
         assert_eq!(image.restore().as_bytes(), page.as_bytes());
+    }
+
+    fn bytes(max: usize) -> proptest::collection::VecStrategy<proptest::Any<u8>> {
+        proptest::collection::vec(proptest::any::<u8>(), 0..max)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `old = head + a + tail` becomes `new = head + b + tail`, where
+        /// `shape` makes the records equal (b = a), growing (a empty),
+        /// shrinking (b empty), fully different (no head or tail) or
+        /// random. On a page holding `old`, redo yields `new` and the
+        /// inverse's redo `old` again; the op survives encode and decode.
+        #[test]
+        fn prop_replace_delta_redo_invert_and_round_trip(
+            shape in 0u8..5,
+            head in bytes(80),
+            tail in bytes(80),
+            a in bytes(40),
+            b in bytes(40),
+        ) {
+            let (head, tail, b) = match shape {
+                0 => (head, tail, a.clone()),
+                3 => (Vec::new(), Vec::new(), b),
+                _ => (head, tail, b),
+            };
+            let (a, b) = match shape {
+                1 => (Vec::new(), b),
+                2 => (a, Vec::new()),
+                _ => (a, b),
+            };
+            let old = [&head[..], &a, &tail].concat();
+            let new = [&head[..], &b, &tail].concat();
+            let op = PageOp::replace(1, b"key".to_vec(), &old, &new);
+            // Never more than the middle the records were built to differ in.
+            if let PageOp::ReplaceRecord { prefix, suffix, old: mid, .. } = &op {
+                proptest::prop_assert!(mid.len() <= a.len());
+                proptest::prop_assert_eq!(usize::from(*prefix) + mid.len() + usize::from(*suffix), old.len());
+            }
+            proptest::prop_assert_eq!(op.replaced(&old), Some(new.clone()));
+
+            let mut page = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(1), PageType::BTreeLeaf);
+            let mut sp = SlottedPage::new(&mut page);
+            for rec in [&b"left"[..], &old, b"right"] {
+                sp.push(rec, false).unwrap();
+            }
+            op.redo(&mut page);
+            let redone = SlottedPage::new(&mut page).record(SlotId(1)).0.to_vec();
+            proptest::prop_assert_eq!(redone, new);
+            op.invert().redo(&mut page);
+            let sp = SlottedPage::new(&mut page);
+            proptest::prop_assert_eq!(sp.record(SlotId(1)).0, &old[..]);
+            proptest::prop_assert_eq!(sp.record(SlotId(2)).0, b"right");
+
+            let record = LogRecord {
+                tx_id: TxId(7),
+                prev_tx_lsn: Lsn(8),
+                page_id: PageId(1),
+                prev_page_lsn: Lsn(16),
+                payload: LogPayload::Update { op },
+            };
+            let encoded = record.encode();
+            proptest::prop_assert_eq!(LogRecord::decode(&encoded).map(|(r, _)| r), Ok(record));
+        }
     }
 
     #[test]

@@ -180,7 +180,10 @@ fn a_log_longer_than_the_restore_chunk_streams_back_whole() {
             PageId(u64::MAX),
             Lsn::NULL,
             LogPayload::CheckpointBegin {
-                dirty_pages: (0..70_000).map(|p| (PageId(p + i), Lsn(p))).collect(),
+                // Full-width LSNs: ten varint bytes apiece.
+                dirty_pages: (0..100_000)
+                    .map(|p| (PageId(p + i), Lsn(u64::MAX - p)))
+                    .collect(),
                 active_txns: Vec::new(),
             },
         )
