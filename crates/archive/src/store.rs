@@ -406,9 +406,9 @@ impl ArchiveStore {
     }
 
     /// Reads the record at `lsn` from the live WAL, falling back to this
-    /// archive when the WAL answers `Truncated` — the shared fallback
-    /// single-page recovery (in-log backup sources) and page versioning
-    /// both build on.
+    /// archive when the WAL answers `Truncated` — the fallback that keeps
+    /// single-page recovery's in-log backup sources valid across
+    /// truncation.
     pub fn read_log_or_archive(
         &self,
         log: &spf_wal::LogManager,

@@ -353,7 +353,8 @@ impl StandardBTree {
     ) -> Result<Lsn, BTreeError> {
         let prev = Lsn(guard.page_lsn());
         let (lsn, op) = self.txn.log_update(tx, guard.page_id(), prev, op)?;
-        op.redo(&mut *guard);
+        op.redo(&mut *guard)
+            .expect("op fits: the page is latched in its pre-op state");
         guard.mark_dirty(lsn);
         Ok(lsn)
     }

@@ -215,7 +215,8 @@ impl spf_txn::UndoTarget for PoolUndo<'_> {
         match self.pool.fetch_mut(page) {
             Ok(mut g) => {
                 let clr_lsn = log(page, Lsn(g.page_lsn()), op);
-                op.redo(&mut g);
+                op.redo(&mut g)
+                    .expect("op fits: the page is latched in its pre-op state");
                 g.mark_dirty(clr_lsn);
             }
             // An unfetchable page (its failure escalated) still gets its
@@ -996,7 +997,8 @@ impl FosterBTree {
                 _ => unreachable!("only leaf-record compensations are re-aimed"),
             };
             let lsn = log(guard.page_id(), Lsn(guard.page_lsn()), &here);
-            here.redo(&mut guard);
+            here.redo(&mut guard)
+                .expect("op fits: the page is latched in its pre-op state");
             guard.mark_dirty(lsn);
             return Ok(());
         }
@@ -1029,7 +1031,8 @@ impl FosterBTree {
     ) -> Result<Lsn, BTreeError> {
         let prev = Lsn(guard.page_lsn());
         let (lsn, op) = self.txn.log_update(tx, guard.page_id(), prev, op)?;
-        op.redo(&mut *guard);
+        op.redo(&mut *guard)
+            .expect("op fits: the page is latched in its pre-op state");
         guard.mark_dirty(lsn);
         Ok(lsn)
     }

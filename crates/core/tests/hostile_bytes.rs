@@ -104,8 +104,9 @@ fn record(payload: LogPayload) -> LogRecord {
 }
 
 /// Valid records of every payload shape whose counts size a
-/// reservation, plus a fixed-size one, a page image, a delta replace, and
-/// a header whose LSNs take five varint bytes and whose page id nine.
+/// reservation, plus a fixed-size one, a page image, a delta replace, a
+/// structure-area write, and a header whose LSNs take five varint bytes
+/// and whose page id nine.
 fn sample_records() -> Vec<LogRecord> {
     let page = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(3), PageType::BTreeLeaf);
     let range = vec![(b"alpha".to_vec(), false), (b"beta".to_vec(), true)];
@@ -139,6 +140,12 @@ fn sample_records() -> Vec<LogRecord> {
         }),
         record(LogPayload::Update {
             op: PageOp::replace(7, b"key-7".to_vec(), b"key-7=gen0001", b"key-7=gen0002"),
+        }),
+        record(LogPayload::Update {
+            op: PageOp::WriteStructure {
+                old: vec![0; 32],
+                new: vec![7; 32],
+            },
         }),
         LogRecord {
             tx_id: TxId(600_000),
@@ -200,6 +207,9 @@ fn check_record(bytes: &[u8]) -> Result<(), TestCaseError> {
             let whole = usize::from(*prefix) + usize::from(*suffix) + old.len().max(new.len());
             prop_assert!(whole <= 1 << 15, "a {whole}-byte record was accepted");
         }
+        PageOp::WriteStructure { old, new } => {
+            prop_assert!(old.len() == 32 && new.len() == 32);
+        }
         _ => {}
     }
     Ok(())
@@ -220,7 +230,7 @@ proptest! {
     /// tag and length check is reached.
     #[test]
     fn mutated_record_with_a_valid_crc_never_panics(
-        which in 0usize..7,
+        which in 0usize..8,
         at in any::<usize>(),
         byte in any::<u8>(),
         cut in 0usize..32,
@@ -279,6 +289,25 @@ fn a_replace_delta_longer_than_a_record_is_refused() {
             max: 1 << 15
         }
     );
+}
+
+/// A structure-area write whose area is not exactly the page's 32-byte
+/// structure area is refused at decode: redo copies it over that area.
+#[test]
+fn a_structure_area_of_the_wrong_length_is_refused() {
+    for len in [31, 33] {
+        let bytes = record(LogPayload::Update {
+            op: PageOp::WriteStructure {
+                old: vec![0; 32],
+                new: vec![1; len],
+            },
+        })
+        .encode();
+        assert_eq!(
+            LogRecord::decode(&bytes).unwrap_err(),
+            DecodeError::LengthOutOfRange { got: len, max: 32 }
+        );
+    }
 }
 
 /// A CRC-valid record with bytes after its payload is refused: the

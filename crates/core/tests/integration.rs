@@ -6,8 +6,10 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use spf::{
-    BackupPolicy, CorruptionMode, Database, DatabaseConfig, DbError, FailureClass, FaultSpec,
+    BackupPolicy, CorruptionMode, Database, DatabaseConfig, DbError, FailureClass, FaultSpec, Lsn,
+    TxId,
 };
+use spf_wal::{LogPayload, LogRecord, PageOp};
 
 fn key(i: u64) -> Vec<u8> {
     format!("key-{i:08}").into_bytes()
@@ -526,6 +528,53 @@ fn media_recovery_restores_whole_device() {
         assert_eq!(db.get(&key(i)).unwrap(), Some(val(i, 0)));
     }
     assert!(db.verify_tree().unwrap().is_empty());
+}
+
+/// A CRC-valid update whose chain pointer is another leaf's head is a
+/// cross-linked record: both media restores refuse it and name its LSN,
+/// instead of ghosting a committed key on the restored device.
+#[test]
+fn media_recovery_refuses_a_cross_linked_record() {
+    type Recover = fn(&Database) -> Result<(), DbError>;
+    let inputs: [(&str, Recover); 2] = [
+        ("media_recover", |db| db.media_recover().map(drop)),
+        ("media_recover_from_mirror", |db| {
+            db.media_recover_from_mirror().map(drop)
+        }),
+    ];
+    for (name, recover) in inputs {
+        let db = Database::create(DatabaseConfig {
+            mirror: true,
+            ..small_config()
+        })
+        .unwrap();
+        load(&db, 1000);
+        db.take_full_backup().unwrap();
+        let leaves = db.leaf_pages();
+        let head = |id| Lsn(db.pool().fetch(id).unwrap().page_lsn());
+        let lsn = db.log().append(&LogRecord {
+            tx_id: TxId::NONE,
+            prev_tx_lsn: Lsn::NULL,
+            page_id: leaves[0],
+            prev_page_lsn: head(leaves[1]),
+            payload: LogPayload::Update {
+                op: PageOp::SetGhost {
+                    pos: 1,
+                    key: Vec::new(),
+                    old: false,
+                    new: true,
+                },
+            },
+        });
+        db.log().force();
+
+        db.fail_device();
+        let err = recover(&db).expect_err(name);
+        assert!(
+            matches!(&err, DbError::RecoveryFailed(m) if m.contains(&format!("at {lsn}"))),
+            "{name}: {err}"
+        );
+    }
 }
 
 #[test]

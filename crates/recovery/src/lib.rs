@@ -9,11 +9,11 @@
 //! | [`pri`] | §5.2.2, Figures 6, 7, 9 — the page recovery index: per page, the most recent backup location and the LSN of the most recent log record |
 //! | [`backup`] | §5.2.1 — sources of backup pages: explicit copies, in-log images, format records, full backups |
 //! | [`maintainer`] | §5.2.4, Figure 11 — PRI maintenance after completed writes, as unforced single-record system transactions; backup-every-N-updates policy (§6); the PageLSN cross-check on read (Figure 8) |
+//! | [`replay`] | §5.1.4 — the per-page replay rule every recovery path below calls: PageLSN guard, chain-pointer check, format and full-image installs |
 //! | [`single_page`] | §5.2.3, Figure 10 — the recovery procedure: restore backup, walk the per-page log chain backward onto a LIFO stack, pop and redo |
 //! | [`system_recovery`] | §5.1.2, §5.2.5, Figure 12 — ARIES-style restart (analysis from the last checkpoint image, redo, undo) exploiting PRI records to skip redo reads and repairing PRI updates lost in the crash |
 //! | [`media`] | §5.1.3 — full-device restore + log replay; also the mirror-style single-page repair baseline (§2) |
 //! | [`failure`] | §3, Figure 1 — the failure-class taxonomy, and [`escalate`], the one place an unrepaired failure is escalated and recorded |
-//! | [`versioning`] | §5.1.4 — single-page rollback over the per-page chain (the snapshot-isolation application) |
 //!
 //! ## Substitution note
 //!
@@ -44,9 +44,9 @@ pub mod failure;
 pub mod maintainer;
 pub mod media;
 pub mod pri;
+pub mod replay;
 pub mod single_page;
 pub mod system_recovery;
-pub mod versioning;
 
 pub use backup::{BackupStats, BackupStore};
 pub use failure::{escalate, FailureClass};
@@ -55,4 +55,3 @@ pub use media::{MediaRecovery, MediaReport, MirrorRepairReport};
 pub use pri::{PageRecoveryIndex, PriEntry, PriRange, PriStats};
 pub use single_page::{SinglePageRecovery, SpfStats};
 pub use system_recovery::{CheckpointImage, RestartReport, SystemRecovery};
-pub use versioning::{rollback_page_to, rollback_page_to_archived, VersionError, VersioningStats};

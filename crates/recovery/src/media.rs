@@ -14,15 +14,19 @@
 //! mirror database, not just the individual page that requires repair,
 //! and … the recovery process completely fails to exploit the per-page
 //! log chain already present in the recovery log."
+//!
+//! All three walk one LSN-ordered history and apply each page's records
+//! under the §5.1.4 rule in [`crate::replay`].
 
 use std::sync::Arc;
 
 use spf_archive::ArchiveStore;
 use spf_storage::{Device, Page, PageId, StorageDevice};
 use spf_util::SimDuration;
-use spf_wal::{LogManager, LogPayload, LogRecord, Lsn};
+use spf_wal::{LogManager, LogRecord, Lsn};
 
 use crate::backup::BackupStore;
+use crate::replay::{self, Step};
 
 /// Outcome of a full media recovery.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -86,47 +90,87 @@ impl MediaRecovery {
         self
     }
 
-    /// Applies one replay record directly against the device (the shared
-    /// redo arm of the WAL and archive replay paths).
-    fn apply_replay_record(
-        device: &Device,
-        page_size: usize,
-        n: u64,
-        lsn: Lsn,
-        record: &LogRecord,
-        redo_applied: &mut u64,
-    ) -> Result<(), String> {
-        if record.page_id.0 >= n {
-            return Ok(());
-        }
-        match &record.payload {
-            LogPayload::Update { op } | LogPayload::Clr { op, .. } => {
-                let mut buf = vec![0u8; page_size];
-                device
-                    .read_page(record.page_id, &mut buf)
-                    .map_err(|e| format!("replay read {}: {e}", record.page_id))?;
-                let mut page = Page::from_bytes(buf);
-                if page.page_lsn() < lsn.0 {
-                    op.redo(&mut page);
-                    page.set_page_lsn(lsn.0);
-                    page.finalize_checksum();
-                    device
-                        .write_page(record.page_id, page.as_bytes())
-                        .map_err(|e| format!("replay write {}: {e}", record.page_id))?;
-                    *redo_applied += 1;
-                }
+    /// Streams every record from `from` on through `f` in LSN order: the
+    /// archive runs below the WAL truncation point, then the WAL tail.
+    /// Returns how many records each source delivered, archive first.
+    fn history(
+        &self,
+        from: Lsn,
+        mut f: impl FnMut(Lsn, &LogRecord) -> Result<(), String>,
+    ) -> Result<(u64, u64), String> {
+        let floor = self.log.truncate_point();
+        let mut archived = 0;
+        let mut wal_start = from;
+        if floor > from {
+            let archive = self.archive.as_ref().ok_or_else(|| {
+                format!("log truncated at {floor} (replay from {from}) and no archive is attached")
+            })?;
+            let mut failed = None;
+            archived = archive
+                .replay_lsn_order(from, floor, |lsn, record| {
+                    if failed.is_none() {
+                        failed = f(lsn, record).err();
+                    }
+                })
+                .map_err(|e| format!("archive replay: {e}"))?;
+            if let Some(e) = failed {
+                return Err(e);
             }
-            LogPayload::PageFormat { image } | LogPayload::FullPageImage { image } => {
-                let mut page = image.restore();
-                page.set_page_lsn(lsn.0);
+            wal_start = floor;
+        }
+        let mut scanned = 0;
+        let scanner = self
+            .log
+            .scan_records(wal_start)
+            .map_err(|e| format!("log replay scan: {e}"))?;
+        for item in scanner {
+            let (lsn, record) = item.map_err(|e| format!("log replay scan: {e}"))?;
+            scanned += 1;
+            f(lsn, &record)?;
+        }
+        Ok((archived, scanned))
+    }
+
+    /// Replays the history from `from` onto `device` pages `[0, n)`, one
+    /// device read-modify-write per page-content record.
+    fn replay_onto(
+        &self,
+        device: &Device,
+        n: u64,
+        from: Lsn,
+        report: &mut MediaReport,
+    ) -> Result<(), String> {
+        (report.archive_records_replayed, report.log_records_scanned) =
+            self.history(from, |lsn, record| {
+                let id = record.page_id;
+                if id.0 >= n {
+                    return Ok(());
+                }
+                let mut page = match replay::step(id, lsn, record) {
+                    Ok(Step::Install(image)) => replay::stamped(lsn, image),
+                    Ok(Step::Redo(op, prev)) => {
+                        let mut buf = vec![0u8; device.page_size()];
+                        device
+                            .read_page(id, &mut buf)
+                            .map_err(|e| format!("replay read {id}: {e}"))?;
+                        let mut page = Page::from_bytes(buf);
+                        if !replay::redo(&mut page, lsn, op, prev)
+                            .map_err(|e| format!("media replay of {id}: {e}"))?
+                        {
+                            return Ok(());
+                        }
+                        page
+                    }
+                    // Not page content: a PRI update or backup notice.
+                    Err(_) => return Ok(()),
+                };
                 page.finalize_checksum();
                 device
-                    .write_page(record.page_id, page.as_bytes())
-                    .map_err(|e| format!("replay format {}: {e}", record.page_id))?;
-                *redo_applied += 1;
-            }
-            _ => {}
-        }
+                    .write_page(id, page.as_bytes())
+                    .map_err(|e| format!("replay write {id}: {e}"))?;
+                report.redo_applied += 1;
+                Ok(())
+            })?;
         Ok(())
     }
 
@@ -142,16 +186,14 @@ impl MediaRecovery {
         n: u64,
         backup_lsn: Lsn,
     ) -> Result<MediaReport, String> {
-        let clock = std::sync::Arc::clone(self.log.clock());
-        let start_time = clock.now();
+        let start_time = self.log.clock().now();
         let mut report = MediaReport::default();
 
         // Replacement medium: clear all faults including device failure.
         device.injector().clear_all();
 
         // Sequential restore of every page.
-        let page_size = device.page_size();
-        let mut buf = vec![0u8; page_size];
+        let mut buf = vec![0u8; device.page_size()];
         for i in 0..n {
             backups
                 .device()
@@ -163,60 +205,12 @@ impl MediaRecovery {
             report.pages_restored += 1;
         }
 
-        // Replay forward from the backup point, page by page, directly
-        // against the device (the pool is bypassed: media recovery is
-        // offline; "all affected transactions be aborted"). History
-        // below the WAL truncation point comes first, sequentially from
-        // the archive runs, then the live WAL tail is streamed in
-        // bounded chunks; both arrive in LSN order, so the PageLSN guard
-        // applies each update exactly once.
-        let floor = self.log.truncate_point();
-        let mut wal_start = backup_lsn;
-        if floor > backup_lsn {
-            let archive = self.archive.as_ref().ok_or_else(|| {
-                format!(
-                    "log truncated at {floor} (backup horizon {backup_lsn}) \
-                     and no log archive is attached"
-                )
-            })?;
-            let mut apply_err: Option<String> = None;
-            let mut redo = 0u64;
-            report.archive_records_replayed += archive
-                .replay_lsn_order(backup_lsn, floor, |lsn, record| {
-                    if apply_err.is_some() {
-                        return;
-                    }
-                    if let Err(e) =
-                        Self::apply_replay_record(device, page_size, n, lsn, record, &mut redo)
-                    {
-                        apply_err = Some(e);
-                    }
-                })
-                .map_err(|e| format!("archive replay: {e}"))?;
-            if let Some(e) = apply_err {
-                return Err(e);
-            }
-            report.redo_applied += redo;
-            wal_start = floor;
-        }
-        let scanner = self
-            .log
-            .scan_records(wal_start)
-            .map_err(|e| format!("log replay scan: {e}"))?;
-        for item in scanner {
-            let (lsn, record) = item.map_err(|e| format!("log replay scan: {e}"))?;
-            report.log_records_scanned += 1;
-            Self::apply_replay_record(
-                device,
-                page_size,
-                n,
-                lsn,
-                &record,
-                &mut report.redo_applied,
-            )?;
-        }
+        // Replay forward from the backup point directly against the
+        // device (the pool is bypassed: media recovery is offline; "all
+        // affected transactions be aborted").
+        self.replay_onto(device, n, backup_lsn, &mut report)?;
 
-        report.sim_time = clock.now() - start_time;
+        report.sim_time = self.log.clock().now() - start_time;
         Ok(report)
     }
 
@@ -229,23 +223,21 @@ impl MediaRecovery {
     /// forces the replay back to the beginning of history, where the
     /// page's format record rebuilds it.
     ///
-    /// The PageLSN guard in the replay arm makes the whole pass
-    /// idempotent: records a mirror page already reflects are skipped.
+    /// The replay rule's PageLSN guard makes the whole pass idempotent:
+    /// records a mirror page already reflects are skipped.
     pub fn restore_from_mirror(
         &self,
         device: &Device,
         mirror: &Device,
         n: u64,
     ) -> Result<MediaReport, String> {
-        let clock = std::sync::Arc::clone(self.log.clock());
-        let start_time = clock.now();
+        let start_time = self.log.clock().now();
         let mut report = MediaReport::default();
 
         // Replacement medium: clear all faults including device failure.
         device.injector().clear_all();
 
-        let page_size = device.page_size();
-        let mut buf = vec![0u8; page_size];
+        let mut buf = vec![0u8; device.page_size()];
         let mut replay_from: Option<Lsn> = None;
         for i in 0..n {
             let verified = mirror
@@ -264,59 +256,13 @@ impl MediaRecovery {
                 .map_err(|e| format!("mirror restore write {i}: {e}"))?;
         }
 
-        // Replay [replay_from, end): archived history first, then the
-        // live WAL tail, both in LSN order.
         let from = replay_from.unwrap_or(Lsn::NULL).max(Lsn::FIRST);
-        let floor = self.log.truncate_point();
-        let mut wal_start = from;
-        if floor > from {
-            let archive = self.archive.as_ref().ok_or_else(|| {
-                format!(
-                    "log truncated at {floor} (mirror replay horizon {from}) \
-                     and no log archive is attached"
-                )
-            })?;
-            let mut apply_err: Option<String> = None;
-            let mut redo = 0u64;
-            report.archive_records_replayed += archive
-                .replay_lsn_order(from, floor, |lsn, record| {
-                    if apply_err.is_some() {
-                        return;
-                    }
-                    if let Err(e) =
-                        Self::apply_replay_record(device, page_size, n, lsn, record, &mut redo)
-                    {
-                        apply_err = Some(e);
-                    }
-                })
-                .map_err(|e| format!("archive replay: {e}"))?;
-            if let Some(e) = apply_err {
-                return Err(e);
-            }
-            report.redo_applied += redo;
-            wal_start = floor;
-        }
-        let scanner = self
-            .log
-            .scan_records(wal_start)
-            .map_err(|e| format!("log replay scan: {e}"))?;
-        for item in scanner {
-            let (lsn, record) = item.map_err(|e| format!("log replay scan: {e}"))?;
-            report.log_records_scanned += 1;
-            Self::apply_replay_record(
-                device,
-                page_size,
-                n,
-                lsn,
-                &record,
-                &mut report.redo_applied,
-            )?;
-        }
+        self.replay_onto(device, n, from, &mut report)?;
         device
             .sync()
             .map_err(|e| format!("post-restore sync: {e}"))?;
 
-        report.sim_time = clock.now() - start_time;
+        report.sim_time = self.log.clock().now() - start_time;
         Ok(report)
     }
 
@@ -326,7 +272,7 @@ impl MediaRecovery {
     /// just the individual page that requires repair". Every page record
     /// in the log is applied against the mirror (one random read + one
     /// random write under `mirror_cost`); only the records for `target`
-    /// also update the returned image.
+    /// also update the returned image, under the [`replay`] rule.
     ///
     /// With the WAL truncated below `backup_lsn`, the archived history
     /// is scanned first — still record by record, still paying the
@@ -338,68 +284,37 @@ impl MediaRecovery {
         backup_lsn: Lsn,
         mirror_cost: spf_util::IoCostModel,
     ) -> Result<(Page, MirrorRepairReport), String> {
-        let clock = std::sync::Arc::clone(self.log.clock());
+        let clock = self.log.clock();
         let start_time = clock.now();
         let mut report = MirrorRepairReport::default();
         let page_size = base_image.size();
-
-        let apply = |lsn: Lsn,
-                     record: &spf_wal::LogRecord,
-                     base_image: &mut Page,
-                     report: &mut MirrorRepairReport| {
-            if record.page_id.is_valid() && record.payload.is_page_content() {
-                // Keeping the mirror current: the record is applied to the
-                // mirror database's copy of the page.
-                clock.advance(mirror_cost.cost(spf_util::IoKind::RandomRead, page_size));
-                clock.advance(mirror_cost.cost(spf_util::IoKind::RandomWrite, page_size));
-                report.mirror_page_ios += 2;
-            }
-            if record.page_id != target {
-                return;
-            }
-            match &record.payload {
-                LogPayload::Update { op } | LogPayload::Clr { op, .. }
-                    if base_image.page_lsn() < lsn.0 =>
-                {
-                    op.redo(base_image);
-                    base_image.set_page_lsn(lsn.0);
-                    report.records_for_target += 1;
-                }
-                LogPayload::PageFormat { image } | LogPayload::FullPageImage { image } => {
-                    *base_image = image.restore();
-                    base_image.set_page_lsn(lsn.0);
-                    report.records_for_target += 1;
-                }
-                _ => {}
-            }
-        };
-
         let bytes_before = self.log.stats().bytes_scanned;
-        let floor = self.log.truncate_point();
-        let mut wal_start = backup_lsn;
-        if floor > backup_lsn {
-            let archive = self.archive.as_ref().ok_or_else(|| {
-                format!("mirror scan: log truncated at {floor} and no archive attached")
+        let archive_bytes = || {
+            self.archive
+                .as_ref()
+                .map_or(0, |a| a.stats().bytes_replayed)
+        };
+        let archive_bytes_before = archive_bytes();
+
+        (report.archive_records_scanned, report.log_records_scanned) =
+            self.history(backup_lsn, |lsn, record| {
+                if record.page_id.is_valid() && record.payload.is_page_content() {
+                    // Keeping the mirror current: the record is applied to the
+                    // mirror database's copy of the page.
+                    clock.advance(mirror_cost.cost(spf_util::IoKind::RandomRead, page_size));
+                    clock.advance(mirror_cost.cost(spf_util::IoKind::RandomWrite, page_size));
+                    report.mirror_page_ios += 2;
+                }
+                if record.page_id != target || !record.payload.is_page_content() {
+                    return Ok(());
+                }
+                let applied = replay::apply(&mut base_image, target, lsn, record)
+                    .map_err(|e| format!("mirror repair of {target}: {e}"))?;
+                report.records_for_target += u64::from(applied);
+                Ok(())
             })?;
-            let archive_bytes_before = archive.stats().bytes_replayed;
-            report.archive_records_scanned += archive
-                .replay_lsn_order(backup_lsn, floor, |lsn, record| {
-                    apply(lsn, record, &mut base_image, &mut report);
-                })
-                .map_err(|e| format!("mirror archive scan: {e}"))?;
-            report.archive_bytes_scanned = archive.stats().bytes_replayed - archive_bytes_before;
-            wal_start = floor;
-        }
-        let scanner = self
-            .log
-            .scan_records(wal_start)
-            .map_err(|e| format!("mirror scan: {e}"))?;
-        for item in scanner {
-            let (lsn, record) = item.map_err(|e| format!("mirror scan: {e}"))?;
-            report.log_records_scanned += 1;
-            apply(lsn, &record, &mut base_image, &mut report);
-        }
         base_image.finalize_checksum();
+        report.archive_bytes_scanned = archive_bytes() - archive_bytes_before;
         report.log_bytes_scanned = self.log.stats().bytes_scanned - bytes_before;
         report.sim_time = clock.now() - start_time;
         Ok((base_image, report))
@@ -411,7 +326,7 @@ mod tests {
     use super::*;
     use spf_archive::LogArchiver;
     use spf_storage::{PageType, SlottedPage, DEFAULT_PAGE_SIZE};
-    use spf_wal::{LogRecord, PageOp, TxId};
+    use spf_wal::{LogPayload, LogRecord, PageOp, TxId};
     use std::sync::Arc;
 
     #[test]
@@ -452,7 +367,7 @@ mod tests {
                 prev_page_lsn: Lsn(page.page_lsn()),
                 payload: LogPayload::Update { op: op.clone() },
             });
-            op.redo(&mut page);
+            op.redo(&mut page).unwrap();
             page.set_page_lsn(lsn.0);
             lsns.push(lsn);
         }

@@ -10,7 +10,9 @@
 //!    index, single-page recovery follows the per-page log chain back to
 //!    the time the backup was taken, pushes pointers to those log records
 //!    into a last-in-first-out stack, and then pops records off the stack
-//!    and applies their 'redo' actions."
+//!    and applies their 'redo' actions." Each record goes through the
+//!    §5.1.4 rule in [`crate::replay`], shared with restart and media
+//!    recovery.
 //! 3. "If anything fails, e.g., retrieval of an appropriate entry in the
 //!    page recovery index, the system can resort to a media failure."
 //! 4. "Once the page contents has been recovered and brought up-to-date
@@ -36,6 +38,7 @@ use spf_wal::{BackupRef, LogError, LogManager, LogPayload, LogRecord, Lsn};
 
 use crate::backup::BackupStore;
 use crate::pri::PageRecoveryIndex;
+use crate::replay::{self, ReplayError};
 
 /// Single-page recovery statistics (experiment E7).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -189,11 +192,9 @@ impl SinglePageRecovery {
         // seek plus a sequential run scan per run, instead of one random
         // I/O per chain hop.
         let backup_lsn = Lsn(page.page_lsn());
-        let target = match entry.latest_lsn {
-            Some(lsn) => lsn,
-            None => backup_lsn, // no updates since backup: nothing to replay
-        };
-        let mut replay: Vec<(Lsn, LogRecord)> = Vec::new();
+        // No updates since the backup: nothing to replay.
+        let target = entry.latest_lsn.unwrap_or(backup_lsn);
+        let mut history: Vec<(Lsn, LogRecord)> = Vec::new();
         if target > backup_lsn {
             // Truncation can advance concurrently with this gather; a
             // chain hop that lands below a fresher cut answers
@@ -208,11 +209,7 @@ impl SinglePageRecovery {
                     // The WAL walk must not read below the truncation
                     // point; stop just under it so the record *at* the
                     // point is still walked.
-                    let wal_stop = if floor > backup_lsn {
-                        Lsn(floor.0 - 1)
-                    } else {
-                        backup_lsn
-                    };
+                    let wal_stop = backup_lsn.max(Lsn(floor.0.saturating_sub(1)));
                     if target <= wal_stop {
                         break (floor, Vec::new());
                     }
@@ -223,9 +220,7 @@ impl SinglePageRecovery {
                     }
                 }
             };
-            let mut stats = self.stats.lock();
-            stats.chain_records_fetched += wal_part.len() as u64;
-            drop(stats);
+            self.stats.lock().chain_records_fetched += wal_part.len() as u64;
 
             if floor > backup_lsn {
                 // The oldest WAL record's chain pointer names the newest
@@ -254,53 +249,24 @@ impl SinglePageRecovery {
                     stats.archive_records_fetched += archived.len() as u64;
                     stats.archive_backed_recoveries += 1;
                     drop(stats);
-                    replay.extend(archived);
+                    history.extend(archived);
                 }
             }
             wal_part.reverse(); // pop the LIFO stack onto the replay tail
-            replay.extend(wal_part);
+            history.extend(wal_part);
         }
 
-        // (4) Redo, oldest first.
-        for (lsn, record) in replay {
-            // Every chained record must name the page being recovered; a
-            // cross-linked chain (corrupt PRI or log) must not be applied.
-            if record.page_id != id {
-                self.stats.lock().chain_check_failures += 1;
-                return Err(format!(
-                    "per-page chain for {id} reached a record for {} at {lsn}",
-                    record.page_id
-                ));
-            }
-            // Defensive cross-check (Section 5.1.4): "the log sequence
-            // number of the prior log record is also the expected previous
-            // log sequence number in the data page."
-            if record.prev_page_lsn != Lsn(page.page_lsn()) {
-                self.stats.lock().chain_check_failures += 1;
-                return Err(format!(
-                    "per-page chain broken at {lsn}: record expects prior {} but page is at {}",
-                    record.prev_page_lsn,
-                    page.page_lsn()
-                ));
-            }
-            match &record.payload {
-                LogPayload::Update { op } | LogPayload::Clr { op, .. } => {
-                    op.redo(&mut page);
-                    page.set_page_lsn(lsn.0);
-                    self.stats.lock().redo_applied += 1;
+        // (4) Redo, oldest first, under the one replay rule: a
+        // cross-linked or broken chain (corrupt PRI or log) is refused,
+        // never applied.
+        for (lsn, record) in history {
+            let applied = replay::apply(&mut page, id, lsn, &record).map_err(|e| {
+                if matches!(e, ReplayError::WrongPage(..) | ReplayError::ChainBroken(..)) {
+                    self.stats.lock().chain_check_failures += 1;
                 }
-                LogPayload::PageFormat { image } | LogPayload::FullPageImage { image } => {
-                    page = image.restore();
-                    page.set_page_lsn(lsn.0);
-                    self.stats.lock().redo_applied += 1;
-                }
-                other => {
-                    return Err(format!(
-                        "unexpected {} record on per-page chain at {lsn}",
-                        other.kind_name()
-                    ))
-                }
-            }
+                format!("replay of {id}: {e}")
+            })?;
+            self.stats.lock().redo_applied += u64::from(applied);
         }
 
         // Sanity: the rebuilt page must verify.
@@ -317,17 +283,14 @@ impl SinglePageRecovery {
         let mut stats = self.stats.lock();
         stats.recoveries += 1;
         stats.sim_time = stats.sim_time.saturating_add(elapsed);
-        if used_mirror {
-            stats.from_mirror += 1;
-        } else {
-            match entry.backup {
-                BackupRef::BackupPage(_) | BackupRef::FullBackup { .. } => {
-                    stats.from_backup_page += 1;
-                }
-                BackupRef::LogImage(_) => stats.from_log_image += 1,
-                BackupRef::FormatRecord(_) => stats.from_format_record += 1,
-                BackupRef::None => {}
+        match (used_mirror, entry.backup) {
+            (true, _) => stats.from_mirror += 1,
+            (_, BackupRef::BackupPage(_) | BackupRef::FullBackup { .. }) => {
+                stats.from_backup_page += 1;
             }
+            (_, BackupRef::LogImage(_)) => stats.from_log_image += 1,
+            (_, BackupRef::FormatRecord(_)) => stats.from_format_record += 1,
+            (_, BackupRef::None) => {}
         }
         Ok(page)
     }
@@ -348,52 +311,26 @@ impl SinglePageRecovery {
         Some(page)
     }
 
-    /// Reads the record at `lsn`, falling back to the log archive when
-    /// the WAL has been truncated past it — in-log backup sources
-    /// (Section 5.2.1) stay valid across truncation this way.
-    fn read_log_or_archive(&self, id: PageId, lsn: Lsn) -> Result<LogRecord, String> {
-        match &self.archive {
-            Some(archive) => archive
-                .read_log_or_archive(&self.log, id, lsn)
-                .map_err(|e| e.to_string()),
-            None => self
-                .log
-                .read_record(lsn)
-                .map_err(|e| format!("log record read at {lsn}: {e}")),
-        }
-    }
-
     fn load_backup(&self, id: PageId, backup: BackupRef) -> Result<Page, String> {
         match backup {
             BackupRef::BackupPage(slot) => self.backups.read_backup(slot, id),
-            BackupRef::LogImage(lsn) => {
-                let record = self
-                    .read_log_or_archive(id, lsn)
-                    .map_err(|e| format!("in-log image read: {e}"))?;
-                match record.payload {
-                    LogPayload::FullPageImage { image } => {
-                        let mut page = image.restore();
-                        page.set_page_lsn(lsn.0);
-                        Ok(page)
-                    }
-                    other => Err(format!(
-                        "PRI points at {lsn} as full-page image, found {}",
-                        other.kind_name()
-                    )),
+            BackupRef::LogImage(lsn) | BackupRef::FormatRecord(lsn) => {
+                // Truncated from the WAL, the record is in the archive: the
+                // in-log sources (Section 5.2.1) outlive truncation.
+                let record = match &self.archive {
+                    Some(archive) => archive
+                        .read_log_or_archive(&self.log, id, lsn)
+                        .map_err(|e| e.to_string()),
+                    None => self.log.read_record(lsn).map_err(|e| e.to_string()),
                 }
-            }
-            BackupRef::FormatRecord(lsn) => {
-                let record = self
-                    .read_log_or_archive(id, lsn)
-                    .map_err(|e| format!("format record read: {e}"))?;
-                match record.payload {
-                    LogPayload::PageFormat { image } => {
-                        let mut page = image.restore();
-                        page.set_page_lsn(lsn.0);
-                        Ok(page)
+                .map_err(|e| format!("in-log backup read at {lsn}: {e}"))?;
+                match (backup, &record.payload) {
+                    (BackupRef::LogImage(_), LogPayload::FullPageImage { image })
+                    | (BackupRef::FormatRecord(_), LogPayload::PageFormat { image }) => {
+                        Ok(replay::stamped(lsn, image))
                     }
-                    other => Err(format!(
-                        "PRI points at {lsn} as format record, found {}",
+                    (_, other) => Err(format!(
+                        "PRI points at {lsn} as {backup:?}, found {}",
                         other.kind_name()
                     )),
                 }
@@ -492,7 +429,7 @@ mod tests {
                 prev_page_lsn: Lsn(page.page_lsn()),
                 payload: spf_wal::LogPayload::Update { op: op.clone() },
             });
-            op.redo(&mut page);
+            op.redo(&mut page).unwrap();
             page.set_page_lsn(lsn.0);
             last = lsn;
         }
@@ -577,7 +514,7 @@ mod tests {
                 prev_page_lsn: last_page_lsn,
                 payload: spf_wal::LogPayload::Update { op: op.clone() },
             });
-            op.redo(&mut page);
+            op.redo(&mut page).unwrap();
             page.set_page_lsn(lsn.0);
             last_page_lsn = lsn;
         }
@@ -667,7 +604,7 @@ mod tests {
                 prev_page_lsn: Lsn(page.page_lsn()),
                 payload: spf_wal::LogPayload::Update { op: op.clone() },
             });
-            op.redo(&mut page);
+            op.redo(&mut page).unwrap();
             page.set_page_lsn(lsn.0);
             lsns.push(lsn);
         }
@@ -747,6 +684,34 @@ mod tests {
             result.is_err(),
             "cross-linked chain must not be silently applied"
         );
+    }
+
+    #[test]
+    fn a_record_that_does_not_fit_escalates_instead_of_panicking() {
+        let fx = fixture();
+        let page = page_with_history(&fx, 6, 2);
+        // Chained onto the page's head, but inserting past its 2 slots.
+        let lsn = fx.log.append(&LogRecord {
+            tx_id: TxId(1),
+            prev_tx_lsn: Lsn::NULL,
+            page_id: PageId(6),
+            prev_page_lsn: Lsn(page.page_lsn()),
+            payload: LogPayload::Update {
+                op: PageOp::InsertRecord {
+                    pos: 9,
+                    bytes: b"past the end".to_vec(),
+                    ghost: false,
+                },
+            },
+        });
+        fx.log.force();
+        fx.pri.set_latest_lsn(PageId(6), lsn);
+        let reason = fx
+            .spr
+            .recover(PageId(6))
+            .expect_err("a misfit must escalate");
+        assert!(reason.contains(&format!("at {lsn}")), "{reason}");
+        assert_eq!(fx.spr.stats().escalations, 1);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! pages confirmed written are dropped from the recovery requirements and
 //! never read during redo. Experiment E3 measures exactly that saving.
 //!
+//! Redo applies each record under the §5.1.4 rule in [`crate::replay`]
+//! (PageLSN guard, chain-pointer check), the rule single-page repair and
+//! media recovery share.
+//!
 //! # Where analysis starts, and why that is sound
 //!
 //! The paper keeps the page recovery index in memory because it is small
@@ -100,6 +104,7 @@ use spf_util::{crc32c, SimDuration};
 use spf_wal::{LogManager, LogPayload, LogRecord, Lsn, TxId};
 
 use crate::pri::{decode_ranges, encode_ranges, PageRecoveryIndex, PriRange};
+use crate::replay::{self, Step};
 
 /// What restart recovery did (experiments E3, E9), and what each phase
 /// cost in wall-clock time.
@@ -472,53 +477,38 @@ impl SystemRecovery {
                 .map_err(|e| format!("redo scan failed: {e}"))?;
             for item in scanner {
                 let (lsn, record) = item.map_err(|e| format!("redo scan failed: {e}"))?;
-                let Some(&rec_lsn) = dpt.get(&record.page_id) else {
-                    continue;
-                };
-                if lsn < rec_lsn {
+                let id = record.page_id;
+                if dpt.get(&id).is_none_or(|&rec_lsn| lsn < rec_lsn) {
                     continue;
                 }
-                match &record.payload {
-                    LogPayload::Update { op } | LogPayload::Clr { op, .. } => {
+                match replay::step(id, lsn, &record) {
+                    Ok(Step::Redo(op, prev)) => {
                         let mut guard = self
                             .pool
-                            .fetch_mut(record.page_id)
-                            .map_err(|e| format!("redo fetch of {} failed: {e}", record.page_id))?;
-                        if pages_read.insert(record.page_id) {
-                            report.redo_pages_read += 1;
-                        }
-                        let page_lsn = Lsn(guard.page_lsn());
-                        if page_lsn < lsn {
-                            // Defensive chain check (Section 5.1.4): the
-                            // record's chain pointer must equal the LSN we
-                            // found in the page.
-                            if record.prev_page_lsn != page_lsn {
-                                return Err(format!(
-                                    "redo chain check failed at {lsn} on {}: record expects \
-                                     prior {}, page has {page_lsn}",
-                                    record.page_id, record.prev_page_lsn
-                                ));
-                            }
-                            op.redo(&mut guard);
+                            .fetch_mut(id)
+                            .map_err(|e| format!("redo fetch of {id} failed: {e}"))?;
+                        pages_read.insert(id);
+                        if replay::redo(&mut guard, lsn, op, prev)
+                            .map_err(|e| format!("redo of {id}: {e}"))?
+                        {
                             guard.mark_dirty(lsn);
-                            pages_touched_by_redo.insert(record.page_id);
+                            pages_touched_by_redo.insert(id);
                             report.redo_applied += 1;
                         } else {
                             report.redo_skipped += 1;
                         }
                     }
-                    LogPayload::PageFormat { image } | LogPayload::FullPageImage { image } => {
-                        // No read needed: the record carries the state.
-                        let mut page = image.restore();
-                        page.set_page_lsn(lsn.0);
+                    Ok(Step::Install(image)) => {
+                        let mut page = replay::stamped(lsn, image);
                         page.reset_update_count();
-                        self.pool.put_new(page, lsn).map_err(|e| {
-                            format!("redo format of {} failed: {e}", record.page_id)
-                        })?;
-                        pages_touched_by_redo.insert(record.page_id);
+                        self.pool
+                            .put_new(page, lsn)
+                            .map_err(|e| format!("redo format of {id} failed: {e}"))?;
+                        pages_touched_by_redo.insert(id);
                         report.redo_applied += 1;
                     }
-                    _ => {}
+                    // Not page content: a PRI update or backup notice.
+                    Err(_) => {}
                 }
             }
         }
@@ -529,19 +519,16 @@ impl SystemRecovery {
         // recovery index must be updated right away … the recovery process
         // should generate an appropriate log record."
         for &page_id in dpt.keys() {
-            if pages_touched_by_redo.contains(&page_id) {
-                continue; // the page is dirty again; its eventual
-                          // write-back will log the PriUpdate normally
+            // A page redo dirtied again logs its PriUpdate at its next
+            // write-back; a page redo never read is left alone.
+            if pages_touched_by_redo.contains(&page_id) || !pages_read.contains(&page_id) {
+                continue;
             }
-            if !pages_read.contains(&page_id) {
-                continue; // never visited (no redo-able record): leave it
-            }
-            let guard = self
+            let page_lsn = Lsn(self
                 .pool
                 .fetch(page_id)
-                .map_err(|e| format!("PRI repair fetch of {page_id} failed: {e}"))?;
-            let page_lsn = Lsn(guard.page_lsn());
-            drop(guard);
+                .map_err(|e| format!("PRI repair fetch of {page_id} failed: {e}"))?
+                .page_lsn());
             let backup = pri
                 .lookup(page_id)
                 .map_or(spf_wal::BackupRef::None, |e| e.backup);
@@ -555,6 +542,7 @@ impl SystemRecovery {
             });
             report.pri_repairs += 1;
         }
+        report.redo_pages_read = pages_read.len() as u64;
         report.redo_ns = elapsed_ns(redo);
 
         // ------------------------------------------------------------

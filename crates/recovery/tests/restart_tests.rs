@@ -49,7 +49,7 @@ fn apply_and_log(fx: &Fixture, tx: spf_wal::TxId, page: PageId, op: PageOp) -> L
     let mut guard = fx.pool.fetch_mut(page).unwrap();
     let prev = Lsn(guard.page_lsn());
     let (lsn, op) = fx.txn.log_update(tx, page, prev, op).unwrap();
-    op.redo(&mut guard);
+    op.redo(&mut guard).unwrap();
     guard.mark_dirty(lsn);
     lsn
 }

@@ -143,17 +143,20 @@ impl<'a> SlottedPage<'a> {
     /// Inserts `record` at slot position `pos`, shifting later slots up.
     ///
     /// Compacts the heap first if total (but not contiguous) space
-    /// suffices. Returns [`PageFull`] when even compaction cannot help.
+    /// suffices. Returns [`PageFull`] when even compaction cannot help,
+    /// or when the record is longer than a slot can describe.
     pub fn insert_at(&mut self, pos: u16, record: &[u8], ghost: bool) -> Result<(), PageFull> {
         assert!(
             pos <= self.slot_count(),
             "insert position {pos} out of range"
         );
-        assert!(
-            record.len() <= LEN_MASK as usize,
-            "record too large for slot encoding"
-        );
         let needed = record.len() + SLOT_SIZE;
+        if record.len() > LEN_MASK as usize {
+            return Err(PageFull {
+                needed,
+                available: self.total_free_space(),
+            });
+        }
         if self.contiguous_free_space() < needed {
             if self.total_free_space() >= needed {
                 self.compact();

@@ -921,7 +921,8 @@ mod tests {
                 let mut pages = self.pages.lock();
                 let p = pages.get_mut(&page).unwrap();
                 let clr_lsn = log(page, Lsn(p.page_lsn()), op);
-                op.redo(p);
+                op.redo(p)
+                    .expect("op fits: the page is latched in its pre-op state");
                 p.set_page_lsn(clr_lsn.0);
                 Ok(())
             }
@@ -960,7 +961,8 @@ mod tests {
         {
             let mut pages = target.pages.lock();
             let p = pages.get_mut(&PageId(1)).unwrap();
-            op.redo(p);
+            op.redo(p)
+                .expect("op fits: the page is latched in its pre-op state");
             drop(pages);
             mgr.log_update(tx, PageId(1), Lsn(i as u64), op).unwrap();
         }

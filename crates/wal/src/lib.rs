@@ -46,5 +46,7 @@ pub mod record;
 pub mod sink;
 
 pub use manager::{LogError, LogManager, LogScanner, LogStats};
-pub use record::{BackupRef, CompressedPageImage, LogPayload, LogRecord, Lsn, PageOp, TxId};
+pub use record::{
+    BackupRef, CompressedPageImage, LogPayload, LogRecord, Lsn, Misfit, PageOp, TxId,
+};
 pub use sink::{LogSink, WalFiles};

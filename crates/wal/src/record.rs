@@ -34,7 +34,9 @@
 
 use std::fmt;
 
-use spf_storage::{Page, PageId, SlotId, SlottedPage};
+use spf_storage::page::STRUCTURE_AREA_OFFSET;
+use spf_storage::slotted::PageFull;
+use spf_storage::{Page, PageId, SlotId, SlottedPage, PAGE_HEADER_SIZE};
 use spf_util::codec::{DecodeError, Decoder, Encoder};
 
 /// A log sequence number: byte offset of a record in the virtual log.
@@ -276,6 +278,70 @@ fn get_varint_u16(dec: &mut Decoder<'_>) -> Result<u16, DecodeError> {
 /// page op decodes.
 const MAX_REC: usize = 1 << 15;
 
+/// The length of a page's structure area, the only length a
+/// [`PageOp::WriteStructure`] area decodes with.
+const STRUCTURE_LEN: usize = PAGE_HEADER_SIZE - STRUCTURE_AREA_OFFSET;
+
+/// Reads a [`PageOp::WriteStructure`] area: exactly [`STRUCTURE_LEN`] bytes.
+fn get_structure(dec: &mut Decoder<'_>) -> Result<Vec<u8>, DecodeError> {
+    let area = dec.get_len_bytes(STRUCTURE_LEN)?;
+    if area.len() != STRUCTURE_LEN {
+        return Err(DecodeError::LengthOutOfRange {
+            got: area.len(),
+            max: STRUCTURE_LEN,
+        });
+    }
+    Ok(area.to_vec())
+}
+
+/// Why [`PageOp::redo`] could not apply an op: the page is not in the
+/// state the op was logged against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Misfit {
+    /// A slot position, or the end of a run, past the page's slot count.
+    Slot {
+        /// The position the op needs to exist (exclusive end).
+        end: usize,
+        /// The page's slot count.
+        slots: u16,
+    },
+    /// The record does not fit the page's free space.
+    Full(PageFull),
+    /// The record at `pos` is not the one a replace was logged against.
+    NotReplaced {
+        /// Slot position of the replace.
+        pos: u16,
+    },
+    /// A structure area that is not the page's structure area length.
+    StructureLen(usize),
+}
+
+impl From<PageFull> for Misfit {
+    fn from(full: PageFull) -> Self {
+        Misfit::Full(full)
+    }
+}
+
+impl fmt::Display for Misfit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Misfit::Slot { end, slots } => {
+                write!(f, "op reaches slot {end} of a page with {slots} slots")
+            }
+            Misfit::Full(full) => write!(f, "{full}"),
+            Misfit::NotReplaced { pos } => {
+                write!(
+                    f,
+                    "the record at slot {pos} is not the one the replace logged"
+                )
+            }
+            Misfit::StructureLen(len) => write!(f, "a {len}-byte structure area"),
+        }
+    }
+}
+
+impl std::error::Error for Misfit {}
+
 /// A physiological operation on one slotted page: enough information for
 /// physical redo *and* for generating the inverse (compensation) action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -417,48 +483,69 @@ impl PageOp {
     }
 
     /// Applies the redo action to `page`. Redo is physical: it assumes
-    /// the page is in the state the operation was originally applied to
-    /// (enforced by PageLSN comparison in the recovery drivers).
-    pub fn redo(&self, page: &mut Page) {
+    /// the page is in the state the operation was originally applied to.
+    /// Forward processing and rollback hold that by latching the page; a
+    /// replay of log bytes can meet a page that is not in that state, and
+    /// then gets a [`Misfit`] with the page's logical contents unchanged.
+    pub fn redo(&self, page: &mut Page) -> Result<(), Misfit> {
+        let slots = page.slot_count();
+        let within = |end: usize| {
+            if end <= usize::from(slots) {
+                Ok(())
+            } else {
+                Err(Misfit::Slot { end, slots })
+            }
+        };
         match self {
             PageOp::InsertRecord { pos, bytes, ghost } => {
-                let mut sp = SlottedPage::new(page);
-                sp.insert_at(*pos, bytes, *ghost)
-                    .expect("redo insert must fit: page was in pre-op state");
+                within(usize::from(*pos))?;
+                SlottedPage::new(page).insert_at(*pos, bytes, *ghost)?;
             }
             PageOp::RemoveRecord { pos, .. } => {
-                let mut sp = SlottedPage::new(page);
-                sp.remove(SlotId(*pos));
+                within(usize::from(*pos) + 1)?;
+                SlottedPage::new(page).remove(SlotId(*pos));
             }
             PageOp::ReplaceRecord { pos, .. } => {
+                within(usize::from(*pos) + 1)?;
                 let mut sp = SlottedPage::new(page);
                 let record = self
                     .replaced(sp.record(SlotId(*pos)).0)
-                    .expect("redo replace must match: page was in pre-op state");
-                sp.update(SlotId(*pos), &record)
-                    .expect("redo replace must fit: page was in pre-op state");
+                    .ok_or(Misfit::NotReplaced { pos: *pos })?;
+                sp.update(SlotId(*pos), &record)?;
             }
             PageOp::SetGhost { pos, new, .. } => {
-                let mut sp = SlottedPage::new(page);
-                sp.set_ghost(SlotId(*pos), *new);
+                within(usize::from(*pos) + 1)?;
+                SlottedPage::new(page).set_ghost(SlotId(*pos), *new);
             }
             PageOp::WriteStructure { new, .. } => {
-                page.structure_area_mut().copy_from_slice(new);
+                let area = page.structure_area_mut();
+                if new.len() != area.len() {
+                    return Err(Misfit::StructureLen(new.len()));
+                }
+                area.copy_from_slice(new);
             }
             PageOp::InsertRange { pos, records } => {
+                within(usize::from(*pos))?;
                 let mut sp = SlottedPage::new(page);
                 for (i, (bytes, ghost)) in records.iter().enumerate() {
-                    sp.insert_at(*pos + i as u16, bytes, *ghost)
-                        .expect("redo insert-range must fit: page was in pre-op state");
+                    if let Err(full) = sp.insert_at(*pos + i as u16, bytes, *ghost) {
+                        // Take the run's head back out: all of it or none.
+                        for _ in 0..i {
+                            sp.remove(SlotId(*pos));
+                        }
+                        return Err(full.into());
+                    }
                 }
             }
             PageOp::RemoveRange { pos, records } => {
+                within(usize::from(*pos) + records.len())?;
                 let mut sp = SlottedPage::new(page);
                 for _ in 0..records.len() {
                     sp.remove(SlotId(*pos));
                 }
             }
         }
+        Ok(())
     }
 
     /// The inverse operation, i.e. what a CLR applies during rollback.
@@ -651,8 +738,8 @@ impl PageOp {
                 Ok(PageOp::SetGhost { pos, key, old, new })
             }
             Self::TAG_STRUCTURE => {
-                let old = dec.get_len_bytes(64)?.to_vec();
-                let new = dec.get_len_bytes(64)?.to_vec();
+                let old = get_structure(dec)?;
+                let new = get_structure(dec)?;
                 Ok(PageOp::WriteStructure { old, new })
             }
             Self::TAG_INSERT_RANGE => {
@@ -757,9 +844,8 @@ impl LogPayload {
 
     /// True for the records that form a page's **content chain** — the
     /// ones whose redo (or inverse) reconstructs page state: updates,
-    /// CLRs, format records, and full-page images. These are what
-    /// single-page recovery replays (Figure 10) and page versioning
-    /// inverts (Section 5.1.4).
+    /// CLRs, format records, and full-page images. These are what every
+    /// recovery path replays (Figure 10, Section 5.1.4).
     #[must_use]
     pub fn is_page_content(&self) -> bool {
         matches!(
@@ -1209,13 +1295,13 @@ mod tests {
         ];
         for op in ops {
             let mut p = before.clone();
-            op.redo(&mut p);
+            op.redo(&mut p).unwrap();
             assert_ne!(
                 p.as_bytes(),
                 before.as_bytes(),
                 "op must change the page: {op:?}"
             );
-            op.invert().redo(&mut p);
+            op.invert().redo(&mut p).unwrap();
             // Structural bytes may differ after insert+remove (heap_top moves,
             // fragmentation) but logical contents must match.
             let a = SlottedPage::new(&mut p);
@@ -1310,10 +1396,10 @@ mod tests {
             for rec in [&b"left"[..], &old, b"right"] {
                 sp.push(rec, false).unwrap();
             }
-            op.redo(&mut page);
+            op.redo(&mut page).unwrap();
             let redone = SlottedPage::new(&mut page).record(SlotId(1)).0.to_vec();
             proptest::prop_assert_eq!(redone, new);
-            op.invert().redo(&mut page);
+            op.invert().redo(&mut page).unwrap();
             let sp = SlottedPage::new(&mut page);
             proptest::prop_assert_eq!(sp.record(SlotId(1)).0, &old[..]);
             proptest::prop_assert_eq!(sp.record(SlotId(2)).0, b"right");
