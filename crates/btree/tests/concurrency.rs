@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use spf_btree::{BTreeError, BumpAllocator, FosterBTree, PageAllocator, VerifyMode};
 use spf_buffer::{BufferPool, BufferPoolConfig};
 use spf_obs::TraceCtx;
-use spf_storage::{MemDevice, PageId, DEFAULT_PAGE_SIZE};
+use spf_storage::{Device, PageId, DEFAULT_PAGE_SIZE};
 use spf_txn::{TxKind, TxnManager};
 use spf_wal::{LogManager, TxId};
 
@@ -33,7 +33,7 @@ struct Fixture {
 }
 
 fn fixture(frames: usize, capacity: u64) -> Fixture {
-    let device = MemDevice::for_testing(DEFAULT_PAGE_SIZE, capacity);
+    let device = Device::for_testing(DEFAULT_PAGE_SIZE, capacity);
     let log = LogManager::for_testing();
     let pool = BufferPool::new(
         BufferPoolConfig { frames },

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use spf_btree::{BumpAllocator, FosterBTree, PageAllocator, VerifyMode};
 use spf_buffer::{BufferPool, BufferPoolConfig};
 use spf_obs::TraceCtx;
-use spf_storage::{MemDevice, PageId, DEFAULT_PAGE_SIZE};
+use spf_storage::{Device, PageId, DEFAULT_PAGE_SIZE};
 use spf_txn::{TxKind, TxnManager};
 use spf_wal::LogManager;
 
@@ -34,7 +34,7 @@ type Plan = Vec<Vec<u64>>;
 type Observations = Vec<Vec<(u64, Vec<u8>, Option<Vec<u8>>)>>;
 
 fn make_tree() -> (TxnManager, FosterBTree) {
-    let device = MemDevice::for_testing(DEFAULT_PAGE_SIZE, 4096);
+    let device = Device::for_testing(DEFAULT_PAGE_SIZE, 4096);
     let log = LogManager::for_testing();
     let pool = BufferPool::new(
         BufferPoolConfig { frames: 256 },

@@ -15,19 +15,19 @@ use spf_btree::{
 };
 use spf_buffer::{BufferPool, BufferPoolConfig};
 use spf_obs::TraceCtx;
-use spf_storage::{MemDevice, PageId, StorageDevice, DEFAULT_PAGE_SIZE};
+use spf_storage::{Device, PageId, StorageDevice, DEFAULT_PAGE_SIZE};
 use spf_txn::{TxKind, TxnManager};
 use spf_wal::LogManager;
 
 struct Fixture {
-    device: MemDevice,
+    device: Device,
     pool: BufferPool,
     txn: TxnManager,
     alloc: Arc<BumpAllocator>,
 }
 
 fn fixture(frames: usize, capacity: u64) -> Fixture {
-    let device = MemDevice::for_testing(DEFAULT_PAGE_SIZE, capacity);
+    let device = Device::for_testing(DEFAULT_PAGE_SIZE, capacity);
     let log = LogManager::for_testing();
     let pool = BufferPool::new(
         BufferPoolConfig { frames },
@@ -458,7 +458,7 @@ fn branch_with_level_zero_is_detected_not_a_panic() {
 }
 
 /// Finds two distinct leaf pages on the device.
-fn find_two_leaves(device: &MemDevice) -> (PageId, PageId) {
+fn find_two_leaves(device: &Device) -> (PageId, PageId) {
     let mut leaves = Vec::new();
     for i in 0..device.capacity() {
         let image = spf_storage::Page::from_bytes(device.raw_image(PageId(i)));
@@ -478,7 +478,7 @@ fn find_two_leaves(device: &MemDevice) -> (PageId, PageId) {
 
 /// Swaps two page images, rewriting self-ids and checksums so the result
 /// passes every in-page test (models misdirected writes by firmware).
-fn swap_pages_consistently(device: &MemDevice, a: PageId, b: PageId) {
+fn swap_pages_consistently(device: &Device, a: PageId, b: PageId) {
     let mut img_a = spf_storage::Page::from_bytes(device.raw_image(a));
     let mut img_b = spf_storage::Page::from_bytes(device.raw_image(b));
     img_a.set_page_id(b);

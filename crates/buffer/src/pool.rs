@@ -1746,19 +1746,15 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spf_storage::{CorruptionMode, FaultSpec, MemDevice, PageType, DEFAULT_PAGE_SIZE};
+    use spf_storage::{CorruptionMode, Device, FaultSpec, PageType, DEFAULT_PAGE_SIZE};
     use spf_wal::{LogPayload, LogRecord, TxId};
 
-    fn setup(frames: usize, pages: u64) -> (BufferPool, MemDevice, LogManager) {
+    fn setup(frames: usize, pages: u64) -> (BufferPool, Device, LogManager) {
         setup_with(frames, pages, PoolHooks::default())
     }
 
-    fn setup_with(
-        frames: usize,
-        pages: u64,
-        hooks: PoolHooks,
-    ) -> (BufferPool, MemDevice, LogManager) {
-        let device = MemDevice::for_testing(DEFAULT_PAGE_SIZE, pages);
+    fn setup_with(frames: usize, pages: u64, hooks: PoolHooks) -> (BufferPool, Device, LogManager) {
+        let device = Device::for_testing(DEFAULT_PAGE_SIZE, pages);
         // Pre-format every page on "disk".
         for i in 0..pages {
             let mut p = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(i), PageType::BTreeLeaf);

@@ -9,11 +9,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use spf_buffer::{BufferPool, BufferPoolConfig, FetchError};
-use spf_storage::{MemDevice, Page, PageId, PageType, StorageDevice, DEFAULT_PAGE_SIZE};
+use spf_storage::{Device, Page, PageId, PageType, StorageDevice, DEFAULT_PAGE_SIZE};
 use spf_wal::{LogManager, Lsn};
 
-fn setup(frames: usize, pages: u64) -> (BufferPool, MemDevice) {
-    let device = MemDevice::for_testing(DEFAULT_PAGE_SIZE, pages);
+fn setup(frames: usize, pages: u64) -> (BufferPool, Device) {
+    let device = Device::for_testing(DEFAULT_PAGE_SIZE, pages);
     for i in 0..pages {
         let mut p = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(i), PageType::BTreeLeaf);
         p.finalize_checksum();

@@ -98,10 +98,13 @@ pub struct DatabaseConfig {
     /// `Database::media_recover_from_mirror` rebuilds a failed primary
     /// from it.
     pub mirror: bool,
-    /// For file-backed databases: skip simulated-clock charges on data
-    /// I/O and let the real device's latency show through — the mode
-    /// real-device benchmark rows use. Simulated-time experiments keep
-    /// this off so Section 6 arithmetic stays deterministic.
+    /// For file-backed databases: build the data, mirror and backup
+    /// devices with a free cost model, so their I/O charges nothing to
+    /// the simulated clock and the real device's latency is the
+    /// measurement — the mode real-device benchmark rows use. The log
+    /// and the archive still charge `io_cost`. Simulated-time
+    /// experiments keep this off so Section 6 arithmetic stays
+    /// deterministic.
     pub wall_clock_io: bool,
     /// Observability: flight-recorder events, hot-path span timing, and
     /// the repair audit ledger (see `spf-obs`). `Database::metrics_snapshot`

@@ -17,12 +17,9 @@ use spf_recovery::{
     RestartReport, SinglePageRecovery, SystemRecovery,
 };
 use spf_scrub::{ScanExtent, ScrubCycleReport, Scrubber};
-use spf_storage::{
-    Device, FaultSpec, FileDevice, MemDevice, MirrorPair, Page, PageId, PageType, StorageDevice,
-    StorageError,
-};
+use spf_storage::{Device, FaultSpec, MirrorPair, Page, PageId, PageType, StorageDevice};
 use spf_txn::{LockTable, TxKind, TxnManager};
-use spf_util::SimClock;
+use spf_util::{IoCostModel, SimClock};
 use spf_wal::{BackupRef, LogManager, LogPayload, LogRecord, Lsn, TxId, WalFiles};
 
 use crate::config::DatabaseConfig;
@@ -193,13 +190,13 @@ impl Database {
     pub fn create(config: DatabaseConfig) -> Result<Self, DbError> {
         let clock = Arc::new(SimClock::new());
         let (device, mirror, backup_device) = Self::devices(&config, |_, pages, seed| {
-            Ok(Device::Mem(MemDevice::new(
+            Ok(Device::ram(
                 config.page_size,
                 pages,
                 Arc::clone(&clock),
                 config.io_cost,
                 seed,
-            )))
+            ))
         })?;
         let log = LogManager::new(
             Arc::clone(&clock),
@@ -234,17 +231,18 @@ impl Database {
     pub fn create_at(config: DatabaseConfig, path: &Path) -> Result<Self, DbError> {
         std::fs::create_dir_all(path).map_err(|e| Self::dir_err(path, &e))?;
         let clock = Arc::new(SimClock::new());
+        let cost = Self::file_io_cost(&config);
         let (device, mirror, backup_device) = Self::devices(&config, |name, pages, seed| {
             let file = path.join(name);
-            let dev = FileDevice::create(
+            Device::create_file(
                 &file,
                 config.page_size,
                 pages,
                 Arc::clone(&clock),
-                config.io_cost,
+                cost,
                 seed,
-            );
-            Self::file_device(&config, dev)
+            )
+            .map_err(|e| DbError::RecoveryFailed(e.to_string()))
         })?;
         let files = WalFiles::create(&path.join(WAL_DIR), Lsn::FIRST.0)
             .map_err(|e| Self::dir_err(path, &e))?;
@@ -310,16 +308,11 @@ impl Database {
         config.mirror = manifest.mirror;
 
         let clock = Arc::new(SimClock::new());
+        let cost = Self::file_io_cost(&config);
         let (device, mirror, backup_device) = Self::devices(&config, |name, _, seed| {
             let file = path.join(name);
-            let dev = FileDevice::open(
-                &file,
-                config.page_size,
-                Arc::clone(&clock),
-                config.io_cost,
-                seed,
-            );
-            Self::file_device(&config, dev)
+            Device::open_file(&file, config.page_size, Arc::clone(&clock), cost, seed)
+                .map_err(|e| DbError::RecoveryFailed(e.to_string()))
         })?;
 
         // The restored log comes back with its torn tail trimmed and its
@@ -500,14 +493,13 @@ impl Database {
         Ok((data, mirror, backup))
     }
 
-    /// A created or opened file device, clocked per `config`.
-    fn file_device(
-        config: &DatabaseConfig,
-        dev: Result<FileDevice, StorageError>,
-    ) -> Result<Device, DbError> {
-        let dev = dev.map_err(|e| DbError::RecoveryFailed(e.to_string()))?;
-        dev.set_wall_clock(config.wall_clock_io);
-        Ok(Device::File(dev))
+    /// The cost model file devices charge: none with `wall_clock_io`,
+    /// where the real device's latency is the measurement.
+    fn file_io_cost(config: &DatabaseConfig) -> IoCostModel {
+        match config.wall_clock_io {
+            true => IoCostModel::free(),
+            false => config.io_cost,
+        }
     }
 
     fn dir_err(path: &Path, e: &dyn std::fmt::Display) -> DbError {

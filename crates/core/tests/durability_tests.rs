@@ -11,7 +11,7 @@ use std::process::Command;
 
 use spf::{
     ArchiveConfig, BackupPolicy, CorruptionMode, Database, DatabaseConfig, DbError, DetectorClass,
-    FaultSpec, ScrubConfig,
+    FaultSpec, IoCostModel, PrefetchConfig, ScrubConfig,
 };
 use tempdir::TempDir;
 
@@ -92,6 +92,36 @@ fn drop_without_close_is_crash_equivalent() {
     assert!(restart.restored_bytes > 0 && restart.restored_bytes <= db.log().total_bytes());
     assert!(restart.restore_ns > 0);
     assert!(restart.analysis_start > spf::Lsn::FIRST);
+}
+
+/// `wall_clock_io` reaches the file devices: with it, a read that
+/// misses the pool charges no simulated time (the real read is the
+/// measurement); without it, the same miss is charged per the cost model.
+#[test]
+fn wall_clock_io_stops_pool_misses_charging_the_clock() {
+    for wall_clock_io in [true, false] {
+        let dir = TempDir::new("spf-wall-clock").unwrap();
+        let config = DatabaseConfig {
+            io_cost: IoCostModel::disk_2012(),
+            wall_clock_io,
+            prefetch: PrefetchConfig::disabled(),
+            ..file_config()
+        };
+        let db = Database::create_at(config, dir.path()).unwrap();
+        load(&db, 100, 0);
+        db.drop_cache();
+        let (misses, before) = (db.stats().pool.misses, db.clock().now());
+        assert_eq!(db.get(&key(7)).unwrap(), Some(val(7, 0)));
+        assert!(
+            db.stats().pool.misses > misses,
+            "the get must miss the pool"
+        );
+        assert_eq!(
+            db.clock().now() != before,
+            !wall_clock_io,
+            "wall_clock_io: {wall_clock_io}"
+        );
+    }
 }
 
 #[test]

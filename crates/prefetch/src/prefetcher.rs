@@ -242,11 +242,11 @@ mod tests {
     use super::*;
     use crate::governor::GovernorConfig;
     use spf_buffer::{BufferPool, BufferPoolConfig};
-    use spf_storage::{MemDevice, Page, PageType, StorageDevice, DEFAULT_PAGE_SIZE};
+    use spf_storage::{Device, Page, PageType, StorageDevice, DEFAULT_PAGE_SIZE};
     use spf_util::SimClock;
 
     fn fixture(frames: usize, pages: u64, gov: GovernorConfig) -> (Arc<Prefetcher>, BufferPool) {
-        let device = MemDevice::for_testing(DEFAULT_PAGE_SIZE, pages);
+        let device = Device::for_testing(DEFAULT_PAGE_SIZE, pages);
         for i in 0..pages {
             let mut p = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(i), PageType::BTreeLeaf);
             p.finalize_checksum();

@@ -110,25 +110,24 @@ impl BackupStore {
         &self.device
     }
 
-    fn allocate_slot(&self) -> PageId {
+    fn allocate_slot(&self) -> Result<PageId, StorageError> {
         let mut state = self.state.lock();
         if let Some(slot) = state.free_slots.pop() {
-            return PageId(slot);
+            return Ok(PageId(slot));
         }
         let slot = state.next_slot;
-        state.next_slot += 1;
         if slot >= self.device.capacity() {
-            self.device
-                .grow((slot - self.device.capacity() + 64).max(64));
+            self.device.ensure_capacity(slot.saturating_add(64))?;
         }
-        PageId(slot)
+        state.next_slot += 1;
+        Ok(PageId(slot))
     }
 
     /// Writes an explicit backup copy of `page`, returning the backup
     /// slot. The caller frees the previous copy *afterwards* (the paper's
     /// ordering: for an instant, old and new backups coexist).
     pub fn take_page_backup(&self, page: &Page) -> Result<PageId, StorageError> {
-        let slot = self.allocate_slot();
+        let slot = self.allocate_slot()?;
         let mut image = page.clone();
         image.finalize_checksum();
         self.device.write_page(slot, image.as_bytes())?;
@@ -170,12 +169,10 @@ impl BackupStore {
         let first = {
             let mut state = self.state.lock();
             let first = state.next_slot;
-            state.next_slot += n;
+            self.device.ensure_capacity(first.saturating_add(n))?;
+            state.next_slot = first + n;
             first
         };
-        if first + n > self.device.capacity() {
-            self.device.grow(first + n - self.device.capacity());
-        }
         let page_size = data.page_size();
         let mut buf = vec![0u8; page_size];
         for i in 0..n {

@@ -724,20 +724,14 @@ mod tests {
         let pri = Arc::new(PageRecoveryIndex::new());
         let obs = Arc::new(spf_obs::Obs::new(Arc::clone(&clock), false));
         let log = LogManager::new(Arc::clone(&clock), cost, obs, None);
-        let device = Device::Mem(spf_storage::MemDevice::new(
+        let device = Device::ram(DEFAULT_PAGE_SIZE, 16, Arc::clone(&clock), cost, 0);
+        let backups = Arc::new(BackupStore::new(Device::ram(
             DEFAULT_PAGE_SIZE,
             16,
             Arc::clone(&clock),
             cost,
             0,
-        ));
-        let backups = Arc::new(BackupStore::new(Device::Mem(spf_storage::MemDevice::new(
-            DEFAULT_PAGE_SIZE,
-            16,
-            Arc::clone(&clock),
-            cost,
-            0,
-        ))));
+        )));
         let spr = SinglePageRecovery::new(
             Arc::clone(&pri),
             log.clone(),

@@ -10,12 +10,12 @@ use spf_btree::tree::PoolUndo;
 use spf_buffer::{BufferPool, BufferPoolConfig};
 use spf_obs::TraceCtx;
 use spf_recovery::{CheckpointImage, PageRecoveryIndex, SystemRecovery};
-use spf_storage::{MemDevice, Page, PageId, PageType, DEFAULT_PAGE_SIZE};
+use spf_storage::{Device, Page, PageId, PageType, DEFAULT_PAGE_SIZE};
 use spf_txn::{TxKind, TxnManager};
 use spf_wal::{BackupRef, LogManager, LogPayload, LogRecord, Lsn, PageOp, TxId};
 
 struct Fixture {
-    device: MemDevice,
+    device: Device,
     log: LogManager,
     pool: BufferPool,
     txn: TxnManager,
@@ -23,7 +23,7 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
-    let device = MemDevice::for_testing(DEFAULT_PAGE_SIZE, 64);
+    let device = Device::for_testing(DEFAULT_PAGE_SIZE, 64);
     for i in 0..64 {
         let mut p = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(i), PageType::BTreeLeaf);
         p.finalize_checksum();

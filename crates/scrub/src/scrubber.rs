@@ -581,13 +581,7 @@ mod tests {
     /// with `refuse` declines every repair.
     fn fixture(refuse: bool) -> Fixture {
         let clock = Arc::new(SimClock::new());
-        let device = Device::Mem(spf_storage::MemDevice::new(
-            DEFAULT_PAGE_SIZE,
-            PAGES,
-            clock,
-            IoCostModel::free(),
-            7,
-        ));
+        let device = Device::ram(DEFAULT_PAGE_SIZE, PAGES, clock, IoCostModel::free(), 7);
         for i in 0..PAGES {
             let mut p = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(i), PageType::Meta);
             p.set_page_lsn(10);

@@ -20,9 +20,9 @@
 //! | [`FaultSpec::LostWriteAtSync`] | the next sync acknowledges success but silently drops this page's cached write | PageLSN cross-check vs. page recovery index |
 //! | [`FaultSpec::FailStopDuringSync`] | the next sync persists only a prefix of this page, then the process aborts | restart recovery + page checksum |
 //!
-//! The last two fire at *sync* time and therefore only apply to devices
-//! with an explicit durability boundary ([`crate::FileDevice`]'s write
-//! cache); a [`crate::MemDevice`] persists writes immediately and never
+//! The last two fire at *sync* time and therefore only on a file-backed
+//! [`crate::Device`], whose write cache is an explicit durability
+//! boundary; a RAM-backed one persists writes immediately and never
 //! consults the injector's sync hook.
 //!
 //! All randomness is drawn from a seeded RNG owned by the injector, so
@@ -116,7 +116,8 @@ enum ArmedFault {
     },
 }
 
-/// Deterministic per-page fault injector shared by a [`crate::MemDevice`].
+/// Deterministic per-page fault injector owned by a [`crate::Device`]
+/// (shared by its clones).
 #[derive(Debug)]
 pub struct FaultInjector {
     inner: Mutex<Inner>,
@@ -317,8 +318,8 @@ impl FaultInjector {
         }
     }
 
-    /// Consulted by devices with an explicit durability boundary
-    /// ([`crate::FileDevice`]) once per cached page at sync time.
+    /// Consulted by a file-backed [`crate::Device`] once per cached page
+    /// at sync time.
     /// [`SyncOutcome::Drop`] fires once and disarms; a fail-stop never
     /// returns control anyway.
     pub(crate) fn on_sync(&self, page: PageId) -> SyncOutcome {

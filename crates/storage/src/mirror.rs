@@ -17,8 +17,7 @@
 //! for). I/O counters report the primary's view; the mirror device keeps
 //! its own counters.
 
-use crate::any_device::Device;
-use crate::device::{DeviceStats, StorageDevice, StorageError};
+use crate::device::{Device, DeviceStats, StorageDevice, StorageError};
 use crate::page::PageId;
 
 /// A primary device with a synchronous mirror. Cloning shares both.

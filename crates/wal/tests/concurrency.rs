@@ -19,7 +19,7 @@ use std::sync::{Arc, Barrier};
 
 use spf_buffer::{BufferPool, BufferPoolConfig, PoolHooks, WriteObserver};
 use spf_obs::TraceCtx;
-use spf_storage::{MemDevice, Page, PageId, PageType, DEFAULT_PAGE_SIZE};
+use spf_storage::{Device, Page, PageId, PageType, DEFAULT_PAGE_SIZE};
 use spf_wal::{LogManager, LogPayload, LogRecord, Lsn, PageOp, TxId};
 
 fn update_record(tx: u64, page: u64, body: usize) -> LogRecord {
@@ -255,7 +255,7 @@ fn wal_rule_holds_when_write_back_races_group_commit() {
     const OPS: usize = 150;
     const PAGES: u64 = 32;
 
-    let device = MemDevice::for_testing(DEFAULT_PAGE_SIZE, PAGES);
+    let device = Device::for_testing(DEFAULT_PAGE_SIZE, PAGES);
     for i in 0..PAGES {
         let mut p = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(i), PageType::BTreeLeaf);
         p.finalize_checksum();
