@@ -1059,4 +1059,24 @@ mod tests {
         let stats = dev.stats();
         assert_eq!(stats.total_reads() + stats.total_writes(), 0);
     }
+
+    #[test]
+    fn for_testing_is_a_free_ram_device() {
+        let dev = Device::for_testing(PS, 4);
+        assert_eq!((dev.page_size(), dev.capacity()), (PS, 4));
+        let buf = vec![3u8; PS];
+        dev.write_page(PageId(1), &buf).unwrap();
+        dev.sync().unwrap();
+        let mut out = vec![0u8; PS];
+        dev.read_page(PageId(1), &mut out).unwrap();
+        assert_eq!(out, buf);
+        assert_eq!(dev.raw_image(PageId(1)), buf);
+        assert_eq!(dev.stats().random_writes, 1);
+        assert_eq!(dev.stats().syncs, 1);
+        assert_eq!(
+            dev.clock().now(),
+            SimDuration::ZERO,
+            "free I/O charges nothing"
+        );
+    }
 }
