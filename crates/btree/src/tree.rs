@@ -804,34 +804,35 @@ impl FosterBTree {
                 match op {
                     LeafOp::Insert if !ghost => return Err(BTreeError::DuplicateKey),
                     LeafOp::Insert | LeafOp::Upsert => {
-                        // Replace bytes (if changed), then clear the ghost.
-                        if old_record != record {
-                            // The replacement may need space.
-                            if record.len() > old_record.len()
-                                && !self.fits(&mut guard, record.len() - old_record.len())
-                            {
-                                drop(guard);
-                                self.make_room(target)?;
-                                progress += 1;
-                                continue 'restart;
-                            }
-                            self.apply_logged(
-                                tx,
-                                &mut guard,
-                                PageOp::replace(pos, key.to_vec(), &old_record, &record),
-                            )?;
+                        // Replace bytes (if changed), then clear the
+                        // ghost. The replacement may need space.
+                        if record.len() > old_record.len()
+                            && !self.fits(&mut guard, record.len() - old_record.len())
+                        {
+                            drop(guard);
+                            self.make_room(target)?;
+                            progress += 1;
+                            continue 'restart;
                         }
-                        if ghost {
-                            self.apply_logged(
-                                tx,
-                                &mut guard,
-                                PageOp::SetGhost {
-                                    pos,
-                                    key: key.to_vec(),
-                                    old: true,
-                                    new: false,
-                                },
-                            )?;
+                        let replace = (old_record != record)
+                            .then(|| PageOp::replace(pos, key.to_vec(), &old_record, &record));
+                        let revive = ghost.then(|| PageOp::SetGhost {
+                            pos,
+                            key: key.to_vec(),
+                            old: true,
+                            new: false,
+                        });
+                        // One logging call: a single-update transaction
+                        // commits with its last update, so both records of
+                        // a revived ghost go in together.
+                        match (replace, revive) {
+                            (Some(replace), Some(revive)) => {
+                                self.apply_logged_all(tx, &mut guard, [replace, revive])?;
+                            }
+                            (Some(op), None) | (None, Some(op)) => {
+                                self.apply_logged(tx, &mut guard, op)?;
+                            }
+                            (None, None) => {}
                         }
                         return Ok(if ghost { None } else { Some(old_value) });
                     }
@@ -1029,12 +1030,27 @@ impl FosterBTree {
         guard: &mut PageWriteGuard,
         op: PageOp,
     ) -> Result<Lsn, BTreeError> {
+        self.apply_logged_all(tx, guard, [op])
+    }
+
+    /// Logs `ops` on the latched page in one call
+    /// ([`TxnManager::log_updates`]), then redoes them in order; returns
+    /// the last one's LSN.
+    fn apply_logged_all<const N: usize>(
+        &self,
+        tx: TxId,
+        guard: &mut PageWriteGuard,
+        ops: [PageOp; N],
+    ) -> Result<Lsn, BTreeError> {
         let prev = Lsn(guard.page_lsn());
-        let (lsn, op) = self.txn.log_update(tx, guard.page_id(), prev, op)?;
-        op.redo(&mut *guard)
-            .expect("op fits: the page is latched in its pre-op state");
-        guard.mark_dirty(lsn);
-        Ok(lsn)
+        let mut last = prev;
+        for (lsn, op) in self.txn.log_updates(tx, guard.page_id(), prev, ops)? {
+            op.redo(&mut *guard)
+                .expect("op fits: the page is latched in its pre-op state");
+            guard.mark_dirty(lsn);
+            last = lsn;
+        }
+        Ok(last)
     }
 
     /// Splits `pid` at its payload midpoint, creating a foster child.

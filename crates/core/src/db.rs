@@ -707,12 +707,16 @@ impl Database {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Begins a user transaction.
+    /// Begins a user transaction. It logs nothing until its first update;
+    /// one that never updates commits or aborts without a record or a
+    /// log force.
     pub fn begin(&self) -> TxId {
         self.txn.begin(TxKind::User)
     }
 
-    /// Commits `tx` (forces the log — durability).
+    /// Commits `tx` (forces the log — durability). Returns the commit
+    /// record's LSN, or [`Lsn::NULL`] for a transaction that logged
+    /// nothing, which writes no record and forces nothing.
     ///
     /// The key locks go only once the commit record exists — whether or
     /// not that succeeded: releasing first would let a second writer
@@ -773,6 +777,11 @@ impl Database {
 
     /// Convenience: single-op transaction around `put`.
     ///
+    /// It runs as a single-update transaction
+    /// ([`TxnManager::begin_single_update`]): its update record commits
+    /// it, so a `put_auto` appends one record (a revived ghost two) and no
+    /// begin or commit record, and returns once the log force covers it.
+    ///
     /// Safe to call from many threads over one shared `&Database`: the
     /// key lock admits one writer per key at a time — a second one is
     /// refused with [`DbError::Locked`], not queued (see `spf-txn`'s
@@ -788,7 +797,7 @@ impl Database {
         let obs = self.obs();
         let span = obs.span(obs.sample_trace(), SpanKind::PutAuto, 0);
         let ctx = span.ctx();
-        let tx = self.begin();
+        let tx = self.txn.begin_single_update();
         let put = self
             .lock_key(tx, key)
             .and_then(|()| self.with_repair(ctx, || self.tree.upsert(tx, key, value, ctx)));
@@ -1110,7 +1119,7 @@ impl Database {
     ///   and therefore "nothing", until a checkpoint has finished);
     /// * the pool's **oldest dirty-page recovery LSN** — any update not
     ///   yet on the data device may still need redo from the WAL;
-    /// * the **oldest active transaction's begin LSN** — its undo chain
+    /// * the **oldest active transaction's first record** — its undo chain
     ///   must stay walkable.
     #[must_use]
     pub fn safe_truncation_lsn(&self) -> Lsn {

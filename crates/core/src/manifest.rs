@@ -23,9 +23,13 @@ pub const MANIFEST_FILE: &str = "manifest.spfm";
 
 const MAGIC: u32 = 0x5350_464D; // "SPFM"
 /// Bumped whenever the bytes of the directory's files change meaning, so
-/// an older directory is refused here rather than deep in restart. 2:
-/// varint log-record bodies and delta replaces.
-const VERSION: u16 = 2;
+/// an older directory is refused here rather than deep in restart.
+///
+/// * 2: varint log-record bodies and delta replaces.
+/// * 3: user transactions log no begin record (a chain without one is a
+///   user transaction's), and a single-update transaction's update
+///   record (tag 11) commits it.
+const VERSION: u16 = 3;
 
 /// Page sizes the engine can format (`Page::new_formatted`): room for
 /// the header and a record heap, and slot offsets that fit a `u16`.

@@ -11,8 +11,9 @@ use std::process::Command;
 
 use spf::{
     ArchiveConfig, BackupPolicy, CorruptionMode, Database, DatabaseConfig, DbError, DetectorClass,
-    FaultSpec, IoCostModel, PrefetchConfig, ScrubConfig,
+    FaultSpec, IoCostModel, Lsn, PrefetchConfig, ScrubConfig, TxId,
 };
+use spf_wal::{LogPayload, LogRecord};
 use tempdir::TempDir;
 
 fn key(i: u64) -> Vec<u8> {
@@ -224,9 +225,10 @@ fn crc_valid_manifest_with_an_unusable_page_size_is_refused() {
     assert_all(&Database::open(&dir, file_config()).unwrap(), 10, 0);
 }
 
-/// A directory written by the fixed-width log format, whose manifest
-/// says version 1, is refused at the manifest, not deep in analysis as a
-/// corrupt record.
+/// A directory written by an older log format — version 1, fixed-width
+/// records; version 2, a begin record on every user transaction's chain
+/// — is refused at the manifest, not deep in analysis as a corrupt
+/// record or a loser of the wrong kind.
 #[test]
 fn a_directory_of_the_old_log_format_is_refused_by_its_manifest_version() {
     let tmp = TempDir::new("spf-manifest-v1").unwrap();
@@ -236,14 +238,142 @@ fn a_directory_of_the_old_log_format_is_refused_by_its_manifest_version() {
     db.close().unwrap();
     // Layout: u32 magic, u16 version, ..., u32 CRC-32C over the rest.
     let path = dir.join("manifest.spfm");
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-    let body = bytes.len() - 4;
-    let crc = spf_util::crc32c(&bytes[..body]);
-    bytes[body..].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-    let err = Database::open(&dir, file_config()).unwrap_err();
-    assert!(err.to_string().contains("manifest version"), "{err}");
+    let current = std::fs::read(&path).unwrap();
+    for version in [1u16, 2] {
+        let mut bytes = current.clone();
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = spf_util::crc32c(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Database::open(&dir, file_config()).unwrap_err();
+        assert!(err.to_string().contains("manifest version"), "{err}");
+    }
+    std::fs::write(&path, &current).unwrap();
+    assert_all(&Database::open(&dir, file_config()).unwrap(), 10, 0);
+}
+
+// ----------------------------------------------------------------------
+// Transaction chain shapes after a crash: user chains without a begin
+// record, system chains with one, self-committing updates
+// ----------------------------------------------------------------------
+
+/// The records of `tx` in the log, oldest first.
+fn chain_of(db: &Database, tx: TxId) -> Vec<(Lsn, LogRecord)> {
+    let mut records = db.log().scan_from(Lsn::NULL).unwrap();
+    records.retain(|(_, r)| r.tx_id == tx);
+    records
+}
+
+/// A user transaction with two updates and no begin record, listed in a
+/// checkpoint image and its keys' records moved by later splits, is a
+/// loser restart rolls back by key, as a user transaction — its kind
+/// read from a chain that starts below the image's scan point.
+#[test]
+fn a_user_loser_listed_by_a_checkpoint_is_rolled_back_by_key() {
+    let big = |i: u64, generation: u64| [val(i, generation), vec![b'.'; 160]].concat();
+    let db = Database::create(DatabaseConfig {
+        data_pages: 1024,
+        pool_frames: 64,
+        ..DatabaseConfig::default()
+    })
+    .unwrap();
+    for j in 0..100 {
+        db.put_auto(&key(2 * j), &big(2 * j, 0)).unwrap();
+    }
+    let loser = db.begin();
+    db.put(loser, &key(20), b"loser's first").unwrap();
+    db.put(loser, &key(150), b"loser's second").unwrap();
+    let chain = chain_of(&db, loser);
+    assert_eq!(chain.len(), 2);
+    assert_eq!(chain[0].1.prev_tx_lsn, Lsn::NULL, "no begin record");
+    assert_eq!(db.txn_manager().active_txns().1, vec![(loser, chain[1].0)]);
+    db.checkpoint().unwrap();
+    let splits = db.stats().tree.leaf_splits;
+    for j in 0..100 {
+        db.put_auto(&key(2 * j + 1), &big(2 * j + 1, 1)).unwrap();
+    }
+    assert!(
+        db.stats().tree.leaf_splits > splits,
+        "the loser's leaves split"
+    );
+    db.crash();
+    let report = db.restart().unwrap();
+    assert!(
+        report.analysis_start > chain[1].0,
+        "its chain is below the scan point"
+    );
+    assert_eq!((report.losers, report.system_losers), (1, 0));
+    assert_eq!(report.clrs_written, 2);
+    for i in 0..200 {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(big(i, i % 2)), "key {i}");
+    }
+    assert!(db.verify_tree().unwrap().is_empty());
+}
+
+/// A single-update transaction's update record is its commit: left
+/// unforced at the crash, the key reads its old value; once a force
+/// covers it — with no commit call and no commit record — the new one.
+#[test]
+fn a_self_committing_update_commits_once_forced() {
+    let db = Database::create(file_config()).unwrap();
+    load(&db, 10, 0);
+    for forced in [false, true] {
+        let tx = db.txn_manager().begin_single_update();
+        db.tree()
+            .upsert(tx, &key(3), &val(3, 9), spf_obs::TraceCtx::NONE)
+            .unwrap();
+        let chain = chain_of(&db, tx);
+        assert_eq!(chain.len(), 1, "one record, no begin or commit");
+        assert!(matches!(
+            chain[0].1.payload,
+            LogPayload::UpdateCommit { .. }
+        ));
+        assert!(db.log().durable_lsn() <= chain[0].0, "not forced yet");
+        assert!(db.txn_manager().active_txns().1.is_empty());
+        if forced {
+            db.log().force();
+        }
+        db.crash();
+        let report = db.restart().unwrap();
+        assert_eq!(report.losers, 0, "a self-committing update is no loser");
+        let want = val(3, if forced { 9 } else { 0 });
+        assert_eq!(db.get(&key(3)).unwrap(), Some(want), "forced={forced}");
+    }
+    for i in (0..10).filter(|&i| i != 3) {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(val(i, 0)), "key {i}");
+    }
+}
+
+/// A `put_auto` appends exactly one record (no page write-back runs
+/// here, so no PRI update joins it), and a revived ghost two — the
+/// second of which commits.
+#[test]
+fn put_auto_appends_one_self_committing_record() {
+    let db = Database::create(file_config()).unwrap();
+    load(&db, 10, 0);
+    let records = || db.log().stats().records_appended;
+    let before = records();
+    db.put_auto(&key(4), &val(4, 1)).unwrap();
+    assert_eq!(records(), before + 1);
+    let tx = db.begin();
+    db.delete(tx, &key(5)).unwrap();
+    db.commit(tx).unwrap();
+    let before = records();
+    db.put_auto(&key(5), &val(5, 1)).unwrap();
+    assert_eq!(records(), before + 2, "replace and un-ghost");
+    let tail = db.log().scan_from(Lsn::NULL).unwrap();
+    let kinds: Vec<bool> = tail[tail.len() - 2..]
+        .iter()
+        .map(|(_, r)| matches!(r.payload, LogPayload::UpdateCommit { .. }))
+        .collect();
+    assert_eq!(kinds, [false, true]);
+    assert!(!tail
+        .iter()
+        .any(|(_, r)| matches!(r.payload, LogPayload::TxBegin { system: false })));
+    db.crash();
+    db.restart().unwrap();
+    assert_eq!(db.get(&key(5)).unwrap(), Some(val(5, 1)));
 }
 
 // ----------------------------------------------------------------------

@@ -105,8 +105,8 @@ fn record(payload: LogPayload) -> LogRecord {
 
 /// Valid records of every payload shape whose counts size a
 /// reservation, plus a fixed-size one, a page image, a delta replace, a
-/// structure-area write, and a header whose LSNs take five varint bytes
-/// and whose page id nine.
+/// structure-area write, a header whose LSNs take five varint bytes
+/// and whose page id nine, and a `put_auto`'s self-committing replace.
 fn sample_records() -> Vec<LogRecord> {
     let page = Page::new_formatted(DEFAULT_PAGE_SIZE, PageId(3), PageType::BTreeLeaf);
     let range = vec![(b"alpha".to_vec(), false), (b"beta".to_vec(), true)];
@@ -162,7 +162,19 @@ fn sample_records() -> Vec<LogRecord> {
                 undo_next: Lsn((1 << 33) - 80),
             },
         },
+        put_auto_record(),
     ]
+}
+
+/// The one record a `put_auto` logs: a self-committing delta replace,
+/// first in its transaction's chain.
+fn put_auto_record() -> LogRecord {
+    LogRecord {
+        prev_tx_lsn: Lsn::NULL,
+        ..record(LogPayload::UpdateCommit {
+            op: PageOp::replace(7, b"key-7".to_vec(), b"key-7=gen0001", b"key-7=gen0002"),
+        })
+    }
 }
 
 /// Rewrites a record's framing (body length and CRC) over whatever body
@@ -190,7 +202,9 @@ fn check_record(bytes: &[u8]) -> Result<(), TestCaseError> {
             prop_assert!((active_txns.capacity() + dirty_pages.capacity()) * 2 <= len);
             return Ok(());
         }
-        LogPayload::Update { op } | LogPayload::Clr { op, .. } => op,
+        LogPayload::Update { op }
+        | LogPayload::UpdateCommit { op }
+        | LogPayload::Clr { op, .. } => op,
         _ => return Ok(()),
     };
     match op {
@@ -230,7 +244,7 @@ proptest! {
     /// tag and length check is reached.
     #[test]
     fn mutated_record_with_a_valid_crc_never_panics(
-        which in 0usize..8,
+        which in 0usize..9,
         at in any::<usize>(),
         byte in any::<u8>(),
         cut in 0usize..32,
@@ -307,6 +321,23 @@ fn a_structure_area_of_the_wrong_length_is_refused() {
             LogRecord::decode(&bytes).unwrap_err(),
             DecodeError::LengthOutOfRange { got: len, max: 32 }
         );
+    }
+}
+
+/// Every truncation of a self-committing update is refused, under its
+/// own framing and under framing recomputed over the shorter body: a
+/// torn commit record never decodes as a commit.
+#[test]
+fn every_truncation_of_a_self_committing_update_is_refused() {
+    let bytes = put_auto_record().encode();
+    assert_eq!(LogRecord::decode(&bytes).unwrap().0, put_auto_record());
+    for cut in 0..bytes.len() {
+        assert!(LogRecord::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        if cut >= LogRecord::FRAME_BYTES {
+            let mut short = bytes[..cut].to_vec();
+            reframe(&mut short);
+            assert!(LogRecord::decode(&short).is_err(), "reframed cut at {cut}");
+        }
     }
 }
 

@@ -213,6 +213,39 @@ fn key_locks_are_held_until_the_rollback_is_applied() {
     assert_eq!(db.get(&key(3)).unwrap(), Some(val(3, 0)));
 }
 
+/// A transaction that logged nothing writes nothing and forces nothing:
+/// a read-only one, committed or aborted, and a `put_auto` refused at its
+/// key lock. Neither holds back WAL truncation.
+#[test]
+fn a_transaction_that_logged_nothing_appends_and_forces_nothing() {
+    let db = Database::create(small_config()).unwrap();
+    load(&db, 10);
+    let holder = db.begin();
+    db.put(holder, &key(3), &val(3, 1)).unwrap();
+    let log_stats = || {
+        let s = db.log().stats();
+        (s.records_appended, s.forces)
+    };
+    let before = log_stats();
+    let read_only = db.begin();
+    assert_eq!(db.get(&key(4)).unwrap(), Some(val(4, 0)));
+    assert_eq!(db.commit(read_only).unwrap(), Lsn::NULL);
+    let read_only = db.begin();
+    assert_eq!(db.get(&key(5)).unwrap(), Some(val(5, 0)));
+    assert_eq!(db.abort(read_only).unwrap(), Lsn::NULL);
+    assert!(matches!(
+        db.put_auto(&key(3), &val(3, 2)),
+        Err(DbError::Locked(_))
+    ));
+    assert_eq!(log_stats(), before);
+    let first = db.log().scan_from(Lsn::NULL).unwrap();
+    let holder_first = first.iter().find(|(_, r)| r.tx_id == holder).unwrap().0;
+    assert_eq!(db.txn_manager().oldest_active_begin(), Some(holder_first));
+    db.commit(holder).unwrap();
+    assert_eq!(db.txn_manager().oldest_active_begin(), None);
+    assert_eq!(db.txn_manager().active_count(), 0, "no transaction leaks");
+}
+
 /// Rollback finds a record where it is now. A loser's insert, replace
 /// and delete are followed by committed inserts that shift its slots and
 /// split its leaf; undo — at abort and at restart alike — restores

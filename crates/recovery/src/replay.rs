@@ -9,7 +9,7 @@
 //! 1. a record for another page is an error;
 //! 2. a format record or full-page image installs its image, stamped with
 //!    its LSN, without reading the page;
-//! 3. an update or CLR at or below the page's PageLSN is skipped;
+//! 3. an update (self-committing or not) or CLR at or below the page's PageLSN is skipped;
 //! 4. otherwise its chain pointer must equal the PageLSN and its op must
 //!    fit the page, or it is an error; it is redone and the page stamped;
 //! 5. any other record is not page content: single-page repair refuses
@@ -64,9 +64,9 @@ pub fn step(id: PageId, lsn: Lsn, record: &LogRecord) -> Result<Step<'_>, Replay
         return Err(ReplayError::WrongPage(lsn, record.page_id));
     }
     match &record.payload {
-        LogPayload::Update { op } | LogPayload::Clr { op, .. } => {
-            Ok(Step::Redo(op, record.prev_page_lsn))
-        }
+        LogPayload::Update { op }
+        | LogPayload::UpdateCommit { op }
+        | LogPayload::Clr { op, .. } => Ok(Step::Redo(op, record.prev_page_lsn)),
         LogPayload::PageFormat { image } | LogPayload::FullPageImage { image } => {
             Ok(Step::Install(image))
         }

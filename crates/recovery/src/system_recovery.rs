@@ -49,8 +49,9 @@
 //! the captured state. Each effect is published so that it holds:
 //!
 //! * the active-transaction table changes only together with the record
-//!   that changes it (begin, each logged record, commit, abort), under
-//!   the table's lock — the lock step 1 reads `s` under;
+//!   that changes it (a system begin, each logged record, commit, abort,
+//!   a self-committing update), under the table's lock — the lock step 1
+//!   reads `s` under;
 //! * page updates, compensations and page formats are logged under the
 //!   page's write latch, which is held until the frame is marked dirty
 //!   (formats latch the fresh page *before* logging it), and step 2 waits
@@ -86,8 +87,10 @@
 //!
 //! Losers are rolled back by the transaction manager's own rollback
 //! ([`TxnManager::roll_back_loser`]), newest first: one undo path for an
-//! abort and for a crash. Each loser's begin record tells its kind; a
-//! user transaction's updates are undone where its records are *now*
+//! abort and for a crash. Each loser's first record tells its kind
+//! ([`TxKind::of_first_record`]): a system transaction opens with a begin
+//! record, a user transaction logs none. A user transaction's updates
+//! are undone where its records are *now*
 //! (the [`UndoTarget`] finds them by key — slots shift and splits move
 //! records after an update is logged), a system transaction's where they
 //! were made.
@@ -344,7 +347,7 @@ impl SystemRecovery {
         let analysis = Instant::now();
         pri.clear();
         // Each active transaction's most recent record, and its kind when
-        // its begin record was in the scan.
+        // its first record was in the scan.
         let mut att: HashMap<TxId, (Lsn, Option<TxKind>)> = HashMap::new();
         let mut dpt: BTreeMap<PageId, Lsn> = BTreeMap::new();
         let mut ever_dirty: HashSet<PageId> = HashSet::new();
@@ -401,29 +404,32 @@ impl SystemRecovery {
             report.max_tx_seen = report.max_tx_seen.max(record.tx_id.0);
             apply_pri_effect(pri, note_allocated, lsn, &record);
             let page = record.page_id;
-            match &record.payload {
-                LogPayload::TxBegin { system } => {
-                    let kind = if *system {
-                        TxKind::System
-                    } else {
-                        TxKind::User
-                    };
-                    att.insert(record.tx_id, (lsn, Some(kind)));
+            // A transaction joins the table at its first record in the
+            // scan, which tells its kind when it opens the chain.
+            let mut note_tx = || {
+                if record.tx_id.is_valid() {
+                    att.entry(record.tx_id)
+                        .or_insert((lsn, TxKind::of_first_record(&record)))
+                        .0 = lsn;
                 }
+            };
+            match &record.payload {
+                LogPayload::TxBegin { .. } => note_tx(),
                 LogPayload::TxCommit { .. } | LogPayload::TxAbort => {
                     att.remove(&record.tx_id);
                 }
+                LogPayload::UpdateCommit { .. } => {
+                    att.remove(&record.tx_id);
+                    dpt.entry(page).or_insert(lsn);
+                    ever_dirty.insert(page);
+                }
                 LogPayload::Update { .. } | LogPayload::Clr { .. } => {
-                    if record.tx_id.is_valid() {
-                        att.entry(record.tx_id).or_insert((lsn, None)).0 = lsn;
-                    }
+                    note_tx();
                     dpt.entry(page).or_insert(lsn);
                     ever_dirty.insert(page);
                 }
                 LogPayload::PageFormat { .. } => {
-                    if record.tx_id.is_valid() {
-                        att.entry(record.tx_id).or_insert((lsn, None)).0 = lsn;
-                    }
+                    note_tx();
                     // A format supersedes all earlier redo for the page
                     // ("redo for all prior log records is not required").
                     dpt.insert(page, lsn);

@@ -395,3 +395,46 @@ fn a_dirty_page_updated_before_the_scan_point_is_redone_from_it() {
         vec![b"before".to_vec(), b"after".to_vec()]
     );
 }
+
+/// A system transaction still opens with a begin record: listed in a
+/// checkpoint image, its kind is read back from that record, and its
+/// structural updates on both sides of the scan point are undone where
+/// they were made.
+#[test]
+fn a_system_loser_listed_by_a_checkpoint_is_undone_where_it_was_made() {
+    let fx = fixture();
+    let sys = fx.txn.begin(TxKind::System);
+    apply_and_log(&fx, sys, PageId(30), insert(b"moved-before", 0));
+    let scan_from = checkpoint(&fx);
+    apply_and_log(&fx, sys, PageId(31), insert(b"moved-after", 0));
+    fx.log.force();
+
+    let report = crash_and_restart(&fx);
+    assert_eq!(report.analysis_start, scan_from);
+    assert_eq!((report.losers, report.system_losers), (1, 1));
+    assert_eq!(report.clrs_written, 2);
+    assert!(records_on(&fx, PageId(30)).is_empty());
+    assert!(records_on(&fx, PageId(31)).is_empty());
+}
+
+/// A single-update transaction's record is a winner wherever it lies:
+/// below the scan point it is in no checkpoint table, above it analysis
+/// closes the transaction at the record itself. Neither is undone.
+#[test]
+fn self_committing_updates_on_both_sides_of_the_scan_point_are_winners() {
+    let fx = fixture();
+    let before = fx.txn.begin_single_update();
+    apply_and_log(&fx, before, PageId(40), insert(b"before", 0));
+    assert!(fx.txn.active_txns().1.is_empty());
+    let scan_from = checkpoint(&fx);
+    fx.txn.commit(before, TraceCtx::NONE).unwrap();
+    let after = fx.txn.begin_single_update();
+    apply_and_log(&fx, after, PageId(41), insert(b"after", 0));
+    fx.txn.commit(after, TraceCtx::NONE).unwrap();
+
+    let report = crash_and_restart(&fx);
+    assert_eq!(report.analysis_start, scan_from);
+    assert_eq!((report.losers, report.clrs_written), (0, 0));
+    assert_eq!(records_on(&fx, PageId(40)), vec![b"before".to_vec()]);
+    assert_eq!(records_on(&fx, PageId(41)), vec![b"after".to_vec()]);
+}

@@ -26,6 +26,20 @@ impl TxKind {
     pub fn is_system(self) -> bool {
         matches!(self, TxKind::System)
     }
+
+    /// The kind `record` tells when it is the first of its transaction's
+    /// chain, else `None`. The one rule for telling the kinds apart: a
+    /// system transaction opens with a begin record, a user transaction
+    /// logs none — so a chain whose first record is anything else (its
+    /// `prev_tx_lsn` is NULL) is a user transaction's.
+    #[must_use]
+    pub fn of_first_record(record: &LogRecord) -> Option<TxKind> {
+        match record.payload {
+            LogPayload::TxBegin { system: true } => Some(TxKind::System),
+            _ if !record.prev_tx_lsn.is_valid() => Some(TxKind::User),
+            _ => None,
+        }
+    }
 }
 
 /// How an [`UndoTarget`] logs one compensation: the page it lands on,
@@ -72,6 +86,10 @@ pub enum TxError {
     LogBroken(String),
     /// Rollback could not apply a compensation.
     UndoFailed(String),
+    /// A single-update transaction logs one update, which commits it: it
+    /// takes no other record, nothing after that update, and no rollback
+    /// once the update is logged.
+    SingleUpdate(TxId),
 }
 
 impl std::fmt::Display for TxError {
@@ -80,6 +98,9 @@ impl std::fmt::Display for TxError {
             TxError::NotActive(tx) => write!(f, "{tx} is not active"),
             TxError::LogBroken(detail) => write!(f, "rollback failed: {detail}"),
             TxError::UndoFailed(detail) => write!(f, "rollback failed to compensate: {detail}"),
+            TxError::SingleUpdate(tx) => {
+                write!(f, "{tx} logs one update, which commits it")
+            }
         }
     }
 }
@@ -159,10 +180,39 @@ pub enum SysAttempt<T> {
 #[derive(Debug, Clone, Copy)]
 struct ActiveTx {
     kind: TxKind,
-    /// The begin record's LSN — the floor of this transaction's undo
-    /// chain, and therefore a bound on safe WAL truncation.
+    /// A single-update transaction ([`TxnManager::begin_single_update`]):
+    /// its first update record commits it.
+    single: bool,
+    /// The transaction's first record's LSN (NULL until it logs one) —
+    /// the floor of its undo chain, and therefore a bound on safe WAL
+    /// truncation.
     first_lsn: Lsn,
     last_lsn: Lsn,
+    /// One past its last record: where a user commit forces to.
+    end: Lsn,
+}
+
+impl ActiveTx {
+    fn new(kind: TxKind, single: bool, first: Lsn, end: Lsn) -> Self {
+        Self {
+            kind,
+            single,
+            first_lsn: first,
+            last_lsn: first,
+            end,
+        }
+    }
+
+    /// True once a single-update transaction has logged its update.
+    fn committed(&self) -> bool {
+        self.single && self.last_lsn.is_valid()
+    }
+
+    /// True if the log holds an open chain of this transaction — the
+    /// ones a checkpoint lists and restart would roll back.
+    fn in_log(&self) -> bool {
+        self.first_lsn.is_valid() && !self.committed()
+    }
 }
 
 /// The transaction manager. Cheap to clone; clones share state.
@@ -208,34 +258,46 @@ impl TxnManager {
         &self.inner.log
     }
 
-    /// Begins a transaction of `kind`, logging its begin record.
+    /// Begins a transaction of `kind`. A system transaction logs its
+    /// begin record; a user transaction logs nothing until its first
+    /// update, whose NULL `prev_tx_lsn` marks the chain's start (see
+    /// [`TxKind::of_first_record`]).
     ///
-    /// Every change to the active-transaction table — begin here, each
-    /// logged record ([`log_other`](TxnManager::log_other)), commit and
-    /// abort — appends its log record under the table's lock, so the
-    /// table a checkpoint snapshots ([`active_txns`](TxnManager::active_txns))
-    /// holds exactly the effect of every record below the log end read
-    /// with it.
+    /// Every change to the active-transaction table — a system begin
+    /// here, each logged record ([`log_other`](TxnManager::log_other)),
+    /// commit and abort — appends its log record under the table's lock,
+    /// so the table a checkpoint snapshots
+    /// ([`active_txns`](TxnManager::active_txns)) holds exactly the
+    /// effect of every record below the log end read with it.
     pub fn begin(&self, kind: TxKind) -> TxId {
+        self.open(kind, false)
+    }
+
+    /// Begins a user transaction whose first update is its whole work:
+    /// that update is logged as [`LogPayload::UpdateCommit`], which
+    /// commits the transaction with no commit record of its own.
+    /// [`commit`](TxnManager::commit) then only forces the log through
+    /// it. Once that record is logged, a further record or an
+    /// [`abort`](TxnManager::abort) is refused with
+    /// [`TxError::SingleUpdate`].
+    pub fn begin_single_update(&self) -> TxId {
+        self.open(TxKind::User, true)
+    }
+
+    fn open(&self, kind: TxKind, single: bool) -> TxId {
         let tx = TxId(self.inner.next_tx.fetch_add(1, Ordering::Relaxed));
         let mut active = self.inner.active.lock();
-        let lsn = self.inner.log.append(&LogRecord {
-            tx_id: tx,
-            prev_tx_lsn: Lsn::NULL,
-            page_id: PageId::INVALID,
-            prev_page_lsn: Lsn::NULL,
-            payload: LogPayload::TxBegin {
-                system: kind.is_system(),
-            },
-        });
-        active.insert(
-            tx,
-            ActiveTx {
-                kind,
-                first_lsn: lsn,
-                last_lsn: lsn,
-            },
-        );
+        let (first, end) = match kind {
+            TxKind::System => self.inner.log.append_with_end(&LogRecord {
+                tx_id: tx,
+                prev_tx_lsn: Lsn::NULL,
+                page_id: PageId::INVALID,
+                prev_page_lsn: Lsn::NULL,
+                payload: LogPayload::TxBegin { system: true },
+            }),
+            TxKind::User => (Lsn::NULL, Lsn::NULL),
+        };
+        active.insert(tx, ActiveTx::new(kind, single, first, end));
         tx
     }
 
@@ -246,6 +308,8 @@ impl TxnManager {
     ///
     /// `prev_page_lsn` is the page's PageLSN *before* the update — the
     /// per-page chain pointer (Section 5.1.4).
+    ///
+    /// The update of a single-update transaction commits it.
     pub fn log_update(
         &self,
         tx: TxId,
@@ -253,12 +317,41 @@ impl TxnManager {
         prev_page_lsn: Lsn,
         op: PageOp,
     ) -> Result<(Lsn, PageOp), TxError> {
-        let (lsn, payload) =
-            self.append_linked(tx, page_id, prev_page_lsn, LogPayload::Update { op })?;
-        let LogPayload::Update { op } = payload else {
-            unreachable!("append_linked hands back the payload it was given")
-        };
-        Ok((lsn, op))
+        let [logged] = self.log_updates(tx, page_id, prev_page_lsn, [op])?;
+        Ok(logged)
+    }
+
+    /// [`log_update`](TxnManager::log_update) for `N` updates of one
+    /// page, applied in order: each record's per-page chain pointer is
+    /// the one before it. The records are appended under one hold of
+    /// the table lock, and the last update of a single-update
+    /// transaction commits it — so a write that needs two records (a
+    /// replace and an un-ghost) is still one such transaction.
+    pub fn log_updates<const N: usize>(
+        &self,
+        tx: TxId,
+        page_id: PageId,
+        prev_page_lsn: Lsn,
+        ops: [PageOp; N],
+    ) -> Result<[(Lsn, PageOp); N], TxError> {
+        let mut active = self.inner.active.lock();
+        let entry = Self::loggable(&mut active, tx)?;
+        let mut prev_page_lsn = prev_page_lsn;
+        let mut i = 0;
+        Ok(ops.map(|op| {
+            i += 1;
+            let payload = if entry.single && i == N {
+                LogPayload::UpdateCommit { op }
+            } else {
+                LogPayload::Update { op }
+            };
+            let (lsn, payload) = self.append_to(tx, entry, page_id, prev_page_lsn, payload);
+            prev_page_lsn = lsn;
+            match payload {
+                LogPayload::Update { op } | LogPayload::UpdateCommit { op } => (lsn, op),
+                _ => unreachable!("append_to hands back the payload it was given"),
+            }
+        }))
     }
 
     /// Appends an arbitrary record on behalf of `tx` (page formats,
@@ -275,8 +368,9 @@ impl TxnManager {
             .map(|(lsn, _)| lsn)
     }
 
-    /// Appends `payload` for `tx` under the table lock, links it into
-    /// `tx`'s chain, and hands the payload back with the record's LSN.
+    /// Appends `payload` for `tx` under the table lock and links it into
+    /// `tx`'s chain. A single-update transaction logs only its update
+    /// this way.
     fn append_linked(
         &self,
         tx: TxId,
@@ -285,7 +379,32 @@ impl TxnManager {
         payload: LogPayload,
     ) -> Result<(Lsn, LogPayload), TxError> {
         let mut active = self.inner.active.lock();
+        let entry = Self::loggable(&mut active, tx)?;
+        if entry.single {
+            return Err(TxError::SingleUpdate(tx));
+        }
+        Ok(self.append_to(tx, entry, page_id, prev_page_lsn, payload))
+    }
+
+    /// `tx`'s table entry, if it may log another update.
+    fn loggable(active: &mut HashMap<TxId, ActiveTx>, tx: TxId) -> Result<&mut ActiveTx, TxError> {
         let entry = active.get_mut(&tx).ok_or(TxError::NotActive(tx))?;
+        if entry.committed() {
+            return Err(TxError::SingleUpdate(tx));
+        }
+        Ok(entry)
+    }
+
+    /// Appends `payload` as `entry`'s next record (the caller holds the
+    /// table lock) and hands the payload back with the record's LSN.
+    fn append_to(
+        &self,
+        tx: TxId,
+        entry: &mut ActiveTx,
+        page_id: PageId,
+        prev_page_lsn: Lsn,
+        payload: LogPayload,
+    ) -> (Lsn, LogPayload) {
         let record = LogRecord {
             tx_id: tx,
             prev_tx_lsn: entry.last_lsn,
@@ -293,57 +412,66 @@ impl TxnManager {
             prev_page_lsn,
             payload,
         };
-        let lsn = self.inner.log.append(&record);
+        let (lsn, end) = self.inner.log.append_with_end(&record);
+        if !entry.first_lsn.is_valid() {
+            entry.first_lsn = lsn;
+        }
         entry.last_lsn = lsn;
-        Ok((lsn, record.payload))
+        entry.end = end;
+        (lsn, record.payload)
     }
 
-    /// Appends `tx`'s closing record (`payload`, built from its kind)
-    /// and removes it from the active table, under one lock.
+    /// Removes `tx` from the active table, first appending its closing
+    /// record (`payload`, built from its kind) under the same lock when
+    /// its chain is open in the log. Returns its entry as it closed it —
+    /// `last_lsn` and `end` at the closing record, if one was written.
     fn close(
         &self,
         tx: TxId,
         payload: impl FnOnce(TxKind) -> LogPayload,
-    ) -> Result<(TxKind, Lsn), TxError> {
+    ) -> Result<ActiveTx, TxError> {
         let mut active = self.inner.active.lock();
-        let entry = active.get(&tx).copied().ok_or(TxError::NotActive(tx))?;
-        let lsn = self.inner.log.append(&LogRecord {
-            tx_id: tx,
-            prev_tx_lsn: entry.last_lsn,
-            page_id: PageId::INVALID,
-            prev_page_lsn: Lsn::NULL,
-            payload: payload(entry.kind),
-        });
+        let mut entry = active.get(&tx).copied().ok_or(TxError::NotActive(tx))?;
+        if entry.in_log() {
+            let closing = payload(entry.kind);
+            self.append_to(tx, &mut entry, PageId::INVALID, Lsn::NULL, closing);
+        }
         active.remove(&tx);
-        Ok((entry.kind, lsn))
+        Ok(entry)
     }
 
     /// Commits `tx`. User commits force the log through their commit
     /// record — concurrent committers combine into one group-commit
     /// flush — while system commits do not force at all (Figure 5 /
-    /// Section 5.1.5). Returns the commit record's LSN.
+    /// Section 5.1.5). A single-update transaction's update was its
+    /// commit record, so its commit only forces; a user transaction that
+    /// logged nothing writes and forces nothing. Returns the LSN of the
+    /// record that committed it ([`Lsn::NULL`] when there is none).
     ///
     /// A user commit is one `Commit` span under `ctx`, with its log-force
     /// wait (group-commit leader/follower attribution included) as a
     /// child, and emits a [`EventKind::TxCommit`] event.
     pub fn commit(&self, tx: TxId, ctx: TraceCtx) -> Result<Lsn, TxError> {
-        let (kind, lsn) = self.close(tx, |kind| LogPayload::TxCommit {
+        let closed = self.close(tx, |kind| LogPayload::TxCommit {
             system: kind.is_system(),
         })?;
-        match kind {
+        let lsn = closed.last_lsn;
+        match closed.kind {
             TxKind::User => {
                 // Durability: the commit record (and everything before it)
                 // must reach stable storage before commit returns. Forcing
-                // *through* the commit record joins the log's group-commit
-                // batch: concurrent committers share one flush, and records
-                // appended after this commit stay unforced. The force runs
-                // with no lock held — a committer absorbed as a
-                // group-commit waiter must not block the leader (or any
-                // peer) on the table.
+                // *through* the commit record, to the end its append
+                // returned, joins the log's group-commit batch: concurrent
+                // committers share one flush, and records appended after
+                // this commit stay unforced. The force runs with no lock
+                // held — a committer absorbed as a group-commit waiter must
+                // not block the leader (or any peer) on the table.
                 let obs = self.inner.log.obs();
                 {
                     let span = obs.span(ctx, SpanKind::Commit, lsn.0);
-                    self.inner.log.force_through(lsn, span.ctx());
+                    if lsn.is_valid() {
+                        self.inner.log.force_to(closed.end, span.ctx());
+                    }
                 }
                 obs.emit(EventKind::TxCommit, lsn.0, 0);
                 Counters::add(&self.inner.stats.user_commits, 1);
@@ -361,9 +489,13 @@ impl TxnManager {
     /// Rolls back `tx`: walks the per-transaction chain newest-first,
     /// writes a compensation (CLR) record per update, and applies each
     /// compensation through `target` (the caller owns the buffer pool).
-    /// Finishes with a TxAbort record. CLRs already on the chain — a
-    /// rollback a crash interrupted — are skipped over to what they left
-    /// to undo.
+    /// Finishes with a TxAbort record — unless the transaction logged
+    /// nothing, which leaves no record and forces nothing. CLRs already
+    /// on the chain — a rollback a crash interrupted — are skipped over
+    /// to what they left to undo. A single-update transaction that has
+    /// logged its update is committed: its abort is refused with
+    /// [`TxError::SingleUpdate`] and leaves it to
+    /// [`commit`](TxnManager::commit).
     ///
     /// The transaction stays in the active table until that record is
     /// appended, its last LSN advancing with every CLR: a checkpoint
@@ -379,8 +511,8 @@ impl TxnManager {
     /// them like any other redo.
     pub fn abort(&self, tx: TxId, target: &dyn UndoTarget) -> Result<Lsn, TxError> {
         let (kind, mut cursor) = {
-            let active = self.inner.active.lock();
-            let entry = active.get(&tx).ok_or(TxError::NotActive(tx))?;
+            let mut active = self.inner.active.lock();
+            let entry = Self::loggable(&mut active, tx)?;
             (entry.kind, entry.last_lsn)
         };
         let mut clrs = 0u64;
@@ -419,26 +551,29 @@ impl TxnManager {
                     record.prev_tx_lsn
                 }
                 LogPayload::Clr { undo_next, .. } => *undo_next,
-                // Begin, formats and the like have no undo.
+                // Begin, formats and the like have no undo (nor would a
+                // self-committing update, which never ends a loser's
+                // chain).
                 _ => record.prev_tx_lsn,
             };
         }
-        let (kind, abort_lsn) = self.close(tx, |_| LogPayload::TxAbort)?;
-        if kind == TxKind::User {
+        let closed = self.close(tx, |_| LogPayload::TxAbort)?;
+        if closed.kind == TxKind::User && closed.last_lsn.is_valid() {
             // Like commit: force through the abort record via the
             // group-commit path rather than flushing the whole buffer.
-            self.inner.log.force_through(abort_lsn, TraceCtx::NONE);
+            self.inner.log.force_to(closed.end, TraceCtx::NONE);
         }
         Counters::add(&self.inner.stats.aborts, 1);
         Counters::add(&self.inner.stats.clrs_written, clrs);
-        Ok(abort_lsn)
+        Ok(closed.last_lsn)
     }
 
     /// Restart's undo of a loser the log names: `tx`, whose chain ends at
-    /// `last`, of `kind` when analysis saw its begin record — else its
-    /// begin record, found by walking the chain back, tells. It re-enters
-    /// the active table and is rolled back exactly like
-    /// [`abort`](TxnManager::abort). Returns its kind.
+    /// `last`, of `kind` when analysis saw its first record — else its
+    /// first record, found by walking the chain back, tells
+    /// ([`TxKind::of_first_record`]). It re-enters the active table and
+    /// is rolled back exactly like [`abort`](TxnManager::abort). Returns
+    /// its kind.
     pub fn roll_back_loser(
         &self,
         tx: TxId,
@@ -450,22 +585,20 @@ impl TxnManager {
             Some(kind) => kind,
             None => self.kind_from_chain(tx, last)?,
         };
-        self.inner.active.lock().insert(
-            tx,
-            ActiveTx {
-                kind,
-                // Only the truncation bound reads it, and restart
-                // truncates nothing.
-                first_lsn: last,
-                last_lsn: last,
-            },
-        );
+        // The first LSN only bounds truncation, and restart truncates
+        // nothing; the end is rewritten by the abort record.
+        self.inner
+            .active
+            .lock()
+            .insert(tx, ActiveTx::new(kind, false, last, last));
         self.abort(tx, target)?;
         Ok(kind)
     }
 
-    /// The kind `tx`'s begin record names, found by walking its chain
-    /// back from `last` (over the records CLRs already undid).
+    /// The kind `tx`'s first record tells, found by walking its chain
+    /// back from `last` (over the records CLRs already undid: a system
+    /// transaction's CLRs lead back to its begin record, a user
+    /// transaction's to a NULL link).
     fn kind_from_chain(&self, tx: TxId, last: Lsn) -> Result<TxKind, TxError> {
         let mut cursor = last;
         while cursor.is_valid() {
@@ -474,16 +607,21 @@ impl TxnManager {
                 .log
                 .read_record(cursor)
                 .map_err(|e| TxError::LogBroken(e.to_string()))?;
+            debug_assert_eq!(
+                record.tx_id, tx,
+                "per-transaction chain crossed transactions"
+            );
+            if let Some(kind) = TxKind::of_first_record(&record) {
+                return Ok(kind);
+            }
             cursor = match record.payload {
-                LogPayload::TxBegin { system: true } => return Ok(TxKind::System),
-                LogPayload::TxBegin { system: false } => return Ok(TxKind::User),
                 LogPayload::Clr { undo_next, .. } => undo_next,
                 _ => record.prev_tx_lsn,
             };
         }
-        Err(TxError::LogBroken(format!(
-            "{tx}'s chain has no begin record"
-        )))
+        // A CLR whose undo left nothing to undo ends the walk early: only
+        // a user transaction's first update has no predecessor.
+        Ok(TxKind::User)
     }
 
     /// Runs a structural change as a system transaction with bounded
@@ -538,11 +676,20 @@ impl TxnManager {
     /// changes only together with the record that changes it, under
     /// that lock, the list is exactly the effect of every record below
     /// the returned LSN.
+    ///
+    /// Only transactions with an open chain in the log are listed: one
+    /// that has logged nothing has nothing to roll back, and a
+    /// single-update transaction leaves the list with the very append of
+    /// its update, which committed it.
     #[must_use]
     pub fn active_txns(&self) -> (Lsn, Vec<(TxId, Lsn)>) {
         let active = self.inner.active.lock();
         let end = self.inner.log.end_lsn();
-        let mut out: Vec<(TxId, Lsn)> = active.iter().map(|(tx, st)| (*tx, st.last_lsn)).collect();
+        let mut out: Vec<(TxId, Lsn)> = active
+            .iter()
+            .filter(|(_, st)| st.in_log())
+            .map(|(tx, st)| (*tx, st.last_lsn))
+            .collect();
         drop(active);
         out.sort_unstable_by_key(|(tx, _)| *tx);
         (end, out)
@@ -555,16 +702,19 @@ impl TxnManager {
         self.inner.next_tx.load(Ordering::Relaxed)
     }
 
-    /// The begin-record LSN of the **oldest** active transaction — the
+    /// The first-record LSN of the **oldest** active transaction — the
     /// lower bound every live undo chain needs the log to retain. `None`
-    /// when no transaction is active. Used by the safe-WAL-truncation
-    /// rule: truncating past this LSN could strand a rollback.
+    /// when no active transaction has an open chain in the log (see
+    /// [`active_txns`](TxnManager::active_txns)). Used by the
+    /// safe-WAL-truncation rule: truncating past this LSN could strand a
+    /// rollback.
     #[must_use]
     pub fn oldest_active_begin(&self) -> Option<Lsn> {
         self.inner
             .active
             .lock()
             .values()
+            .filter(|st| st.in_log())
             .map(|st| st.first_lsn)
             .min()
     }
@@ -722,19 +872,30 @@ mod tests {
     fn per_transaction_chain_links_updates() {
         let log = LogManager::for_testing();
         let mgr = TxnManager::new(log.clone());
-        let tx = mgr.begin(TxKind::User);
-        let (a, _) = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
-        let (b, _) = mgr.log_update(tx, PageId(2), Lsn::NULL, ins(0, 2)).unwrap();
-        let (c, _) = mgr.log_update(tx, PageId(3), Lsn::NULL, ins(0, 3)).unwrap();
-        let rec_c = log.read_record(c).unwrap();
-        let rec_b = log.read_record(b).unwrap();
-        let rec_a = log.read_record(a).unwrap();
-        assert_eq!(rec_c.prev_tx_lsn, b);
-        assert_eq!(rec_b.prev_tx_lsn, a);
-        assert!(
-            rec_a.prev_tx_lsn.is_valid(),
-            "first update chains to the begin record"
-        );
+        for kind in [TxKind::User, TxKind::System] {
+            let tx = mgr.begin(kind);
+            let (a, _) = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
+            let (b, _) = mgr.log_update(tx, PageId(2), Lsn::NULL, ins(0, 2)).unwrap();
+            let (c, _) = mgr.log_update(tx, PageId(3), Lsn::NULL, ins(0, 3)).unwrap();
+            let rec_c = log.read_record(c).unwrap();
+            let rec_b = log.read_record(b).unwrap();
+            let rec_a = log.read_record(a).unwrap();
+            assert_eq!(rec_c.prev_tx_lsn, b);
+            assert_eq!(rec_b.prev_tx_lsn, a);
+            // A system transaction's first update chains to its begin
+            // record; a user transaction logs none.
+            assert_eq!(rec_a.prev_tx_lsn.is_valid(), kind.is_system(), "{kind:?}");
+            assert_eq!(
+                TxKind::of_first_record(&rec_a),
+                (kind == TxKind::User).then_some(kind)
+            );
+            assert_eq!(TxKind::of_first_record(&rec_b), None);
+            if kind.is_system() {
+                let begin = log.read_record(rec_a.prev_tx_lsn).unwrap();
+                assert_eq!(TxKind::of_first_record(&begin), Some(TxKind::System));
+            }
+            mgr.commit(tx, TraceCtx::NONE).unwrap();
+        }
     }
 
     #[test]
@@ -788,8 +949,7 @@ mod tests {
         }
         match &clrs[1].payload {
             LogPayload::Clr { undo_next, .. } => {
-                assert!(undo_next.is_valid(), "points to the begin record");
-                assert!(*undo_next < u1);
+                assert_eq!(*undo_next, Lsn::NULL, "a user chain has no begin record");
             }
             _ => unreachable!(),
         }
@@ -852,27 +1012,58 @@ mod tests {
 
     /// The checkpoint's view of the table is exactly the effect of every
     /// record below the log end read with it, however the table races:
-    /// a transaction is listed if and only if its begin record lies below
-    /// that end and its commit or abort record does not.
+    /// a transaction is listed if and only if its first record lies below
+    /// that end and its commit, abort or self-committing update does not.
+    /// System transactions (begin record), user transactions with two
+    /// updates, single-update transactions and user transactions that
+    /// log nothing race one snapshot thread.
     #[test]
     fn active_table_snapshots_match_the_log_below_their_end() {
         use std::collections::HashSet;
         let log = LogManager::for_testing();
         let mgr = TxnManager::new(log.clone());
+        let undo = RecordingTarget::default();
         let snapshots = std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    for i in 0..1500u16 {
-                        let tx = mgr.begin(TxKind::System);
+            for kind in [TxKind::System, TxKind::User] {
+                let (mgr, undo) = (&mgr, &undo);
+                s.spawn(move || {
+                    for i in 0..1000u16 {
+                        let tx = mgr.begin(kind);
                         mgr.log_update(tx, PageId(1), Lsn::NULL, ins(i, 1)).unwrap();
+                        if kind == TxKind::User {
+                            mgr.log_update(tx, PageId(2), Lsn::NULL, ins(i, 2)).unwrap();
+                        }
                         if i % 3 == 0 {
-                            mgr.abort(tx, &RecordingTarget::default()).unwrap();
+                            mgr.abort(tx, undo).unwrap();
                         } else {
                             mgr.commit(tx, TraceCtx::NONE).unwrap();
                         }
                     }
                 });
             }
+            s.spawn(|| {
+                for i in 0..1000u16 {
+                    let tx = mgr.begin_single_update();
+                    if i % 5 == 0 {
+                        // Refused before it logged: nothing to roll back.
+                        mgr.abort(tx, &undo).unwrap();
+                        continue;
+                    }
+                    if i % 5 == 1 {
+                        mgr.log_updates(tx, PageId(3), Lsn::NULL, [ins(i, 3), ins(i, 4)])
+                            .unwrap();
+                    } else {
+                        mgr.log_update(tx, PageId(3), Lsn::NULL, ins(i, 3)).unwrap();
+                    }
+                    mgr.commit(tx, TraceCtx::NONE).unwrap();
+                }
+            });
+            s.spawn(|| {
+                for _ in 0..1000 {
+                    let tx = mgr.begin(TxKind::User);
+                    mgr.commit(tx, TraceCtx::NONE).unwrap();
+                }
+            });
             let snap = s.spawn(|| {
                 (0..300)
                     .map(|_| {
@@ -884,14 +1075,22 @@ mod tests {
             snap.join().unwrap()
         });
         let records = log.scan_from(Lsn::NULL).unwrap();
+        assert!(
+            !records
+                .iter()
+                .any(|(_, r)| matches!(r.payload, LogPayload::TxBegin { system: false })),
+            "a user transaction logs no begin record"
+        );
         for (end, table) in snapshots {
             let mut live = HashSet::new();
             for (_, r) in records.iter().take_while(|(lsn, _)| *lsn < end) {
+                if TxKind::of_first_record(r).is_some() {
+                    live.insert(r.tx_id);
+                }
                 match r.payload {
-                    LogPayload::TxBegin { .. } => {
-                        live.insert(r.tx_id);
-                    }
-                    LogPayload::TxCommit { .. } | LogPayload::TxAbort => {
+                    LogPayload::TxCommit { .. }
+                    | LogPayload::TxAbort
+                    | LogPayload::UpdateCommit { .. } => {
                         live.remove(&r.tx_id);
                     }
                     _ => {}
@@ -900,6 +1099,161 @@ mod tests {
             let listed: HashSet<TxId> = table.iter().map(|(tx, _)| *tx).collect();
             assert_eq!(listed, live, "table at {end} disagrees with the log");
         }
+    }
+
+    /// A single-update transaction's update is its only record: it
+    /// commits it (no begin, no commit record), leaves the checkpoint's
+    /// view at once, and the commit only forces through it.
+    #[test]
+    fn a_single_update_commits_with_its_update_record() {
+        let log = LogManager::for_testing();
+        let mgr = TxnManager::new(log.clone());
+        let tx = mgr.begin_single_update();
+        let before = log.stats();
+        let (lsn, _) = mgr.log_update(tx, PageId(1), Lsn(5), ins(0, 1)).unwrap();
+        let record = log.read_record(lsn).unwrap();
+        assert!(matches!(record.payload, LogPayload::UpdateCommit { .. }));
+        assert_eq!(record.prev_tx_lsn, Lsn::NULL);
+        assert_eq!(record.prev_page_lsn, Lsn(5));
+        assert_eq!(mgr.active_txns().1, vec![], "committed with its append");
+        assert_eq!(mgr.oldest_active_begin(), None);
+        assert_eq!(mgr.commit(tx, TraceCtx::NONE), Ok(lsn));
+        let after = log.stats();
+        assert_eq!(after.records_appended, before.records_appended + 1);
+        assert_eq!(after.forces, before.forces + 1);
+        assert_eq!(log.durable_lsn(), log.end_lsn(), "forced through its end");
+        assert_eq!(mgr.stats().user_commits, 1);
+        assert!(!mgr.is_active(tx));
+    }
+
+    /// Two updates in one logging call: the first chains, the second
+    /// commits.
+    #[test]
+    fn a_single_update_transaction_commits_with_the_last_of_one_call() {
+        let log = LogManager::for_testing();
+        let mgr = TxnManager::new(log.clone());
+        let tx = mgr.begin_single_update();
+        let [(a, _), (b, _)] = mgr
+            .log_updates(tx, PageId(1), Lsn(5), [ins(0, 1), ins(1, 2)])
+            .unwrap();
+        let (ra, rb) = (log.read_record(a).unwrap(), log.read_record(b).unwrap());
+        assert!(matches!(ra.payload, LogPayload::Update { .. }));
+        assert!(matches!(rb.payload, LogPayload::UpdateCommit { .. }));
+        assert_eq!((ra.prev_tx_lsn, rb.prev_tx_lsn), (Lsn::NULL, a));
+        assert_eq!((ra.prev_page_lsn, rb.prev_page_lsn), (Lsn(5), a));
+        assert_eq!(mgr.active_txns().1, vec![]);
+        assert_eq!(mgr.commit(tx, TraceCtx::NONE), Ok(b));
+    }
+
+    /// Once its update is logged a single-update transaction is
+    /// committed: another record, or a rollback, is refused and writes
+    /// nothing — no CLR against a committed record — and its commit still
+    /// goes through.
+    #[test]
+    fn a_committed_single_update_refuses_more_records_and_rollback() {
+        let log = LogManager::for_testing();
+        let mgr = TxnManager::new(log.clone());
+        let tx = mgr.begin_single_update();
+        let other = LogPayload::BackupTaken {
+            backup: spf_wal::BackupRef::None,
+            page_lsn: Lsn(1),
+        };
+        assert_eq!(
+            mgr.log_other(tx, PageId(1), Lsn::NULL, other.clone()),
+            Err(TxError::SingleUpdate(tx)),
+            "only an update may be its record"
+        );
+        let (lsn, _) = mgr.log_update(tx, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
+        let appended = log.stats().records_appended;
+        assert_eq!(
+            mgr.log_update(tx, PageId(1), lsn, ins(1, 2))
+                .map(|(l, _)| l),
+            Err(TxError::SingleUpdate(tx))
+        );
+        assert_eq!(
+            mgr.log_other(tx, PageId(1), lsn, other),
+            Err(TxError::SingleUpdate(tx))
+        );
+        let target = RecordingTarget::default();
+        assert_eq!(mgr.abort(tx, &target), Err(TxError::SingleUpdate(tx)));
+        assert!(target.applied.into_inner().is_empty(), "nothing undone");
+        assert_eq!(log.stats().records_appended, appended, "nothing logged");
+        assert_eq!(mgr.stats().aborts, 0);
+        assert_eq!(mgr.commit(tx, TraceCtx::NONE), Ok(lsn));
+        assert!(log.durable_lsn() > lsn);
+    }
+
+    /// A user transaction that logged nothing writes no record and
+    /// forces nothing, committed or aborted, and does not hold back WAL
+    /// truncation while it is open.
+    #[test]
+    fn a_user_transaction_that_logged_nothing_writes_and_forces_nothing() {
+        let log = LogManager::for_testing();
+        let mgr = TxnManager::new(log.clone());
+        let sys = mgr.begin(TxKind::System);
+        let sys_begin = log.scan_from(Lsn::NULL).unwrap()[0].0;
+        let read_only = mgr.begin(TxKind::User);
+        let refused = mgr.begin_single_update();
+        assert_eq!(mgr.oldest_active_begin(), Some(sys_begin));
+        mgr.commit(sys, TraceCtx::NONE).unwrap();
+        assert_eq!(mgr.oldest_active_begin(), None, "no chain to keep");
+        let before = log.stats();
+        assert_eq!(mgr.commit(read_only, TraceCtx::NONE), Ok(Lsn::NULL));
+        assert_eq!(
+            mgr.abort(refused, &RecordingTarget::default()),
+            Ok(Lsn::NULL)
+        );
+        let after = log.stats();
+        assert_eq!(after.records_appended, before.records_appended);
+        assert_eq!(after.forces, before.forces);
+        assert_eq!(mgr.active_count(), 0);
+        assert_eq!((mgr.stats().user_commits, mgr.stats().aborts), (1, 1));
+    }
+
+    /// Restart's loser-kind rule, when analysis did not see the first
+    /// record: a chain that leads back to a begin record is a system
+    /// transaction's, one that ends without one a user transaction's —
+    /// also when a CLR's undo-next pointer ends the walk.
+    #[test]
+    fn a_losers_kind_is_read_from_its_first_record() {
+        let log = LogManager::for_testing();
+        let mgr = TxnManager::new(log.clone());
+        let user = mgr.begin(TxKind::User);
+        mgr.log_update(user, PageId(1), Lsn::NULL, ins(0, 1))
+            .unwrap();
+        let (user_last, _) = mgr
+            .log_update(user, PageId(1), Lsn::NULL, ins(1, 1))
+            .unwrap();
+        let sys = mgr.begin(TxKind::System);
+        let (sys_last, _) = mgr
+            .log_update(sys, PageId(2), Lsn::NULL, ins(0, 2))
+            .unwrap();
+        // A user loser whose rollback a crash cut after its only CLR.
+        let half = mgr.begin(TxKind::User);
+        let (u, _) = mgr
+            .log_update(half, PageId(3), Lsn::NULL, ins(0, 3))
+            .unwrap();
+        let clr = log.append(&LogRecord {
+            tx_id: half,
+            prev_tx_lsn: u,
+            page_id: PageId(3),
+            prev_page_lsn: u,
+            payload: LogPayload::Clr {
+                op: ins(0, 3).invert(),
+                undo_next: Lsn::NULL,
+            },
+        });
+        mgr.reset_after_crash(half.0);
+        let target = RecordingTarget::default();
+        let roll = |tx, last| mgr.roll_back_loser(tx, last, None, &target);
+        assert_eq!(roll(user, user_last), Ok(TxKind::User));
+        assert_eq!(roll(sys, sys_last), Ok(TxKind::System));
+        assert_eq!(roll(half, clr), Ok(TxKind::User));
+        assert_eq!(
+            target.applied.lock().len(),
+            3,
+            "the CLR's update stays undone"
+        );
     }
 
     #[test]
@@ -990,8 +1344,12 @@ mod tests {
         assert_eq!(mgr.active_count(), 2);
         let (end, actives) = mgr.active_txns();
         assert_eq!(end, mgr.log().end_lsn());
+        assert_eq!(actives.len(), 1, "a has logged nothing yet");
+        assert_eq!(actives[0].0, b);
+        let (first, _) = mgr.log_update(a, PageId(1), Lsn::NULL, ins(0, 1)).unwrap();
+        let (_, actives) = mgr.active_txns();
         assert_eq!(actives.len(), 2);
-        assert_eq!(actives[0].0, a);
+        assert_eq!(actives[0], (a, first));
         mgr.commit(a, TraceCtx::NONE).unwrap();
         mgr.commit(b, TraceCtx::NONE).unwrap();
         assert_eq!(mgr.active_count(), 0);

@@ -211,7 +211,7 @@ fn kind_index(payload: &LogPayload) -> usize {
         LogPayload::TxBegin { .. } => 0,
         LogPayload::TxCommit { .. } => 1,
         LogPayload::TxAbort => 2,
-        LogPayload::Update { .. } => 3,
+        LogPayload::Update { .. } | LogPayload::UpdateCommit { .. } => 3,
         LogPayload::Clr { .. } => 4,
         LogPayload::PageFormat { .. } => 5,
         LogPayload::FullPageImage { .. } => 6,
@@ -524,13 +524,20 @@ impl LogManager {
     /// parallel. LSNs are therefore unique and densely packed — every
     /// byte between two records belongs to exactly one record.
     pub fn append(&self, record: &LogRecord) -> Lsn {
+        self.append_with_end(record).0
+    }
+
+    /// [`append`](LogManager::append), also returning one past the
+    /// record's last byte: the target a commit hands
+    /// [`force_to`](LogManager::force_to).
+    pub fn append_with_end(&self, record: &LogRecord) -> (Lsn, Lsn) {
         let encoded = record.encode();
         let len = encoded.len() as u64;
         let lsn = self.inner.buf.reserve(len);
         self.inner.buf.write(lsn, &encoded);
         self.inner.stats.appends_by_kind[kind_index(&record.payload)]
             .fetch_add(1, Ordering::Relaxed);
-        Lsn(lsn)
+        (Lsn(lsn), Lsn(lsn + len))
     }
 
     /// The combined-force protocol: publish `target`, then lead one
@@ -610,8 +617,10 @@ impl LogManager {
     /// rule before a page write: everything up to and including the
     /// record that set the page's PageLSN must be durable, but records
     /// appended later — e.g. other pages' PRI updates — need not be).
-    /// No-op if that prefix is already durable. User commits take this
-    /// path too, so commits and write-backs share the group-commit batch.
+    /// No-op if that prefix is already durable. It reads the record back
+    /// to find its end; a commit, which knows it, forces with
+    /// [`force_to`](LogManager::force_to) instead, and both share the
+    /// group-commit batch.
     ///
     /// Under a sampled `ctx` the force wait (or led flush) is recorded as
     /// a span of that trace, with group-commit leader/follower
@@ -633,6 +642,20 @@ impl LogManager {
             }
         };
         self.combined_force(target, ctx)
+    }
+
+    /// Forces the log through `end`, one past a record an
+    /// [`append_with_end`](LogManager::append_with_end) returned: the
+    /// commit path, which knows where its record ends and so reads
+    /// nothing back to find it. Joins the group-commit batch like
+    /// [`force_through`](LogManager::force_through); no-op if `end` is
+    /// already durable, and never forces past the appended end.
+    pub fn force_to(&self, end: Lsn, ctx: TraceCtx) -> Lsn {
+        let durable = self.inner.durable.load(Ordering::Acquire);
+        if end.0 <= durable {
+            return Lsn(durable);
+        }
+        self.combined_force(end.0.min(self.inner.buf.end()), ctx)
     }
 
     /// One past the last durable byte.
@@ -1529,6 +1552,35 @@ mod tests {
             assert_eq!(kind_index(payload), i);
             assert_eq!(LogStats::KIND_NAMES[i], payload.kind_name());
         }
+        let LogPayload::Update { op } = samples[3].clone() else {
+            unreachable!()
+        };
+        let commits = LogPayload::UpdateCommit { op };
+        assert_eq!(kind_index(&commits), 3, "counted as an update");
+    }
+
+    #[test]
+    fn force_to_stops_at_the_given_end() {
+        let log = LogManager::for_testing();
+        let (a, a_end) = log.append_with_end(&update_record(1, Lsn::NULL, 1, Lsn::NULL));
+        let (b, b_end) = log.append_with_end(&update_record(1, a, 2, Lsn::NULL));
+        assert_eq!(a_end, b, "the end is the next record's LSN");
+        assert_eq!(log.force_to(a_end, TraceCtx::NONE), a_end);
+        let forces = log.stats().forces;
+        assert_eq!(
+            log.force_to(a_end, TraceCtx::NONE),
+            a_end,
+            "already durable"
+        );
+        assert_eq!(log.stats().forces, forces);
+        log.crash();
+        assert!(log.read_record(a).is_ok());
+        assert!(log.read_record(b).is_err(), "past the forced end: lost");
+        assert_eq!(
+            log.force_to(Lsn(b_end.0 + 100), TraceCtx::NONE),
+            log.end_lsn(),
+            "clamped to the appended end"
+        );
     }
 
     #[test]

@@ -14,6 +14,21 @@
 //! u8      payload tag, then the payload (its u64 and u16 fields as varints)
 //! ```
 //!
+//! | tag | payload | tag | payload |
+//! |---|---|---|---|
+//! | 0 | system transaction begin | 6 | full-page image |
+//! | 1 | commit | 7 | page-recovery-index update |
+//! | 2 | abort | 8 | backup taken |
+//! | 3 | update | 9 | checkpoint begin |
+//! | 4 | compensation (CLR) | 10 | checkpoint end |
+//! | 5 | page format | 11 | update that commits its transaction |
+//!
+//! A user transaction logs no begin record: its first record is the one
+//! whose `prev_tx_lsn` is NULL (as in ARIES), and only a system
+//! transaction opens with a begin record. A transaction whose one update
+//! is its whole work logs that update under tag 11 and no commit record
+//! ([`LogPayload::UpdateCommit`]); the tag's payload is an update's.
+//!
 //! The frame stays fixed-width, so the log's probe, scan and restore paths
 //! size a record from its first four bytes ([`LogRecord::framed_len`]).
 //! Both chain pointers are absolute LSNs, not deltas against the record's
@@ -761,9 +776,10 @@ impl PageOp {
 /// The body of a log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogPayload {
-    /// A transaction begins. `system` marks the paper's system
+    /// A system transaction begins. `system` marks the paper's system
     /// transactions (Figure 5): contents-neutral structural updates whose
-    /// commit does not force the log.
+    /// commit does not force the log. A user transaction logs no begin
+    /// record, so a chain without one is a user transaction's.
     TxBegin {
         /// True for a system transaction.
         system: bool,
@@ -778,6 +794,13 @@ pub enum LogPayload {
     /// A physiological update to one data page.
     Update {
         /// The operation; carries redo and undo information.
+        op: PageOp,
+    },
+    /// An update that also commits its transaction: the last record of a
+    /// single-update transaction, which logs no commit record. Redone like
+    /// an [`Update`](LogPayload::Update), never undone.
+    UpdateCommit {
+        /// The operation.
         op: PageOp,
     },
     /// Compensation log record written during rollback: redo-only.
@@ -841,6 +864,7 @@ impl LogPayload {
     const TAG_BACKUP_TAKEN: u8 = 8;
     const TAG_CKPT_BEGIN: u8 = 9;
     const TAG_CKPT_END: u8 = 10;
+    const TAG_UPDATE_COMMIT: u8 = 11;
 
     /// True for the records that form a page's **content chain** — the
     /// ones whose redo (or inverse) reconstructs page state: updates,
@@ -851,6 +875,7 @@ impl LogPayload {
         matches!(
             self,
             LogPayload::Update { .. }
+                | LogPayload::UpdateCommit { .. }
                 | LogPayload::Clr { .. }
                 | LogPayload::PageFormat { .. }
                 | LogPayload::FullPageImage { .. }
@@ -871,14 +896,15 @@ impl LogPayload {
             )
     }
 
-    /// Short name for diagnostics and experiment tables.
+    /// Short name for diagnostics and experiment tables. A
+    /// self-committing update is an `"update"` too.
     #[must_use]
     pub fn kind_name(&self) -> &'static str {
         match self {
             LogPayload::TxBegin { .. } => "tx-begin",
             LogPayload::TxCommit { .. } => "tx-commit",
             LogPayload::TxAbort => "tx-abort",
-            LogPayload::Update { .. } => "update",
+            LogPayload::Update { .. } | LogPayload::UpdateCommit { .. } => "update",
             LogPayload::Clr { .. } => "clr",
             LogPayload::PageFormat { .. } => "page-format",
             LogPayload::FullPageImage { .. } => "full-page-image",
@@ -902,6 +928,10 @@ impl LogPayload {
             LogPayload::TxAbort => enc.put_u8(Self::TAG_TX_ABORT),
             LogPayload::Update { op } => {
                 enc.put_u8(Self::TAG_UPDATE);
+                op.encode(enc);
+            }
+            LogPayload::UpdateCommit { op } => {
+                enc.put_u8(Self::TAG_UPDATE_COMMIT);
                 op.encode(enc);
             }
             LogPayload::Clr { op, undo_next } => {
@@ -957,6 +987,9 @@ impl LogPayload {
             }),
             Self::TAG_TX_ABORT => Ok(LogPayload::TxAbort),
             Self::TAG_UPDATE => Ok(LogPayload::Update {
+                op: PageOp::decode(dec)?,
+            }),
+            Self::TAG_UPDATE_COMMIT => Ok(LogPayload::UpdateCommit {
                 op: PageOp::decode(dec)?,
             }),
             Self::TAG_CLR => {
@@ -1132,6 +1165,9 @@ mod tests {
             LogPayload::Update {
                 op: PageOp::replace(2, b"k2".to_vec(), b"k2=old", b"k2=new"),
             },
+            LogPayload::UpdateCommit {
+                op: PageOp::replace(2, b"k2".to_vec(), b"k2=old", b"k2=new"),
+            },
             LogPayload::Update {
                 op: PageOp::SetGhost {
                     pos: 9,
@@ -1204,9 +1240,11 @@ mod tests {
         }
     }
 
-    /// The records a `put_auto` writes — begin, one replace of a 115-byte
-    /// leaf record whose generation digit changes, commit — at a tx id
-    /// and LSNs a long run reaches: the format must not grow back.
+    /// The one record a `put_auto` writes — a self-committing replace of
+    /// a 115-byte leaf record whose generation digit changes, first in its
+    /// transaction's chain — at a tx id and LSNs a long run reaches: the
+    /// format must not grow back. A multi-update transaction's commit
+    /// record stays small too.
     #[test]
     fn put_auto_records_stay_within_their_byte_budget() {
         let (tx, lsn) = (TxId(600_000), (1u64 << 27) - 4096);
@@ -1225,17 +1263,11 @@ mod tests {
             .encode()
             .len()
         };
-        let begin = at(
-            LogPayload::TxBegin { system: false },
-            Lsn::NULL,
-            PageId::INVALID,
-            Lsn::NULL,
-        );
         let update = at(
-            LogPayload::Update {
+            LogPayload::UpdateCommit {
                 op: PageOp::replace(60, key, &old, &new),
             },
-            Lsn(lsn),
+            Lsn::NULL,
             PageId(5_000),
             Lsn(lsn - 100_000),
         );
@@ -1245,8 +1277,7 @@ mod tests {
             PageId::INVALID,
             Lsn::NULL,
         );
-        assert!(begin <= 16, "begin: {begin} bytes");
-        assert!(update <= 48, "update: {update} bytes");
+        assert!(update <= 43, "update: {update} bytes");
         assert!(commit <= 20, "commit: {commit} bytes");
     }
 
@@ -1419,6 +1450,13 @@ mod tests {
     #[test]
     fn payload_kind_names_are_stable() {
         assert_eq!(LogPayload::TxAbort.kind_name(), "tx-abort");
+        let op = PageOp::SetGhost {
+            pos: 0,
+            key: b"k".to_vec(),
+            old: false,
+            new: true,
+        };
+        assert_eq!(LogPayload::UpdateCommit { op }.kind_name(), "update");
         assert_eq!(
             LogPayload::PriUpdate {
                 page_lsn: Lsn(1),
